@@ -42,11 +42,11 @@
 // slice-partitioned write pipeline (per-lane windows sealed and seal
 // reasons, adaptive flush thresholds, hot-slice promotions/demotions,
 // apply lag per slice, backpressure stalls, commit/apply waits,
-// registered read replicas) and per-shard buffer pool counters
+// frontier watchers) and per-shard buffer pool counters
 // (including StaleRefetches). -write-lanes sizes the dedicated-lane
 // pool; -replicas attaches embedded read replicas, each serving
-// read-only SQL at /replica/<n>/query and its tailing stats (visible
-// LSN, lag records/bytes, refreshes) at /replica/<n>/stats:
+// read-only SQL at /replica/<n>/query and its stream stats (visible
+// LSN, lag records/bytes, pushed frames) at /replica/<n>/stats:
 //
 //	taurus-server -role frontend -listen :7200 -stats-addr :7201 -data-dir /var/lib/taurus/fe -write-lanes 2 -replicas 2
 //
@@ -54,10 +54,12 @@
 // tier: it attaches to storage servers over TCP (-log-stores and
 // -page-stores take comma-separated host:port lists that must match the
 // master's ordering) and serves read-only SQL on POST /query with its
-// lag stats on GET /stats. With -advertise the replica listens on that
-// address for the cluster protocol and subscribes to the Log Stores'
-// push streams (batches arrive as they commit; -refresh-interval only
-// paces the liveness watchdog); without it the replica polls:
+// lag stats on GET /stats. The replica listens on -advertise (required)
+// for the cluster protocol and subscribes to the Log Stores' push
+// streams: batches arrive as they commit, -refresh-interval only paces
+// the idle tick and the stream watchdog. The writer's SAL must relay its
+// applied frontier to the Log Stores (sal.Config.NotifyFrontier), or the
+// replica's visible LSN never moves:
 //
 //	taurus-server -role replica -listen :7300 -advertise :7310 \
 //	  -log-stores :7100,:7101,:7102 -page-stores :7000,:7001,:7002,:7003 \
@@ -108,9 +110,9 @@ func main() {
 	tenant := flag.Uint("tenant", 1, "tenant id on the storage services (replica)")
 	pagesPerSlice := flag.Uint64("pages-per-slice", 0, "slice size in pages, must match the master (replica; 0 = default)")
 	replication := flag.Int("replication-factor", 3, "slice replication factor, must match the master (replica)")
-	refreshInterval := flag.Duration("refresh-interval", 0, "log tail poll cadence (replica; 0 = default 25ms)")
+	refreshInterval := flag.Duration("refresh-interval", 0, "idle tick and stream watchdog unit (replica; 0 = default 25ms)")
 	poolPages := flag.Int("pool-pages", 0, "buffer pool pages (replica; 0 = default)")
-	advertise := flag.String("advertise", "", "cluster address this replica listens on for pushed log batches; Log Stores must be able to dial it (replica; empty = pull tailing)")
+	advertise := flag.String("advertise", "", "cluster address this replica listens on for pushed log batches; Log Stores must be able to dial it (replica; required)")
 	slowOp := flag.Duration("slow-op", 0, "log statements at or above this duration with a per-stage breakdown (frontend/replica; 0 = off)")
 	traceSample := flag.Float64("trace-sample", 0, "probability a statement opens a distributed trace (frontend/replica; 0 = off, forced traces still work)")
 	scanPar := flag.Int("scan-parallelism", 0, "concurrent slice partitions per NDP scan (frontend/replica; 0 = GOMAXPROCS)")
@@ -205,8 +207,8 @@ func main() {
 		ls.RegisterMetrics(reg)
 		ls.SetTracer(tracer)
 		ls.SetEvents(events)
-		// Arm the push hub: subscribers (replicas started with
-		// -advertise) register a dialable address as their node name,
+		// Arm the push hub: subscribers (replicas, by their -advertise
+		// address) register a dialable address as their node name,
 		// and the store pushes log batches to it over this client.
 		pc := cluster.NewTCPClient()
 		pc.Metrics = cluster.NewRPCMetrics(reg, "client")
@@ -335,8 +337,8 @@ func parsePeers(s string) []clusterPeer {
 }
 
 // frontendStats is the /stats payload of a frontend node: the SAL's
-// group-commit pipeline counters (including registered read replicas
-// and LSN-advance notifications), per-shard buffer pool counters
+// group-commit pipeline counters (including frontier watchers and
+// frontier relays), per-shard buffer pool counters
 // (including StaleRefetches), and the embedded storage nodes' states.
 type frontendStats struct {
 	WritePath  sal.PipelineStats
@@ -356,9 +358,9 @@ type frontendStats struct {
 }
 
 // replicaStats is the /stats payload of a read replica (embedded or
-// standalone): the tailing state (visible LSN, lag records/bytes,
-// refresh and notification counts, pages invalidated) plus its own
-// buffer pool counters.
+// standalone): the stream-following state (visible LSN, lag
+// records/bytes, pushed frames, pages invalidated) plus its own buffer
+// pool counters.
 type replicaStats struct {
 	Replica    replica.Stats
 	BufferPool []buffer.ShardStats
@@ -561,15 +563,17 @@ type replicaOptions struct {
 }
 
 // runReplica serves a standalone read replica attached to storage
-// servers over TCP. With -advertise it listens on that address for the
-// cluster protocol, subscribes to the Log Stores' push streams, and
-// receives log batches as they commit; without it the replica polls on
-// -refresh-interval. The catalog bootstraps from the full log tail, so
-// the Log Stores must still retain the DDL records (i.e. log GC must
-// not have truncated them).
+// servers over TCP. It listens on -advertise for the cluster protocol,
+// subscribes to the Log Stores' push streams, and receives log batches
+// as they commit. The catalog bootstraps from the full log, streamed
+// from LSN 0, so the Log Stores must still retain the DDL records (i.e.
+// log GC must not have truncated them).
 func runReplica(listen, statsAddr string, opts replicaOptions) {
 	if len(opts.logStores) == 0 || len(opts.pageStores) == 0 {
 		log.Fatal("replica: -log-stores and -page-stores required")
+	}
+	if opts.advertise == "" {
+		log.Fatal("replica: -advertise required (the address the Log Stores push log batches to)")
 	}
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(opts.name, opts.traceSample, 0)
@@ -586,9 +590,7 @@ func runReplica(listen, statsAddr string, opts replicaOptions) {
 		RefreshInterval:   opts.refreshInterval,
 		Metrics:           reg,
 		Name:              opts.name,
-		Tracer:            tracer,
 		Events:            events,
-		Subscribe:         opts.advertise != "",
 		Node:              opts.advertise,
 	})
 	if err != nil {
@@ -599,18 +601,16 @@ func runReplica(listen, statsAddr string, opts replicaOptions) {
 		health.MonitorOptions{Events: events, Metrics: reg})
 	rep.RegisterHealth(mon)
 	rep.SetHealth(mon)
-	if opts.advertise != "" {
-		cl, err := net.Listen("tcp", opts.advertise)
-		if err != nil {
-			log.Fatalf("replica: cluster listener on %s: %v", opts.advertise, err)
-		}
-		go func() {
-			if err := cluster.ServeMetrics(cl, rep, cluster.NewRPCMetrics(reg, "server")); err != nil {
-				log.Printf("replica: cluster listener: %v", err)
-			}
-		}()
-		log.Printf("replica accepting pushed log batches on %s", opts.advertise)
+	cl, err := net.Listen("tcp", opts.advertise)
+	if err != nil {
+		log.Fatalf("replica: cluster listener on %s: %v", opts.advertise, err)
 	}
+	go func() {
+		if err := cluster.ServeMetrics(cl, rep, cluster.NewRPCMetrics(reg, "server")); err != nil {
+			log.Printf("replica: cluster listener: %v", err)
+		}
+	}()
+	log.Printf("replica accepting pushed log batches on %s", opts.advertise)
 	eng, err := engine.New(engine.Config{ReadView: rep, PoolPages: opts.poolPages,
 		ScanParallelism: opts.scanPar, Tracer: tracer, Events: events})
 	if err != nil {
@@ -631,11 +631,9 @@ func runReplica(listen, statsAddr string, opts replicaOptions) {
 		}
 	})
 	if err := rep.Start(0, 0); err != nil {
-		log.Fatalf("replica: bootstrap: %v", err)
+		log.Fatalf("replica: subscribe: %v", err)
 	}
-	st := rep.Stats()
-	log.Printf("replica bootstrapped: visible LSN %d, %d records tailed, %d tables attached",
-		st.VisibleLSN, st.RecordsTailed, st.TablesAttached)
+	log.Printf("replica subscribed from LSN 0; tables attach as the log streams in")
 	mon.StartLoop(time.Second)
 	stats := jsonHandler(func() any {
 		return replicaStats{Replica: rep.Stats(), BufferPool: eng.Pool().ShardStatsSnapshot(),

@@ -30,27 +30,15 @@ type ReplicaRow struct {
 	P50LagRecords float64 `json:"p50_lag_records"`
 	P99LagRecords float64 `json:"p99_lag_records"`
 	MaxLagRecords uint64  `json:"max_lag_records"`
-	// Notifies/Refreshes total the replicas' tailing activity;
-	// StreamBatches counts pushed log frames the replicas consumed. In
-	// push mode Refreshes counts only on-demand cycles (retention-miss
-	// retries and detached fallbacks), so it stays near zero.
-	Notifies      uint64 `json:"notifies"`
+	// StreamBatches counts pushed log frames the replicas consumed;
+	// Refreshes counts their on-demand advance cycles (the engine's
+	// retention-miss retries), so it stays near zero.
 	Refreshes     uint64 `json:"refreshes"`
 	StreamBatches uint64 `json:"stream_batches"`
-	// LogReadReqs/SliceLSNReqs attribute the replicas' pull-tailing RPC
-	// load on the storage cluster during the level (from the transport's
-	// per-MsgType metrics): MsgLogRead fetches log records from the Log
-	// Stores, MsgSliceLSN polls slice durable watermarks on the Page
-	// Stores. The *PerSec forms normalize by the level's duration. With
-	// push streams both should sit at ~0 in steady state.
-	LogReadReqs    uint64  `json:"log_read_reqs"`
-	LogReadPerSec  float64 `json:"log_read_per_sec"`
-	SliceLSNReqs   uint64  `json:"slice_lsn_reqs"`
-	SliceLSNPerSec float64 `json:"slice_lsn_per_sec"`
 	// RPCRates breaks the level's whole RPC load down by message type
 	// (requests/sec on the master's transport, zero-delta types
-	// omitted) — push mode shows MsgLogBatch/MsgFrontier/MsgVersionPin
-	// traffic where pull mode showed MsgLogRead/MsgSliceLSN polling.
+	// omitted): the replicas' share is MsgLogBatch, MsgFrontier and
+	// MsgVersionPin traffic.
 	RPCRates map[string]float64 `json:"rpc_rates_per_sec,omitempty"`
 }
 
@@ -67,7 +55,7 @@ type ReplicasReport struct {
 }
 
 // Replicas measures read-QPS scaling and replication lag: one embedded
-// master with a continuous writer, n log-tailing read replicas serving
+// master with a continuous writer, n read replicas serving
 // point SELECTs from the shared Page Stores, for each n in counts.
 func Replicas(duration time.Duration, counts []int, readersPer int) ([]ReplicaRow, error) {
 	if duration <= 0 {
@@ -224,10 +212,6 @@ sampling:
 		row.MaxLagRecords = uint64(snap.Max)
 	}
 	rpc := master.RPCStats()
-	row.LogReadReqs = rpc["MsgLogRead"].Requests - rpc0["MsgLogRead"].Requests
-	row.SliceLSNReqs = rpc["MsgSliceLSN"].Requests - rpc0["MsgSliceLSN"].Requests
-	row.LogReadPerSec = float64(row.LogReadReqs) / elapsed
-	row.SliceLSNPerSec = float64(row.SliceLSNReqs) / elapsed
 	row.RPCRates = map[string]float64{}
 	for msg, st := range rpc {
 		if delta := st.Requests - rpc0[msg].Requests; delta > 0 {
@@ -236,7 +220,6 @@ sampling:
 	}
 	for _, rep := range reps {
 		st := rep.ReplicaStats()
-		row.Notifies += st.Notifies
 		row.Refreshes += st.Refreshes
 		row.StreamBatches += st.StreamBatches
 	}
@@ -280,13 +263,13 @@ func WriteReplicasJSON(path string, rep ReplicasReport) error {
 // PrintReplicas renders the replica-scaling table.
 func PrintReplicas(w io.Writer, rows []ReplicaRow) {
 	fmt.Fprintln(w, "Read-replica scaling: point SELECTs on n replicas beside one continuous writer:")
-	fmt.Fprintf(w, "  %-9s %8s %10s %10s %12s %12s %10s %9s %11s %11s\n",
-		"replicas", "readers", "reads/s", "writes/s", "p50 lag", "p99 lag", "max lag", "push/s", "logread/s", "slicelsn/s")
+	fmt.Fprintf(w, "  %-9s %8s %10s %10s %12s %12s %10s %9s\n",
+		"replicas", "readers", "reads/s", "writes/s", "p50 lag", "p99 lag", "max lag", "push/s")
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %-9d %8d %10.0f %10.0f %9.0f rec %9.0f rec %6d rec %9.0f %11.0f %11.0f\n",
+		fmt.Fprintf(w, "  %-9d %8d %10.0f %10.0f %9.0f rec %9.0f rec %6d rec %9.0f\n",
 			r.Replicas, r.Replicas*r.Readers, r.ReadQPS, r.WriteQPS,
 			r.P50LagRecords, r.P99LagRecords, r.MaxLagRecords,
-			float64(r.StreamBatches)/r.Seconds, r.LogReadPerSec, r.SliceLSNPerSec)
+			float64(r.StreamBatches)/r.Seconds)
 	}
 	rep := BuildReplicasReport(rows)
 	if rep.ReadScaling2x > 0 {

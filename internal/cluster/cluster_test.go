@@ -232,3 +232,81 @@ func TestResponseCodecRoundTrips(t *testing.T) {
 		t.Error("unknown tag should fail")
 	}
 }
+
+// TestWireNumbersArePinned: the wire numbers of every surviving message
+// are what deployed peers speak, and the numbers of the retired pull
+// tailer's messages (MsgLogRead 10, MsgLSNAdvance 11, MsgSliceLSN 12;
+// response tags 6 and 7) stay reserved — refused on decode, never
+// reassigned. Literal numbers on purpose: deleting or inserting a
+// constant above shifts the iota and must fail here.
+func TestWireNumbersArePinned(t *testing.T) {
+	reqs := []struct {
+		want MsgType
+		req  any
+	}{
+		{1, &WriteLogsReq{}},
+		{2, &ReadPageReq{}},
+		{3, &BatchReadReq{}},
+		{4, &LogAppendReq{}},
+		{5, &CreateSliceReq{}},
+		{8, &PageLSNReq{}},
+		{9, &LogTruncateReq{}},
+		{13, &LogSubscribeReq{}},
+		{14, &LogUnsubscribeReq{}},
+		{15, &LogBatchReq{}},
+		{16, &FrontierReq{}},
+		{17, &VersionPinReq{}},
+		{18, &PingReq{}},
+		{19, &HealthReportReq{}},
+	}
+	for _, c := range reqs {
+		got, body, err := EncodeRequest(c.req)
+		if err != nil || got != c.want {
+			t.Errorf("%T encodes as type %d (err %v), want %d", c.req, got, err, c.want)
+			continue
+		}
+		if back, err := DecodeRequest(c.want, body); err != nil || fmt.Sprintf("%T", back) != fmt.Sprintf("%T", c.req) {
+			t.Errorf("type %d decodes to %T (err %v), want %T", c.want, back, err, c.req)
+		}
+	}
+	if MsgResp != 6 || MsgErr != 7 {
+		t.Errorf("MsgResp, MsgErr = %d, %d; want 6, 7", MsgResp, MsgErr)
+	}
+	for _, retired := range []MsgType{10, 11, 12} {
+		if _, err := DecodeRequest(retired, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+			t.Errorf("retired request type %d decoded", retired)
+		}
+		if name := retired.String(); name != "MsgUnknown" {
+			t.Errorf("retired request type %d is still named %s", retired, name)
+		}
+	}
+
+	resps := []struct {
+		want byte
+		resp any
+	}{
+		{1, &Ack{}},
+		{2, &PageResp{}},
+		{3, &BatchReadResp{}},
+		{4, &PageLSNResp{}},
+		{5, &LogGCResp{}},
+		{8, &LogSubscribeResp{}},
+		{9, &PingResp{}},
+		{10, &HealthReportResp{}},
+	}
+	for _, c := range resps {
+		mt, body, err := EncodeResponse(c.resp, nil)
+		if err != nil || mt != MsgResp || body[0] != c.want {
+			t.Errorf("%T encodes as type %d, body % x (err %v); want a MsgResp tagged %d", c.resp, mt, body, err, c.want)
+			continue
+		}
+		if back, err := DecodeResponse(MsgResp, body); err != nil || fmt.Sprintf("%T", back) != fmt.Sprintf("%T", c.resp) {
+			t.Errorf("tag %d decodes to %T (err %v), want %T", c.want, back, err, c.resp)
+		}
+	}
+	for _, retired := range []byte{6, 7} {
+		if _, err := DecodeResponse(MsgResp, []byte{retired, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+			t.Errorf("retired response tag %d decoded", retired)
+		}
+	}
+}

@@ -28,12 +28,6 @@ func (t MsgType) String() string {
 		return "MsgPageLSN"
 	case MsgLogTruncate:
 		return "MsgLogTruncate"
-	case MsgLogRead:
-		return "MsgLogRead"
-	case MsgLSNAdvance:
-		return "MsgLSNAdvance"
-	case MsgSliceLSN:
-		return "MsgSliceLSN"
 	case MsgLogSubscribe:
 		return "MsgLogSubscribe"
 	case MsgLogUnsubscribe:

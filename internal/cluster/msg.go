@@ -43,26 +43,22 @@ const (
 	// MsgLogTruncate asks a Log Store to garbage-collect records below
 	// a watermark.
 	MsgLogTruncate
-	// MsgLogRead tails a Log Store: records above an LSN flow back to a
-	// read replica ("They also serve log records to read replicas", §II).
-	MsgLogRead
-	// MsgLSNAdvance notifies a read replica that the master's durable
-	// watermark advanced, so it can tail the Log Stores immediately
-	// instead of waiting for its poll interval.
-	MsgLSNAdvance
-	// MsgSliceLSN asks a Page Store for the per-slice applied LSN
-	// frontier of a tenant — the input to a read replica's visible LSN.
-	MsgSliceLSN
+	// 10, 11 and 12 were the pull tailer's requests (log read, LSN
+	// advance, slice LSN). Retired; the numbers stay reserved so the
+	// types below keep theirs, and decoding one is an unknown-type error.
+	_
+	_
+	_
 	// MsgLogSubscribe attaches a read replica to a Log Store's push
-	// stream: the store's hub multicasts framed record batches
-	// (MsgLogBatch) to the subscriber's transport node from FromLSN on,
-	// retiring the replica's MsgLogRead polling.
+	// stream ("They also serve log records to read replicas", §II): the
+	// store's hub multicasts framed record batches (MsgLogBatch) to the
+	// subscriber's transport node from FromLSN on.
 	MsgLogSubscribe
 	// MsgLogUnsubscribe detaches a subscriber from the push stream.
 	MsgLogUnsubscribe
 	// MsgLogBatch is one pushed stream frame, Log Store → subscriber:
 	// new records plus piggybacked durable-LSN and per-slice applied
-	// frontiers (retiring MsgSliceLSN polling too).
+	// frontiers — the inputs to a read replica's visible LSN.
 	MsgLogBatch
 	// MsgFrontier carries the master SAL's durable watermark and
 	// per-slice applied frontier to the Log Stores — O(#LogStores) per
@@ -227,51 +223,11 @@ type LogGCResp struct {
 	Bytes   uint64
 }
 
-// LogReadReq tails a Log Store: up to MaxRecords records with LSN >
-// AfterLSN come back in LSN order. MaxRecords 0 means no bound.
-type LogReadReq struct {
-	Tenant     uint32
-	AfterLSN   uint64
-	MaxRecords uint32
-}
-
-// LogReadResp carries the tailed records (concatenated wal encoding, LSN
-// order) plus the store's durable and GC watermarks, so a replica can
-// tell an empty tail from a truncated one.
-type LogReadResp struct {
-	Recs []byte
-	// Count is the number of records in Recs.
-	Count        uint32
-	DurableLSN   uint64
-	TruncatedLSN uint64
-}
-
-// LSNAdvanceReq tells a read replica the master's durable watermark
-// moved. Best-effort: a lost notification only delays the replica until
-// its next poll.
-type LSNAdvanceReq struct {
-	Tenant     uint32
-	DurableLSN uint64
-}
-
-// SliceLSNReq asks a Page Store node for every hosted slice's applied
-// LSN for a tenant (0 = all tenants).
-type SliceLSNReq struct {
-	Tenant uint32
-}
-
-// SliceLSNEntry is one slice's applied frontier on one node.
+// SliceLSNEntry is one slice's applied frontier: every record for the
+// slice at or below AppliedLSN is applied on every replica of it.
 type SliceLSNEntry struct {
 	SliceID    uint32
 	AppliedLSN uint64
-}
-
-// SliceLSNResp reports the node's per-slice applied LSNs. A replica
-// takes the minimum per slice across the nodes hosting it: every record
-// for that slice at or below the minimum is applied on every replica of
-// the slice.
-type SliceLSNResp struct {
-	Slices []SliceLSNEntry
 }
 
 // LogSubscribeReq attaches Node (a transport-reachable name the store
@@ -447,17 +403,6 @@ func EncodeRequest(req any) (MsgType, []byte, error) {
 		b := appendU32(nil, m.Tenant)
 		b = appendU64(b, m.Watermark)
 		return MsgLogTruncate, b, nil
-	case *LogReadReq:
-		b := appendU32(nil, m.Tenant)
-		b = appendU64(b, m.AfterLSN)
-		b = appendU32(b, m.MaxRecords)
-		return MsgLogRead, b, nil
-	case *LSNAdvanceReq:
-		b := appendU32(nil, m.Tenant)
-		b = appendU64(b, m.DurableLSN)
-		return MsgLSNAdvance, b, nil
-	case *SliceLSNReq:
-		return MsgSliceLSN, appendU32(nil, m.Tenant), nil
 	case *LogSubscribeReq:
 		b := appendU32(nil, m.Tenant)
 		b = appendString(b, m.Node)
@@ -558,15 +503,6 @@ func DecodeRequest(t MsgType, body []byte) (any, error) {
 	case MsgLogTruncate:
 		m := &LogTruncateReq{Tenant: r.u32(), Watermark: r.u64()}
 		return m, r.err
-	case MsgLogRead:
-		m := &LogReadReq{Tenant: r.u32(), AfterLSN: r.u64(), MaxRecords: r.u32()}
-		return m, r.err
-	case MsgLSNAdvance:
-		m := &LSNAdvanceReq{Tenant: r.u32(), DurableLSN: r.u64()}
-		return m, r.err
-	case MsgSliceLSN:
-		m := &SliceLSNReq{Tenant: r.u32()}
-		return m, r.err
 	case MsgLogSubscribe:
 		m := &LogSubscribeReq{Tenant: r.u32(), Node: r.str(), FromLSN: r.u64(), Window: r.u32()}
 		return m, r.err
@@ -627,21 +563,6 @@ func EncodeResponse(resp any, respErr error) (MsgType, []byte, error) {
 		b = appendU32(b, m.Removed)
 		b = appendU64(b, m.Bytes)
 		return MsgResp, b, nil
-	case *LogReadResp:
-		b := []byte{respLogRead}
-		b = appendU32(b, m.Count)
-		b = appendU64(b, m.DurableLSN)
-		b = appendU64(b, m.TruncatedLSN)
-		b = appendBytes(b, m.Recs)
-		return MsgResp, b, nil
-	case *SliceLSNResp:
-		b := []byte{respSliceLSN}
-		b = binary.AppendUvarint(b, uint64(len(m.Slices)))
-		for _, e := range m.Slices {
-			b = appendU32(b, e.SliceID)
-			b = appendU64(b, e.AppliedLSN)
-		}
-		return MsgResp, b, nil
 	case *LogSubscribeResp:
 		b := []byte{respLogSubscribe}
 		b = appendU64(b, m.DurableLSN)
@@ -669,8 +590,8 @@ const (
 	respBatch
 	respPageLSN
 	respLogGC
-	respLogRead
-	respSliceLSN
+	_ // 6, 7: the pull tailer's log-read and slice-LSN responses, retired;
+	_ // reserved so the tags below keep their values
 	respLogSubscribe
 	respPing
 	respHealthReport
@@ -711,19 +632,6 @@ func DecodeResponse(t MsgType, body []byte) (any, error) {
 		return m, r.err
 	case respLogGC:
 		m := &LogGCResp{Removed: r.u32(), Bytes: r.u64()}
-		return m, r.err
-	case respLogRead:
-		m := &LogReadResp{Count: r.u32(), DurableLSN: r.u64(), TruncatedLSN: r.u64(), Recs: r.bytes()}
-		return m, r.err
-	case respSliceLSN:
-		m := &SliceLSNResp{}
-		n := r.uvarint()
-		if n > 1<<20 {
-			return nil, fmt.Errorf("cluster: implausible slice count %d", n)
-		}
-		for i := uint64(0); i < n; i++ {
-			m.Slices = append(m.Slices, SliceLSNEntry{SliceID: r.u32(), AppliedLSN: r.u64()})
-		}
 		return m, r.err
 	case respLogSubscribe:
 		m := &LogSubscribeResp{DurableLSN: r.u64(), TruncatedLSN: r.u64()}

@@ -67,7 +67,7 @@ type Store struct {
 	dir  string
 
 	// hub is the push-stream multicaster; nil until SetPushTransport
-	// arms it (pull-tailing stores never have one).
+	// arms it (a store nobody subscribes to never needs one).
 	hub *hub
 
 	// Optional instruments, armed by RegisterMetrics; nil is inert.
@@ -229,8 +229,6 @@ func (s *Store) HandleTraced(tc obs.TraceContext, req any) (any, error) {
 		// The pushes this append triggers become children of its span
 		// (the full push path shows up in /trace/<id>).
 		s.stashStreamTrace(tc)
-	case *cluster.LogReadReq:
-		name = "logstore.read"
 	case *cluster.LogTruncateReq:
 		name = "logstore.truncate"
 	case *cluster.LogSubscribeReq:
@@ -267,12 +265,6 @@ func (s *Store) Handle(req any) (any, error) {
 			return nil, err
 		}
 		return &cluster.LogGCResp{Removed: uint32(removed), Bytes: bytes}, nil
-	case *cluster.LogReadReq:
-		enc, count := s.ReadEncodedFrom(m.AfterLSN, int(m.MaxRecords))
-		return &cluster.LogReadResp{
-			Recs: enc, Count: uint32(count),
-			DurableLSN: s.DurableLSN(), TruncatedLSN: s.TruncatedLSN(),
-		}, nil
 	case *cluster.LogSubscribeReq:
 		return s.subscribe(m)
 	case *cluster.LogUnsubscribeReq:
@@ -451,10 +443,10 @@ func (s *Store) ReadFrom(after uint64) []wal.Record {
 }
 
 // ReadEncodedFrom returns up to max records with LSN > after in their
-// wire encoding (LSN order), serving read-replica tails. max <= 0
+// wire encoding (LSN order), feeding the push stream's frames. max <= 0
 // means unbounded. Only the record headers are copied under the store
-// lock; the encoding happens outside it, so frequent replica tails do
-// not stall concurrent Appends (record payloads are immutable once
+// lock; the encoding happens outside it, so stream reads do not stall
+// concurrent Appends (record payloads are immutable once
 // stored, and hole-filling merges rebuild the slice rather than
 // mutating payload bytes).
 func (s *Store) ReadEncodedFrom(after uint64, max int) ([]byte, int) {

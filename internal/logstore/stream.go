@@ -1,11 +1,10 @@
-// Push-based log subscription streams. Instead of every read replica
-// pull-tailing the store (MsgLogRead polling), the store runs one
-// sequential log reader per stream that encodes each new record batch
-// once and multicasts the framed batch (MsgLogBatch) to every
-// subscriber over the regular cluster transport. Frames piggyback the
-// master SAL's durable watermark and per-slice applied frontier
-// (relayed via MsgFrontier), so subscribers advance their visible LSN
-// without MsgSliceLSN polling either.
+// Push-based log subscription streams: how read replicas follow the
+// log. The store runs one sequential log reader per stream that encodes
+// each new record batch once and multicasts the framed batch
+// (MsgLogBatch) to every subscriber over the regular cluster transport.
+// Frames piggyback the master SAL's durable watermark and per-slice
+// applied frontier (relayed via MsgFrontier), so subscribers advance
+// their visible LSN without asking any storage node.
 //
 // Flow control is a bounded per-subscriber queue: the multicast never
 // blocks on a slow consumer — a subscriber whose queue overflows is
@@ -41,8 +40,15 @@ type subscriber struct {
 	// goroutine; read by the hub (GC pinning, lag gauge).
 	next  atomic.Uint64
 	queue chan *cluster.LogBatchReq
-	stop  chan struct{}
-	done  chan struct{}
+	// poke asks the sender for a records-less frame carrying the newest
+	// relayed frontier. One slot, level-triggered: relays that land
+	// while the sender is busy cost one frame, and never a queue slot.
+	poke chan struct{}
+	// gen is hub.frontierGen as of the newest frame built for this
+	// subscriber (queued or pushed). Guarded by hub.mu.
+	gen  uint64
+	stop chan struct{}
+	done chan struct{}
 }
 
 // hub is the store's stream multicaster: one goroutine watches the
@@ -57,6 +63,9 @@ type hub struct {
 	// Relayed master frontier (MsgFrontier), piggybacked on frames.
 	masterDurable uint64
 	frontier      map[uint32]uint64
+	// frontierGen counts the relays that moved masterDurable or frontier;
+	// a subscriber whose gen differs has not been sent the newest one.
+	frontierGen uint64
 	// cursor is the highest LSN the multicast has framed so far.
 	cursor uint64
 	// pendingTC is the most recent sampled append's trace context; the
@@ -153,7 +162,7 @@ func (s *Store) subscribe(m *cluster.LogSubscribeReq) (*cluster.LogSubscribeResp
 	truncated := s.truncatedLSN
 	s.mu.Unlock()
 	if h == nil {
-		return nil, fmt.Errorf("logstore %s: no push transport (pull-tail instead)", s.name)
+		return nil, fmt.Errorf("logstore %s: no push transport armed", s.name)
 	}
 	resp := &cluster.LogSubscribeResp{DurableLSN: durable, TruncatedLSN: truncated}
 	if truncated > m.FromLSN {
@@ -169,6 +178,7 @@ func (s *Store) subscribe(m *cluster.LogSubscribeReq) (*cluster.LogSubscribeResp
 		node:   m.Node,
 		tenant: m.Tenant,
 		queue:  make(chan *cluster.LogBatchReq, window),
+		poke:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -185,14 +195,8 @@ func (s *Store) subscribe(m *cluster.LogSubscribeReq) (*cluster.LogSubscribeResp
 	}
 	// Seed the fresh queue with a sync frame so the sender gap-fills up
 	// to the cursor even if the store stays quiet after the attach.
-	sync := &cluster.LogBatchReq{
-		Tenant: sub.tenant, StreamLSN: h.cursor, MasterDurableLSN: h.masterDurable,
-		TruncatedLSN: truncated,
-	}
-	for sliceID, lsn := range h.frontier {
-		sync.Frontier = append(sync.Frontier, cluster.SliceLSNEntry{SliceID: sliceID, AppliedLSN: lsn})
-	}
-	sub.queue <- sync
+	sub.queue <- h.frameLocked(sub.tenant, nil, 0, h.cursor)
+	sub.gen = h.frontierGen
 	h.mu.Unlock()
 	go h.sender(sub)
 	s.mSubscribes.Inc()
@@ -223,7 +227,8 @@ func (s *Store) unsubscribe(node string) {
 }
 
 // updateFrontier records the SAL's relayed frontier; the next multicast
-// round piggybacks it (possibly on an empty, records-less frame).
+// round piggybacks it on a records frame, or pokes the senders for a
+// records-less one.
 func (s *Store) updateFrontier(m *cluster.FrontierReq) {
 	s.mu.Lock()
 	h := s.hub
@@ -242,6 +247,9 @@ func (s *Store) updateFrontier(m *cluster.FrontierReq) {
 			h.frontier[e.SliceID] = e.AppliedLSN
 			changed = true
 		}
+	}
+	if changed {
+		h.frontierGen++
 	}
 	h.mu.Unlock()
 	if changed {
@@ -317,13 +325,11 @@ func (s *Store) closeHub() {
 
 // run is the multicast loop: on every kick, frame the records between
 // the cursor and the contiguous durable prefix (encoded once, shared by
-// all subscribers) and offer the frame to every queue; when only the
-// frontier moved, push an empty frame so subscribers advance their
-// visible LSN without records.
+// all subscribers) and offer the frame to every queue; a subscriber the
+// newest relayed frontier has not been framed for is poked for a
+// records-less frame, so it advances its visible LSN without records.
 func (h *hub) run() {
 	defer close(h.done)
-	var lastDurable, lastCursor uint64
-	var lastFrontierLen int
 	for {
 		select {
 		case <-h.stop:
@@ -367,15 +373,17 @@ func (h *hub) run() {
 			h.mu.Unlock()
 			h.multicast(enc, uint32(count))
 		}
-		// Frontier-only advance: no new records framed this round but
-		// the relayed watermarks moved — push an empty frame.
+		// Frontier-only advance: a relay landed after the last frame.
 		h.mu.Lock()
-		cursor, durable, flen := h.cursor, h.masterDurable, len(h.frontier)
-		h.mu.Unlock()
-		if cursor == lastCursor && (durable > lastDurable || flen != lastFrontierLen) {
-			h.multicast(nil, 0)
+		for _, sub := range h.subs {
+			if sub.gen != h.frontierGen {
+				select {
+				case sub.poke <- struct{}{}:
+				default: // one is pending already; its frame will carry this frontier
+				}
+			}
 		}
-		lastCursor, lastDurable, lastFrontierLen = cursor, durable, flen
+		h.mu.Unlock()
 	}
 }
 
@@ -384,18 +392,9 @@ func (h *hub) run() {
 // it is disconnected (never blocking the stream) and will resubscribe.
 func (h *hub) multicast(enc []byte, count uint32) {
 	h.mu.Lock()
-	frame := &cluster.LogBatchReq{
-		Recs: enc, Count: count,
-		StreamLSN:        h.cursor,
-		MasterDurableLSN: h.masterDurable,
-		TruncatedLSN:     h.s.TruncatedLSN(),
-	}
-	for sliceID, lsn := range h.frontier {
-		frame.Frontier = append(frame.Frontier, cluster.SliceLSNEntry{SliceID: sliceID, AppliedLSN: lsn})
-	}
+	frame := h.frameLocked(0, enc, count, h.cursor)
 	var slow []*subscriber
 	for _, sub := range h.subs {
-		sub := sub
 		f := frame
 		if f.Tenant != sub.tenant {
 			c := *frame
@@ -404,6 +403,7 @@ func (h *hub) multicast(enc []byte, count uint32) {
 		}
 		select {
 		case sub.queue <- f:
+			sub.gen = h.frontierGen
 		default:
 			slow = append(slow, sub)
 		}
@@ -421,6 +421,23 @@ func (h *hub) multicast(enc []byte, count uint32) {
 	}
 }
 
+// frameLocked builds a frame ending at streamLSN that carries the
+// relayed frontier as it stands now; whoever hands it to a subscriber
+// sets that subscriber's gen. Caller holds h.mu.
+func (h *hub) frameLocked(tenant uint32, enc []byte, count uint32, streamLSN uint64) *cluster.LogBatchReq {
+	frame := &cluster.LogBatchReq{
+		Tenant: tenant,
+		Recs:   enc, Count: count,
+		StreamLSN:        streamLSN,
+		MasterDurableLSN: h.masterDurable,
+		TruncatedLSN:     h.s.TruncatedLSN(),
+	}
+	for sliceID, lsn := range h.frontier {
+		frame.Frontier = append(frame.Frontier, cluster.SliceLSNEntry{SliceID: sliceID, AppliedLSN: lsn})
+	}
+	return frame
+}
+
 // sender drains one subscriber's queue, filling any gap between the
 // subscriber's own cursor and a frame's records with direct store reads
 // (the attach-time catch-up path), and pushes frames over the
@@ -432,6 +449,20 @@ func (h *hub) sender(sub *subscriber) {
 		select {
 		case <-sub.stop:
 			return
+		case <-sub.poke:
+			// Frontier only: the frame ends where this subscriber already
+			// is, so it says nothing about records still in the queue. A
+			// records frame queued since the poke already carries it.
+			h.mu.Lock()
+			var frame *cluster.LogBatchReq
+			if sub.gen != h.frontierGen {
+				frame = h.frameLocked(sub.tenant, nil, 0, sub.next.Load()-1)
+				sub.gen = h.frontierGen
+			}
+			h.mu.Unlock()
+			if frame != nil && !h.push(sub, frame) {
+				return
+			}
 		case frame := <-sub.queue:
 			// Catch up to the frame: records in (next-1, frameFrom)
 			// are read straight from the log. frameFrom is implicit:

@@ -268,3 +268,142 @@ func TestStreamPushErrorResubscribe(t *testing.T) {
 		return covered(seen, 1, 5)
 	}, "stream did not resume after resubscribe")
 }
+
+// handoffSink is a push transport that hands each frame to the test
+// over an unbuffered channel: a sender stays inside its push until the
+// test takes the frame, so the test decides when the sender runs and
+// sees every frame in the order it was pushed.
+type handoffSink struct {
+	frames chan *cluster.LogBatchReq
+	done   chan struct{}
+}
+
+func newHandoffSink(t *testing.T) *handoffSink {
+	k := &handoffSink{frames: make(chan *cluster.LogBatchReq), done: make(chan struct{})}
+	t.Cleanup(func() { close(k.done) }) // release a sender still mid-push
+	return k
+}
+
+func (k *handoffSink) Call(node string, req any) (any, error) {
+	if m, ok := req.(*cluster.LogBatchReq); ok {
+		select {
+		case k.frames <- m:
+		case <-k.done:
+			return nil, fmt.Errorf("sink: test over")
+		}
+	}
+	return &cluster.Ack{}, nil
+}
+
+// next takes the next pushed frame and checks its record count and the
+// applied LSN it carries for slice 7.
+func (k *handoffSink) next(t *testing.T, what string, count uint32, applied uint64) *cluster.LogBatchReq {
+	t.Helper()
+	select {
+	case f := <-k.frames:
+		var got uint64
+		for _, e := range f.Frontier {
+			if e.SliceID == 7 {
+				got = e.AppliedLSN
+			}
+		}
+		if f.Count != count || got != applied {
+			t.Fatalf("%s: frame has %d records, slice 7 applied=%d; want %d records, applied=%d",
+				what, f.Count, got, count, applied)
+		}
+		return f
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no frame pushed", what)
+		return nil
+	}
+}
+
+// frontierHub is a store with LSNs 1..2 durable and slice 7 relayed as
+// applied to 1 — so slice 7 is a *known* slice — plus one subscriber
+// whose sender has pushed the attach gap-fill and is parked inside its
+// next push, the attach sync frame (nothing but the test taking that
+// frame lets the sender reach its select again).
+func frontierHub(t *testing.T, window uint32) (*Store, *handoffSink) {
+	t.Helper()
+	s := New("log1")
+	sink := newHandoffSink(t)
+	s.SetPushTransport(sink)
+	t.Cleanup(s.closeHub)
+	if _, err := s.Append(compactRecs(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	relaySlice7(t, s, 1)
+	if _, err := s.Handle(&cluster.LogSubscribeReq{Tenant: 1, Node: "r1", FromLSN: 0, Window: window}); err != nil {
+		t.Fatal(err)
+	}
+	sink.next(t, "attach gap-fill", 2, 1)
+	return s, sink
+}
+
+// relaySlice7 is a frontier-only relay: the durable watermark stays at
+// 2 and the slice set stays {7}; only slice 7's applied LSN moves.
+func relaySlice7(t *testing.T, s *Store, applied uint64) {
+	t.Helper()
+	if _, err := s.Handle(&cluster.FrontierReq{Tenant: 1, DurableLSN: 2,
+		Slices: []cluster.SliceLSNEntry{{SliceID: 7, AppliedLSN: applied}}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamFrontierOnlyAdvancePushesOneFrame: raising a known slice's
+// applied LSN — no new records, same durable watermark, same slice set —
+// reaches the subscriber as exactly one records-less frame. Without it a
+// commit with no successor stays invisible on the replicas until their
+// watchdog resubscribes.
+func TestStreamFrontierOnlyAdvancePushesOneFrame(t *testing.T) {
+	s, sink := frontierHub(t, 0)
+	sink.next(t, "attach sync", 0, 1)
+
+	relaySlice7(t, s, 2)
+	if f := sink.next(t, "frontier-only relay", 0, 2); f.MasterDurableLSN != 2 || len(f.Recs) != 0 {
+		t.Fatalf("frontier-only frame: durable=%d, %d record bytes", f.MasterDurableLSN, len(f.Recs))
+	}
+	// Exactly one: the frames that follow are the next inputs' own, with
+	// no second copy of the relay in between.
+	if _, err := s.Append(compactRecs(3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	sink.next(t, "records after the relay", 1, 2)
+	relaySlice7(t, s, 3)
+	sink.next(t, "second relay", 0, 3)
+}
+
+// TestStreamFrontierRelaysCoalesce: relays that land while the sender is
+// busy coalesce into one frame carrying the newest frontier.
+func TestStreamFrontierRelaysCoalesce(t *testing.T) {
+	s, sink := frontierHub(t, 0)
+	// The sender is parked in a push; ten relays land meanwhile.
+	for applied := uint64(2); applied <= 11; applied++ {
+		relaySlice7(t, s, applied)
+	}
+	sink.next(t, "attach sync", 0, 1)
+	sink.next(t, "coalesced relays", 0, 11)
+	if _, err := s.Append(compactRecs(3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	sink.next(t, "records after the relays (a second frontier frame came first?)", 1, 11)
+}
+
+// TestStreamFrontierBurstSparesWindow: frontier-only traffic never
+// enters the flow-control queue, so a burst of relays against a stalled
+// subscriber with a window of one frame neither fills it nor
+// disconnects the subscriber.
+func TestStreamFrontierBurstSparesWindow(t *testing.T) {
+	s, sink := frontierHub(t, 1)
+	for applied := uint64(2); applied <= 101; applied++ {
+		relaySlice7(t, s, applied)
+	}
+	if s.Subscribers() != 1 {
+		t.Fatal("relay burst disconnected the window-of-1 subscriber")
+	}
+	sink.next(t, "attach sync", 0, 1)
+	sink.next(t, "burst's newest frontier", 0, 101)
+	if s.Subscribers() != 1 {
+		t.Fatal("subscriber dropped after the burst drained")
+	}
+}

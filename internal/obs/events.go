@@ -26,7 +26,6 @@ const (
 	EventWindowSeal     = "window.seal"
 	EventCheckpoint     = "checkpoint"
 	EventLogGC          = "log.gc"
-	EventReplicaResync  = "replica.resync"
 	EventPoison         = "sal.poison"
 	EventCatalogBarrier = "catalog.barrier"
 	// Push-stream lifecycle: a replica subscribed to a Log Store's

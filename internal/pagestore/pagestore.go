@@ -227,8 +227,6 @@ func (s *Store) HandleTraced(tc obs.TraceContext, req any) (any, error) {
 		name = "pagestore.read"
 	case *cluster.BatchReadReq:
 		name = "pagestore.batchread"
-	case *cluster.SliceLSNReq:
-		name = "pagestore.slicelsn"
 	case *cluster.VersionPinReq:
 		name = "pagestore.pin"
 	}
@@ -271,14 +269,6 @@ func (s *Store) Handle(req any) (any, error) {
 		return &cluster.PageLSNResp{
 			Slices: uint32(slices), AppliedLSN: applied, PersistedLSN: persisted,
 		}, nil
-	case *cluster.SliceLSNReq:
-		resp := &cluster.SliceLSNResp{}
-		for _, sl := range s.SliceLSNs(m.Tenant) {
-			resp.Slices = append(resp.Slices, cluster.SliceLSNEntry{
-				SliceID: sl.SliceID, AppliedLSN: sl.AppliedLSN,
-			})
-		}
-		return resp, nil
 	case *cluster.VersionPinReq:
 		s.SetVersionPin(m.Node, m.LSN)
 		return &cluster.Ack{LSN: m.LSN}, nil
@@ -495,15 +485,12 @@ type SliceLSN struct {
 	PersistedLSN uint64
 }
 
-// SliceLSNs reports every hosted slice's applied/persisted LSNs (all
-// tenants when tenant is 0), sorted by tenant then slice.
-func (s *Store) SliceLSNs(tenant uint32) []SliceLSN {
+// SliceLSNs reports every hosted slice's applied/persisted LSNs, sorted
+// by tenant then slice.
+func (s *Store) SliceLSNs() []SliceLSN {
 	s.mu.RLock()
 	out := make([]SliceLSN, 0, len(s.slices))
 	for k, sl := range s.slices {
-		if tenant != 0 && k.tenant != tenant {
-			continue
-		}
 		sl.mu.RLock()
 		out = append(out, SliceLSN{
 			Tenant: k.tenant, SliceID: k.sliceID,
@@ -719,7 +706,7 @@ func (s *Store) NodeStats() NodeStats {
 		CheckpointAgeSeconds: -1,
 		Stats:                s.Snapshot(),
 		NDPQueueDepth:        s.NDPQueueDepth(),
-		PerSlice:             s.SliceLSNs(0),
+		PerSlice:             s.SliceLSNs(),
 	}
 	ns.DescCacheHits, ns.DescCacheMisses = s.DescCacheStats()
 	if !ns.LastCheckpoint.IsZero() {

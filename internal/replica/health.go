@@ -12,20 +12,11 @@ import (
 // replica's invariant probes on it.
 func (r *Replica) SetHealth(m *health.Monitor) { r.health = m }
 
-// nodeName is the replica's cluster identity: the registered push node
-// name in push mode, "replica" otherwise.
-func (r *Replica) nodeName() string {
-	if r.cfg.Node != "" {
-		return r.cfg.Node
-	}
-	return "replica"
-}
-
 // healthReport builds the MsgHealthReport payload. Without a monitor it
 // still identifies the node.
 func (r *Replica) healthReport() health.Report {
 	if r.health == nil {
-		return health.Report{Node: r.nodeName(), Role: "replica",
+		return health.Report{Node: r.cfg.Node, Role: "replica",
 			Time: time.Now(), Ready: true}
 	}
 	return r.health.Report()
@@ -48,9 +39,9 @@ const (
 //     master's durable watermark. Lag that keeps growing while the
 //     visible LSN stands still means the apply side is wedged, not
 //     merely that writes are fast.
-//   - replica.stream (RB-REPLICA-STREAM): in push mode the replica
-//     should hold an active subscription; detached is a warning while
-//     the watchdog resubscribes and critical once it persists.
+//   - replica.stream (RB-REPLICA-STREAM): the replica should hold an
+//     active subscription; detached is a warning while the watchdog
+//     resubscribes and critical once it persists.
 func (r *Replica) RegisterHealth(m *health.Monitor) {
 	var lastLag, lastVisible uint64
 	var wedgedSince time.Time
@@ -92,9 +83,6 @@ func (r *Replica) RegisterHealth(m *health.Monitor) {
 	m.AddProbe(func() health.Check {
 		st := r.Stats()
 		const name, rb = "replica.stream", "RB-REPLICA-STREAM"
-		if !r.cfg.Subscribe {
-			return health.Checkf(name, rb, health.StatusOK, nil, "pull mode")
-		}
 		ev := map[string]string{
 			"subscribed":     fmt.Sprintf("%t", st.Subscribed),
 			"stream_batches": fmt.Sprintf("%d", st.StreamBatches),

@@ -1,16 +1,20 @@
 // Package replica implements the read-replica frontend tier: "Read
 // replicas ... serve read-only queries from the same Log Stores and
 // Page Stores as the master" (§II). A replica does not accept writes
-// and owns no write pipeline; instead it tails the Log Stores to learn
-// what the master logged, polls the Page Stores' per-slice applied
-// frontiers, and advances a replica-visible LSN — the largest durable
-// prefix every touched slice has confirmed applied. Reads are served
-// from the shared Page Stores at that LSN through the regular engine
-// read paths (B+ tree traversal, buffer pool, NDP batch reads), so a
-// SELECT on a replica sees a consistent snapshot that trails the
+// and owns no write pipeline. It subscribes once to a Log Store's push
+// stream (MsgLogSubscribe) and consumes the framed record batches
+// (MsgLogBatch) the store's hub multicasts; every frame piggybacks the
+// master's durable watermark and the per-slice applied frontier the
+// master's SAL relays to the Log Stores. From those it advances a
+// replica-visible LSN — the largest durable prefix every touched slice
+// has confirmed applied — without asking any storage node, so the
+// master's distribution cost stays flat as replicas are added. Reads are
+// served from the shared Page Stores at that LSN through the regular
+// engine read paths (B+ tree traversal, buffer pool, NDP batch reads),
+// so a SELECT on a replica sees a consistent snapshot that trails the
 // master by the replication lag, never a torn or non-durable state.
 //
-// The tailer learns three things from the log stream:
+// The replica learns three things from the log stream:
 //
 //   - which pages changed (cached copies older than the new visible LSN
 //     are evicted, so the next read refetches the fresh image);
@@ -19,23 +23,12 @@
 //   - FormatPage records at a higher B+ tree level, which announce root
 //     splits and re-bind the replica's tree to the new root.
 //
-// Advances are driven by LSN-advance notifications from the master's
-// SAL (cluster.LSNAdvanceReq, best effort) plus a poll interval
-// fallback, so a replica works both embedded next to its master and as
-// a standalone process tailing remote storage nodes over TCP.
-//
-// Two distribution modes exist. The legacy pull mode polls: MsgLogRead
-// against the Log Stores and MsgSliceLSN against every Page Store, per
-// refresh cycle, per replica — a per-replica RPC tax that grows with
-// the fleet. Push mode (Config.Subscribe) inverts the flow: the replica
-// subscribes once (MsgLogSubscribe) and a Log Store streams framed
-// record batches (MsgLogBatch) that piggyback the master's durable
-// watermark and the per-slice applied frontier, so the steady-state
-// poll rate is zero and the master's distribution cost stays flat as
-// replicas are added. A push replica also pins a version floor on the
-// Page Stores (MsgVersionPin) so a lagging snapshot read is never
-// dropped by version retention, and rebases on the master's checkpoint
-// when log GC overran a detached tail.
+// The hubs reach the replica on a cluster node of its own (Config.Node)
+// — embedded next to its master on the in-proc transport, or a
+// standalone process's TCP listener. The replica also pins a version
+// floor on the Page Stores (MsgVersionPin) so a lagging snapshot read is
+// never dropped by version retention, and rebases on the master's
+// checkpoint when log GC overran a detached tail.
 package replica
 
 import (
@@ -67,46 +60,41 @@ type Config struct {
 	// Plugin names the NDP plugin for batch-read descriptors (default
 	// "innodb", matching the master's SAL).
 	Plugin string
-	// RefreshInterval is the poll fallback cadence (default 25ms);
-	// master notifications usually refresh sooner.
+	// RefreshInterval is the background loop's idle tick (default 25ms)
+	// and the stream watchdog's unit: pushed frames advance the replica
+	// as they arrive; a stream silent for 8 ticks while the master is
+	// known to be ahead, or 40 regardless, is resubscribed.
 	RefreshInterval time.Duration
-	// MaxTailRecords bounds one Log Store tail request (default 4096).
-	MaxTailRecords int
 	// Metrics, when non-nil, receives the replica's lag gauges and
 	// catch-up/refresh histograms; Name labels them when several
 	// replicas share one registry.
 	Metrics *obs.Registry
 	Name    string
-	// Tracer, when non-nil, samples replica.refresh root spans so the
-	// MsgLogRead/MsgSliceLSN traffic of a tail cycle is attributable to
-	// the loop that issued it. nil disables tracing.
-	Tracer *obs.Tracer
 	// Events, when non-nil, records structural events (resyncs, tailed
 	// catalog barriers) in the flight recorder. nil is inert.
 	Events *obs.EventRing
 	// DisableLeastLoadedReads pins scan sub-batch routing to plain
 	// round-robin instead of the least-loaded replica pick.
 	DisableLeastLoadedReads bool
-	// Subscribe selects push mode: instead of pull-tailing, the replica
-	// subscribes to a Log Store's push stream and consumes MsgLogBatch
-	// frames addressed to Node. Requires Node to be registered as a
-	// cluster.Handler reachable by the Log Stores.
+	// Subscribe is ignored — a replica always subscribes. The field
+	// stays only because benchmark/ (frozen for product PRs) sets it.
 	Subscribe bool
 	// Node is the cluster address this replica answers on — the push
-	// stream's destination. Required when Subscribe is set.
+	// stream's destination. Required: it must be registered as a
+	// cluster.Handler the Log Stores can reach.
 	Node string
 	// Window is the stream's flow-control window in frames (0 uses the
 	// Log Store default): how far the store lets this replica fall
 	// behind before disconnecting it.
 	Window uint32
 	// PinStride re-pins the Page Store version floor every this many
-	// records of visible-LSN advance (default 256). Push mode only.
+	// records of visible-LSN advance (default 256).
 	PinStride uint64
 	// LoadCheckpoint, when set, rebases the replica on the master's
 	// latest checkpoint after log GC overran its detached tail: the hook
 	// re-attaches DDL the replica missed and returns the checkpoint's
-	// applied LSN. nil degrades to the pull tailer's blind reset at the
-	// truncation watermark.
+	// applied LSN. nil degrades to a blind reset at the truncation
+	// watermark.
 	LoadCheckpoint func() (uint64, error)
 }
 
@@ -114,8 +102,8 @@ type Config struct {
 type Stats struct {
 	// VisibleLSN is the snapshot reads are currently served at;
 	// DurableLSN is the master's durable watermark as far as the
-	// replica knows (notified, or inferred from applied frontiers);
-	// TailedLSN is the contiguous log prefix the replica has consumed.
+	// replica knows (pushed with every stream frame); TailedLSN is the
+	// contiguous log prefix the replica has consumed.
 	VisibleLSN uint64
 	DurableLSN uint64
 	TailedLSN  uint64
@@ -124,23 +112,22 @@ type Stats struct {
 	// records not yet visible.
 	LagRecords uint64
 	LagBytes   uint64
-	// Refreshes counts tail/advance cycles; Notifies counts master
-	// LSN-advance notifications received; RecordsTailed counts log
-	// records consumed.
+	// Refreshes counts on-demand advance cycles (the engine's retries
+	// after a version-retention miss); RecordsTailed counts log records
+	// consumed.
 	Refreshes     uint64
-	Notifies      uint64
 	RecordsTailed uint64
 	// PagesInvalidated counts cached pages evicted because records
 	// covering them became visible; TablesAttached and RootAdvances
-	// count DDL tailed from the master; Resyncs counts hard resets
-	// after the master's log GC overran the replica's tail.
+	// count DDL tailed from the master; Resyncs counts hard tail resets
+	// (page cache dropped) after the master's log GC overran the tail.
 	PagesInvalidated uint64
 	TablesAttached   uint64
 	RootAdvances     uint64
 	Resyncs          uint64
-	// StreamBatches counts pushed stream frames received (push mode);
-	// CkptResyncs counts checkpoint rebases after log GC overran a
-	// detached tail; Subscribed reports an active push stream.
+	// StreamBatches counts pushed stream frames received; CkptResyncs
+	// counts checkpoint rebases after log GC overran a detached tail;
+	// Subscribed reports an active push stream.
 	StreamBatches uint64
 	CkptResyncs   uint64
 	Subscribed    bool
@@ -166,8 +153,8 @@ type tailRec struct {
 }
 
 // Replica is one read-replica frontend's storage view. It implements
-// engine.ReadView (reads at the visible LSN) and cluster.Handler
-// (LSN-advance notifications from the master's SAL).
+// engine.ReadView (reads at the visible LSN) and cluster.Handler (the
+// stream frames a Log Store hub pushes).
 type Replica struct {
 	cfg Config
 
@@ -175,7 +162,7 @@ type Replica struct {
 	onAttach func(table string)
 
 	visible  atomic.Uint64
-	notified atomic.Uint64 // highest master-notified durable LSN
+	notified atomic.Uint64 // highest pushed master durable LSN
 	rr       atomic.Uint64 // round-robin read replica selector (point reads)
 
 	// router + fanOut serve the NDP scan read path (least-loaded
@@ -184,12 +171,9 @@ type Replica struct {
 	router *sal.ReadRouter
 	fanOut *sal.FanOut
 
-	// refreshMu serializes whole refresh cycles (background loop and
-	// on-demand Refresh calls). refreshTC (guarded by refreshMu) is the
-	// current cycle's sampled trace context, attached to every storage
-	// RPC the cycle issues; zero when the cycle is unsampled.
+	// refreshMu serializes whole advance cycles (background loop and
+	// on-demand Refresh calls).
 	refreshMu sync.Mutex
-	refreshTC obs.TraceContext
 
 	// mu guards the tail state.
 	mu           sync.Mutex
@@ -202,15 +186,15 @@ type Replica struct {
 	byteQ        []lsnSize
 	pendingBytes uint64
 	maxTrx       uint64
-	// frontier is the pushed per-slice applied frontier (push mode): the
-	// master SAL reports a slice here only after every Page Store
-	// replica of it confirmed the apply.
+	// frontier is the pushed per-slice applied frontier: the master SAL
+	// reports a slice here only after every Page Store replica of it
+	// confirmed the apply.
 	frontier map[uint32]uint64
 
-	// Push-mode stream state: subscribed flags an active stream;
-	// lastBatch is the UnixNano arrival of the newest frame (watchdog
-	// input); subSeq rotates the Log Store choice across (re)subscribes;
-	// pinned is the last version-pin LSN sent to the Page Stores.
+	// Stream state: subscribed flags an active stream; lastBatch is the
+	// UnixNano arrival of the newest frame (watchdog input); subSeq
+	// rotates the Log Store choice across (re)subscribes; pinned is the
+	// last version-pin LSN sent to the Page Stores.
 	subscribed atomic.Bool
 	lastBatch  atomic.Int64
 	subSeq     atomic.Uint64
@@ -226,14 +210,12 @@ type Replica struct {
 
 	stats struct {
 		refreshes        atomic.Uint64
-		notifies         atomic.Uint64
 		recordsTailed    atomic.Uint64
 		pagesInvalidated atomic.Uint64
 		tablesAttached   atomic.Uint64
 		rootAdvances     atomic.Uint64
 		resyncs          atomic.Uint64
 		lagBytes         atomic.Uint64
-		durableFloor     atomic.Uint64
 		streamBatches    atomic.Uint64
 		ckptResyncs      atomic.Uint64
 	}
@@ -267,11 +249,8 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.RefreshInterval <= 0 {
 		cfg.RefreshInterval = 25 * time.Millisecond
 	}
-	if cfg.MaxTailRecords <= 0 {
-		cfg.MaxTailRecords = 4096
-	}
-	if cfg.Subscribe && cfg.Node == "" {
-		return nil, fmt.Errorf("replica: Subscribe requires Node (the registered cluster address)")
+	if cfg.Node == "" {
+		return nil, fmt.Errorf("replica: Node required (the registered cluster address the Log Stores push to)")
 	}
 	if cfg.PinStride == 0 {
 		cfg.PinStride = 256
@@ -322,11 +301,12 @@ func (r *Replica) Bind(eng *engine.Engine, onAttach func(table string)) {
 }
 
 // Start positions the tail at startLSN (a checkpoint watermark the
-// bootstrap already covers, or 0 for a full-log bootstrap), refreshes
-// until the visible LSN reaches catchUpTo (the master's durable
-// watermark at open time, so the replica opens serving everything
-// committed before it; pass 0 to skip), and launches the background
-// tailer.
+// bootstrap already covers, or 0 for a full-log bootstrap), subscribes
+// to a Log Store's stream, runs push cycles itself until the visible LSN
+// reaches catchUpTo (the master's durable watermark at open time, so the
+// replica opens serving everything committed before it; pass 0 to skip),
+// and only then launches the background loop — DDL tailed during the
+// catch-up is attached before Start returns.
 func (r *Replica) Start(startLSN, catchUpTo uint64) error {
 	if r.eng == nil {
 		return fmt.Errorf("replica: Start before Bind")
@@ -335,23 +315,31 @@ func (r *Replica) Start(startLSN, catchUpTo uint64) error {
 	r.tailed = startLSN
 	r.mu.Unlock()
 	r.visible.Store(startLSN)
-	// CAS-max: the master's SAL may have pushed a (higher) watermark
-	// notification between registration and here.
-	r.noteDurable(startLSN)
+	raise(&r.notified, startLSN)
 	var t0 time.Time
 	if r.mCatchup != nil {
 		t0 = time.Now()
 	}
 	for {
-		if err := r.Refresh(); err != nil {
+		// Acknowledged records live on every Log Store (triplicate
+		// writes): fail only when none of them takes the subscription.
+		for tries := 1; !r.subscribed.Load(); tries++ {
+			if err := r.subscribe(); err != nil && tries == len(r.cfg.LogStores) {
+				return err
+			}
+		}
+		if err := r.pushCycle(); err != nil {
 			return err
 		}
 		if r.visible.Load() >= catchUpTo {
 			break
 		}
-		// Waiting on the master's asynchronous Page Store applies; they
-		// complete at replica-apply speed, independent of new writes.
-		time.Sleep(time.Millisecond)
+		// Waiting on pushed frames: the stream's catch-up records, then
+		// the frontier of the master's asynchronous Page Store applies.
+		select {
+		case <-r.kick:
+		case <-time.After(time.Millisecond):
+		}
 	}
 	if r.mCatchup != nil {
 		r.mCatchup.ObserveDuration(time.Since(t0))
@@ -360,19 +348,17 @@ func (r *Replica) Start(startLSN, catchUpTo uint64) error {
 	return nil
 }
 
-// Close stops the background tailer and, in push mode, detaches from
-// the stream and clears this replica's Page Store version pins (both
-// best effort — the hub also drops us on the first failed push, and a
-// stale pin is bounded by the stores' hard version cap).
+// Close stops the background loop, detaches from the stream and clears
+// this replica's Page Store version pins (both best effort — the hub
+// also drops us on the first failed push, and a stale pin is bounded by
+// the stores' hard version cap).
 func (r *Replica) Close() {
 	close(r.stop)
 	<-r.done
-	if r.cfg.Subscribe {
-		for _, node := range r.cfg.LogStores {
-			r.cfg.Transport.Call(node, &cluster.LogUnsubscribeReq{Tenant: r.cfg.Tenant, Node: r.cfg.Node})
-		}
-		r.pinAll(0)
+	for _, node := range r.cfg.LogStores {
+		r.cfg.Transport.Call(node, &cluster.LogUnsubscribeReq{Tenant: r.cfg.Tenant, Node: r.cfg.Node})
 	}
+	r.pinAll(0)
 }
 
 // SliceOf maps a page to its slice (the master's rule).
@@ -427,20 +413,14 @@ func (r *Replica) SetLeastLoadedReads(on bool) { r.router.SetLeastLoaded(on) }
 // RouterStats snapshots this replica frontend's scan read router.
 func (r *Replica) RouterStats() sal.RouterStats { return r.router.Stats() }
 
-// Handle implements cluster.Handler: LSN-advance notifications from the
-// master's SAL (pull mode) and pushed stream frames from a Log Store
-// hub (push mode).
+// Handle implements cluster.Handler: pushed stream frames from a Log
+// Store hub, plus health pings.
 func (r *Replica) Handle(req any) (any, error) {
 	switch m := req.(type) {
-	case *cluster.LSNAdvanceReq:
-		r.noteDurable(m.DurableLSN)
-		r.stats.notifies.Add(1)
-		r.kickLoop()
-		return &cluster.Ack{LSN: m.DurableLSN}, nil
 	case *cluster.LogBatchReq:
 		return r.handleBatch(m)
 	case *cluster.PingReq:
-		return &cluster.PingResp{Node: r.nodeName(), Role: "replica",
+		return &cluster.PingResp{Node: r.cfg.Node, Role: "replica",
 			Seq: m.Seq, Status: r.health.Worst()}, nil
 	case *cluster.HealthReportReq:
 		return &cluster.HealthReportResp{Report: r.healthReport()}, nil
@@ -449,17 +429,18 @@ func (r *Replica) Handle(req any) (any, error) {
 	}
 }
 
-// noteDurable CAS-maxes the master durable watermark.
-func (r *Replica) noteDurable(lsn uint64) {
+// raise lifts a to lsn unless it is already there or beyond: neither
+// the pushed durable watermark nor the visible LSN ever goes backwards.
+func raise(a *atomic.Uint64, lsn uint64) {
 	for {
-		cur := r.notified.Load()
-		if lsn <= cur || r.notified.CompareAndSwap(cur, lsn) {
+		cur := a.Load()
+		if lsn <= cur || a.CompareAndSwap(cur, lsn) {
 			return
 		}
 	}
 }
 
-// kickLoop nudges the background tailer.
+// kickLoop nudges the background loop (or Start's catch-up).
 func (r *Replica) kickLoop() {
 	select {
 	case r.kick <- struct{}{}:
@@ -468,19 +449,18 @@ func (r *Replica) kickLoop() {
 }
 
 // handleBatch ingests one pushed stream frame: records enter the tail
-// buffer (the same dedupe as pull tailing, so replayed or overlapping
-// delivery is safe), and the piggybacked durable watermark and applied
-// frontier replace this replica's polling. The actual advance runs on
-// the tailer goroutine — the sender's RPC returns immediately, so the
-// stream's flow-control window measures transport backlog, not apply
-// backlog.
+// buffer (deduped, so replayed or overlapping delivery is safe), and the
+// piggybacked durable watermark and applied frontier are recorded. The
+// actual advance runs on the loop goroutine — the sender's RPC returns
+// immediately, so the stream's flow-control window measures transport
+// backlog, not apply backlog.
 func (r *Replica) handleBatch(m *cluster.LogBatchReq) (any, error) {
 	r.lastBatch.Store(time.Now().UnixNano())
 	r.stats.streamBatches.Add(1)
 	if len(m.Recs) > 0 {
 		r.ingest(m.Recs)
 	}
-	r.noteDurable(m.MasterDurableLSN)
+	raise(&r.notified, m.MasterDurableLSN)
 	r.mu.Lock()
 	for _, e := range m.Frontier {
 		if e.AppliedLSN > r.frontier[e.SliceID] {
@@ -499,9 +479,8 @@ func (r *Replica) handleBatch(m *cluster.LogBatchReq) (any, error) {
 	return &cluster.Ack{LSN: tailed}, nil
 }
 
-// loop is the background tailer. Pull mode refreshes (tail + poll) on
-// master notification or on the poll interval; push mode keeps the
-// subscription healthy and advances from pushed state on each frame.
+// loop is the background goroutine: one push cycle per pushed frame
+// (kick) or idle tick.
 func (r *Replica) loop() {
 	defer close(r.done)
 	t := time.NewTicker(r.cfg.RefreshInterval)
@@ -513,21 +492,16 @@ func (r *Replica) loop() {
 		case <-r.kick:
 		case <-t.C:
 		}
-		if r.cfg.Subscribe {
-			r.pushCycle()
-		} else {
-			r.Refresh() // best effort; next round retries
-		}
+		r.pushCycle() // best effort; next round retries
 	}
 }
 
-// pushCycle is one push-mode round: advance from pushed state, watch
-// the stream's health, resubscribe when it went dead. While detached
-// (stream refused or unreachable) it falls back to one pull refresh so
-// the replica stays live, and retries the subscription next round.
-func (r *Replica) pushCycle() {
+// pushCycle is one round: watch the stream's health, resubscribe when
+// it went dead, advance from the pushed state. A failed resubscribe
+// just retries next round, on the next Log Store in the rotation — no
+// new state arrives meanwhile, so there is nothing else to do.
+func (r *Replica) pushCycle() error {
 	if r.subscribed.Load() {
-		r.advance()
 		idle := time.Duration(time.Now().UnixNano() - r.lastBatch.Load())
 		r.mu.Lock()
 		behind := r.notified.Load() > r.tailed
@@ -540,12 +514,9 @@ func (r *Replica) pushCycle() {
 		}
 	}
 	if !r.subscribed.Load() {
-		if err := r.subscribe(); err != nil {
-			r.Refresh()
-			return
-		}
-		r.advance()
+		r.subscribe()
 	}
+	return r.advance()
 }
 
 // subscribe attaches to one Log Store's push stream, rotating the store
@@ -574,7 +545,7 @@ func (r *Replica) subscribe() error {
 		}
 		// Attached. The ack's durable watermark seeds the floor until the
 		// first pushed frame arrives.
-		r.noteDurable(sub.DurableLSN)
+		raise(&r.notified, sub.DurableLSN)
 		r.lastBatch.Store(time.Now().UnixNano())
 		r.subscribed.Store(true)
 		r.maybeRepin(r.visible.Load())
@@ -582,35 +553,37 @@ func (r *Replica) subscribe() error {
 	}
 }
 
-// advance runs one push-mode advance cycle under the refresh lock (the
-// same serialization Refresh uses). It does not count as a refresh:
-// refreshes in push mode measure on-demand cycles only — engine
-// retention-miss retries and detached liveness fallbacks.
-func (r *Replica) advance() {
+// advance runs one advance cycle under the refresh lock: visibility is
+// computed from the pushed per-slice frontier and durable watermark — no
+// storage RPCs.
+func (r *Replica) advance() error {
 	r.refreshMu.Lock()
 	var t0 time.Time
 	if r.mRefresh != nil {
 		t0 = time.Now()
 	}
-	attached, _ := r.advanceLocked()
+	attached, err := r.advanceLocked()
 	if r.mRefresh != nil {
 		r.mRefresh.ObserveDuration(time.Since(t0))
 	}
 	r.refreshMu.Unlock()
+	// Post-attach callbacks run outside the cycle: they scan the new
+	// table at the just-published visible LSN, which can itself trigger a
+	// nested Refresh on a retention miss.
 	for _, table := range attached {
 		if r.onAttach != nil {
 			r.onAttach(table)
 		}
 	}
+	return err
 }
 
 // maybeRepin re-pins the replica's Page Store version floor when the
 // visible LSN advanced a stride past the last pin. The pin keeps the
 // version a lagging snapshot read needs alive on the stores, ending the
-// refresh-and-retry storms version retention otherwise causes. Push
-// mode only; pull replicas keep the retry behaviour.
+// refresh-and-retry storms version retention otherwise causes.
 func (r *Replica) maybeRepin(visible uint64) {
-	if !r.cfg.Subscribe || visible == 0 {
+	if visible == 0 {
 		return
 	}
 	if p := r.pinned.Load(); p != 0 && visible < p+r.cfg.PinStride {
@@ -650,119 +623,57 @@ func (r *Replica) checkpointResync(truncated uint64) {
 		}
 	}
 	r.resetTail(newTail)
-	// CAS-max: everything at or below the checkpoint frontier is applied
-	// on every Page Store, so reads may resume there right away.
-	for {
-		v := r.visible.Load()
-		if ckpt <= v || r.visible.CompareAndSwap(v, ckpt) {
-			break
-		}
-	}
+	// Everything at or below the checkpoint frontier is applied on every
+	// Page Store, so reads may resume there right away.
+	raise(&r.visible, ckpt)
 	r.stats.ckptResyncs.Add(1)
 	r.cfg.Events.Record(obs.EventCheckpointResync,
 		"%s: log GC overran detached tail (truncated=%d), rebased on checkpoint applied=%d",
 		r.cfg.Name, truncated, ckpt)
 }
 
-// Refresh implements engine.ReadView: run one synchronous tail/advance
-// cycle. Also the body of the background loop.
+// Refresh implements engine.ReadView: the engine's retry after a read at
+// the visible LSN missed the Page Stores' version retention — the master
+// is that far ahead. One advance from the pushed state usually moves the
+// snapshot. If nothing was pushed, the stream is not delivering (a hub
+// drops a subscriber that overflowed its window without telling it):
+// have the loop resubscribe now, not at its watchdog, and wait for the
+// catch-up — at most 8 ticks, and only while the master is ahead.
 func (r *Replica) Refresh() error {
-	r.refreshMu.Lock()
-	var t0 time.Time
-	if r.mRefresh != nil {
-		t0 = time.Now()
-	}
-	// A sampled cycle gets its own root span; the cycle's MsgLogRead and
-	// MsgSliceLSN calls carry its context, so cross-node collectors
-	// attribute that tail traffic to this loop iteration.
-	sp := r.cfg.Tracer.MaybeTrace("replica.refresh")
-	r.refreshTC = sp.Context()
-	attached, err := r.refreshLocked()
-	if sp != nil {
-		sp.Annotate("visible=%d", r.visible.Load())
-		sp.End()
-	}
-	r.refreshTC = obs.TraceContext{}
-	if r.mRefresh != nil {
-		r.mRefresh.ObserveDuration(time.Since(t0))
-	}
-	r.refreshMu.Unlock()
-	// Post-attach callbacks run outside the refresh cycle: they scan
-	// the new table at the just-published visible LSN, which can itself
-	// trigger a nested Refresh on a retention miss.
-	for _, table := range attached {
-		if r.onAttach != nil {
-			r.onAttach(table)
-		}
-	}
-	return err
-}
-
-// refreshLocked is one pull-mode tail/advance cycle: poll the Log
-// Stores for records and the Page Stores for applied frontiers, then
-// advance. Push-mode replicas run this only on demand — engine
-// retention-miss retries, Start's catch-up, and the detached liveness
-// fallback. Returns tables attached this cycle (their post-attach
-// callbacks run after the lock drops).
-func (r *Replica) refreshLocked() ([]string, error) {
 	r.stats.refreshes.Add(1)
-	if err := r.tail(); err != nil {
-		return nil, err
+	from := r.visible.Load()
+	if err := r.advance(); err != nil || r.visible.Load() > from {
+		return err
 	}
-	applied, reached, floor, err := r.pollApplied()
-	if err != nil {
-		return nil, err
-	}
-	if n := r.notified.Load(); n > floor {
-		floor = n
-	}
-	// Trust a poll only for slices whose ENTIRE replica set answered: a
-	// node that timed out may lag the reported minimum, and a read
-	// round-robined to it later would silently serve an older version
-	// (the Page Store's at-LSN read has no applied-LSN check). Such a
-	// slice just holds the visible LSN until its nodes answer again.
-	guard := func(sliceID uint32) bool {
-		for _, node := range r.placement(sliceID) {
-			if !reached[node] {
-				return false
-			}
+	r.subscribed.Store(false)
+	r.kickLoop()
+	for deadline := time.Now().Add(8 * r.cfg.RefreshInterval); time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if err := r.advance(); err != nil || r.visible.Load() > from {
+			return err
 		}
-		return true
+		if r.subscribed.Load() && r.notified.Load() <= from {
+			break // reattached, and nothing is durable past this snapshot
+		}
 	}
-	return r.advanceCore(applied, guard, floor)
+	return nil
 }
 
-// advanceLocked is one push-mode advance cycle: visibility is computed
-// from the pushed per-slice frontier and durable watermark — no storage
-// RPCs. The pushed frontier needs no reachability guard: the master's
-// SAL reports a slice applied only after every Page Store replica of it
-// confirmed the apply.
+// advanceLocked advances the visible LSN from the pending state, the
+// pushed per-slice applied frontier and the pushed durable watermark,
+// batch-invalidates cached pages the advance covered, and applies newly
+// visible DDL. The pushed frontier needs no reachability guard: the
+// master's SAL reports a slice applied only after every Page Store
+// replica of it confirmed the apply. Returns tables attached this cycle
+// (their post-attach callbacks run after the refresh lock drops). Caller
+// holds refreshMu.
 func (r *Replica) advanceLocked() ([]string, error) {
-	r.mu.Lock()
-	applied := make(map[uint32]uint64, len(r.frontier))
-	for sliceID, lsn := range r.frontier {
-		applied[sliceID] = lsn
-	}
-	r.mu.Unlock()
-	return r.advanceCore(applied, nil, r.notified.Load())
-}
-
-// advanceCore advances the visible LSN from the pending state given a
-// per-slice applied frontier and a durable floor, batch-invalidates
-// cached pages the advance covered, and applies newly visible DDL.
-// guard, when non-nil, vetoes trimming a slice's pending entries (pull
-// mode's partial-poll protection).
-func (r *Replica) advanceCore(applied map[uint32]uint64, guard func(uint32) bool, floor uint64) ([]string, error) {
-	r.stats.durableFloor.Store(floor)
-
+	floor := r.notified.Load()
 	r.mu.Lock()
 	// Drop pending entries the Page Stores have confirmed applied.
 	for sliceID, lsns := range r.slicePending {
-		min, ok := applied[sliceID]
+		min, ok := r.frontier[sliceID]
 		if !ok {
-			continue
-		}
-		if guard != nil && !guard(sliceID) {
 			continue
 		}
 		i := sort.Search(len(lsns), func(i int) bool { return lsns[i] > min })
@@ -847,75 +758,15 @@ func (r *Replica) advanceCore(applied map[uint32]uint64, guard func(uint32) bool
 	return attached, derr
 }
 
-// tail pulls new records from every Log Store and consumes the
-// contiguous prefix. Polling all stores per cycle lets one store's
-// pending lane hole be filled by a sibling that already has the
-// record. Acknowledged records live on every Log Store (triplicate
-// writes), so one reachable store is enough for the durable prefix —
-// an error surfaces only when every store failed.
-func (r *Replica) tail() error {
-	for {
-		progress := false
-		reached := 0
-		var firstErr error
-		for _, node := range r.cfg.LogStores {
-			r.mu.Lock()
-			after := r.tailed
-			r.mu.Unlock()
-			resp, err := cluster.CallTraced(r.cfg.Transport, r.refreshTC, node, &cluster.LogReadReq{
-				Tenant: r.cfg.Tenant, AfterLSN: after,
-				MaxRecords: uint32(r.cfg.MaxTailRecords),
-			})
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			reached++
-			lr := resp.(*cluster.LogReadResp)
-			if lr.TruncatedLSN > after {
-				// The master's log GC overran our tail: the records we
-				// missed are applied and checkpointed everywhere, but we
-				// no longer know which pages they touched. Hard reset —
-				// drop the whole page cache and resume above the GC
-				// watermark.
-				r.resync(lr.TruncatedLSN)
-				progress = true
-				continue
-			}
-			if r.ingest(lr.Recs) {
-				progress = true
-			}
-		}
-		if reached == 0 {
-			return firstErr
-		}
-		if !progress {
-			return nil
-		}
-	}
-}
-
-// resync hard-resets the tail above the GC watermark (pull mode's
-// overrun recovery).
-func (r *Replica) resync(truncated uint64) {
-	if !r.resetTail(truncated) {
-		return
-	}
-	r.cfg.Events.Record(obs.EventReplicaResync, "%s: log GC overran tail, reset to %d, page cache dropped",
-		r.cfg.Name, truncated)
-}
-
 // resetTail repositions the tail at truncated, dropping buffered and
 // pending state at or below it plus the whole page cache (we no longer
-// know which pages the missed records touched). Returns false when the
-// tail was already past truncated.
-func (r *Replica) resetTail(truncated uint64) bool {
+// know which pages the missed records touched). A no-op when the tail
+// is already past truncated.
+func (r *Replica) resetTail(truncated uint64) {
 	r.mu.Lock()
 	if truncated <= r.tailed {
 		r.mu.Unlock()
-		return false
+		return
 	}
 	r.tailed = truncated
 	for lsn := range r.buf {
@@ -934,20 +785,18 @@ func (r *Replica) resetTail(truncated uint64) bool {
 	r.mu.Unlock()
 	r.eng.Pool().Clear()
 	r.stats.resyncs.Add(1)
-	return true
 }
 
-// ingest merges a tailed batch and consumes the contiguous prefix.
-// Returns whether the tail advanced or new records were buffered.
-func (r *Replica) ingest(encoded []byte) bool {
+// ingest merges a pushed batch into the tail buffer and consumes the
+// contiguous prefix.
+func (r *Replica) ingest(encoded []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	progress := false
 	buf := encoded
 	for len(buf) > 0 {
 		rec, n, err := wal.Decode(buf)
 		if err != nil {
-			break // torn response; next cycle re-reads
+			break // torn frame; the watchdog's resubscribe re-reads
 		}
 		size := n
 		buf = buf[n:]
@@ -958,11 +807,9 @@ func (r *Replica) ingest(encoded []byte) bool {
 			continue
 		}
 		r.buf[rec.LSN] = tailRec{rec: rec, size: size}
-		progress = true
 	}
 	// Consume the contiguous prefix. LSNs are dense, so a gap means a
-	// record some lane has not delivered to this store yet (a sibling
-	// store may fill it this same cycle).
+	// record a later frame (or a resubscribe's catch-up) still brings.
 	for {
 		tr, ok := r.buf[r.tailed+1]
 		if !ok {
@@ -970,7 +817,6 @@ func (r *Replica) ingest(encoded []byte) bool {
 		}
 		delete(r.buf, r.tailed+1)
 		r.tailed++
-		progress = true
 		// Accounted here (consume order = LSN order) so the lag-bytes
 		// queue retires in order even when stores delivered records
 		// out of order.
@@ -978,7 +824,6 @@ func (r *Replica) ingest(encoded []byte) bool {
 		r.pendingBytes += uint64(tr.size)
 		r.consume(tr.rec)
 	}
-	return progress
 }
 
 // consume registers one in-order tailed record in the pending state.
@@ -1050,42 +895,6 @@ func (r *Replica) purgeVoid(from, to uint64) {
 	r.ddlQ = kept
 }
 
-// pollApplied queries every Page Store node for per-slice applied LSNs.
-// Returns each slice's minimum across the nodes hosting it (records at
-// or below it are applied on every replica of the slice) and the
-// overall maximum (a proven lower bound on the master's durable
-// watermark: the SAL applies a window only after the global durable
-// watermark covers it).
-func (r *Replica) pollApplied() (map[uint32]uint64, map[string]bool, uint64, error) {
-	applied := make(map[uint32]uint64)
-	reached := make(map[string]bool, len(r.cfg.PageStores))
-	var floor uint64
-	var firstErr error
-	for _, node := range r.cfg.PageStores {
-		resp, err := cluster.CallTraced(r.cfg.Transport, r.refreshTC, node, &cluster.SliceLSNReq{Tenant: r.cfg.Tenant})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("replica: page store %s: %w", node, err)
-			}
-			continue
-		}
-		reached[node] = true
-		for _, e := range resp.(*cluster.SliceLSNResp).Slices {
-			if cur, ok := applied[e.SliceID]; !ok || e.AppliedLSN < cur {
-				applied[e.SliceID] = e.AppliedLSN
-			}
-			if e.AppliedLSN > floor {
-				floor = e.AppliedLSN
-			}
-		}
-	}
-	if len(reached) == 0 {
-		// No frontier at all: don't advance on nothing.
-		return applied, reached, floor, firstErr
-	}
-	return applied, reached, floor, nil
-}
-
 // applyDDL attaches newly visible DDL to the engine: catalog entries
 // wait for their root's FormatPage, FormatPage records for known
 // indexes advance roots (root splits on the master). Returns tables
@@ -1151,11 +960,10 @@ func (r *Replica) Stats() Stats {
 	r.mu.Unlock()
 	st := Stats{
 		VisibleLSN:       r.visible.Load(),
-		DurableLSN:       r.stats.durableFloor.Load(),
+		DurableLSN:       r.notified.Load(),
 		TailedLSN:        tailed,
 		LagBytes:         r.stats.lagBytes.Load(),
 		Refreshes:        r.stats.refreshes.Load(),
-		Notifies:         r.stats.notifies.Load(),
 		RecordsTailed:    r.stats.recordsTailed.Load(),
 		PagesInvalidated: r.stats.pagesInvalidated.Load(),
 		TablesAttached:   r.stats.tablesAttached.Load(),

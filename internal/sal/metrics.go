@@ -77,8 +77,6 @@ func (s *SAL) initMetrics(reg *obs.Registry) {
 		func() float64 { return float64(s.counters.commitWaits.Load()) })
 	reg.CounterFunc("taurus_sal_apply_waits_total", "Reads that blocked on a page's applied LSN.",
 		func() float64 { return float64(s.counters.applyWaits.Load()) })
-	reg.CounterFunc("taurus_sal_replica_notifies_total", "Durable-watermark notifications sent to read replicas.",
-		func() float64 { return float64(s.counters.replicaNotifies.Load()) })
 	reg.CounterFunc("taurus_sal_frontier_notifies_total", "Applied-frontier relays sent to Log Stores for push-stream piggybacking.",
 		func() float64 { return float64(s.counters.frontierNotifies.Load()) })
 }

@@ -323,11 +323,6 @@ type PipelineStats struct {
 	// dedicated one; Demotions counts cooled slices handed back.
 	Promotions uint64
 	Demotions  uint64
-	// ReplicaNotifies counts durable-watermark advance notifications
-	// sent to registered read replicas; RegisteredReplicas is the
-	// current subscription count.
-	ReplicaNotifies    uint64
-	RegisteredReplicas int
 	// FrontierNotifies counts frontier relays sent to Log Stores (the
 	// push-stream fan-out input); FrontierWatchers is the number of
 	// embedded replicas holding a frontier watch.
@@ -344,7 +339,6 @@ type pipelineCounters struct {
 	applyWaits         atomic.Uint64
 	promotions         atomic.Uint64
 	demotions          atomic.Uint64
-	replicaNotifies    atomic.Uint64
 	frontierNotifies   atomic.Uint64
 }
 
@@ -1491,16 +1485,12 @@ func (s *SAL) waitAppliedPages(sliceID uint32, pageIDs ...uint64) error {
 	return nil
 }
 
-// lsnNotifier is the coalescing advance notifier. Two audiences:
-//
-//   - Legacy pull-tailing replicas registered via RegisterReplica get
-//     cluster.LSNAdvanceReq (best effort — such a replica also polls).
-//   - The Log Stores get cluster.FrontierReq relays — the durable
-//     watermark plus the per-slice applied frontier — whenever a
-//     frontier watch is armed (or Config.NotifyFrontier forces it).
-//     Their push-stream hubs piggyback the frontier on pushed frames,
-//     so N subscribed replicas cost the master O(#LogStores) per
-//     advance instead of O(N).
+// lsnNotifier is the coalescing advance notifier: the Log Stores get
+// cluster.FrontierReq relays — the durable watermark plus the per-slice
+// applied frontier — whenever a frontier watch is armed (or
+// Config.NotifyFrontier forces it). Their push-stream hubs piggyback the
+// frontier on pushed frames, so N subscribed replicas cost the master
+// O(#LogStores) per advance instead of O(N).
 //
 // One goroutine, coalescing: however many windows turned durable (or
 // slices finished applying) while a round was in flight, the next round
@@ -1521,16 +1511,6 @@ func (s *SAL) lsnNotifier() {
 			return
 		}
 		lastLSN, lastGen, lastApplied = d, gen, applied
-		s.repMu.Lock()
-		nodes := append([]string(nil), s.replicaNodes...)
-		s.repMu.Unlock()
-		for _, node := range nodes {
-			if _, err := s.cfg.Transport.Call(node, &cluster.LSNAdvanceReq{
-				Tenant: s.cfg.Tenant, DurableLSN: d,
-			}); err == nil {
-				s.counters.replicaNotifies.Add(1)
-			}
-		}
 		if s.frontierActive() {
 			durable, slices := s.AppliedFrontier()
 			req := &cluster.FrontierReq{Tenant: s.cfg.Tenant, DurableLSN: durable, Slices: slices}
@@ -1662,13 +1642,9 @@ func (s *SAL) Stats() PipelineStats {
 		AllocatedLSN:       s.lsn.Load(),
 		Promotions:         s.counters.promotions.Load(),
 		Demotions:          s.counters.demotions.Load(),
-		ReplicaNotifies:    s.counters.replicaNotifies.Load(),
 		FrontierNotifies:   s.counters.frontierNotifies.Load(),
 	}
 	st.FrontierWatchers = int(s.frontierWatch.Load())
-	s.repMu.Lock()
-	st.RegisteredReplicas = len(s.replicaNodes)
-	s.repMu.Unlock()
 	bySlice := make(map[int][]SliceApplyStats)
 	s.slMu.Lock()
 	ids := make([]uint32, 0, len(s.sliceProg))

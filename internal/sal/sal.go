@@ -156,8 +156,8 @@ type SAL struct {
 	// Durable (commit) watermark. durFloor freezes it below the first
 	// failed window; durMu also guards every lane's pendingQ so sealing
 	// and watermark recomputation are atomic. repGen (also under
-	// durMu) bumps when the replica subscription list changes, so the
-	// notifier re-announces the current watermark to late subscribers.
+	// durMu) bumps when a frontier watch is added, so the notifier
+	// re-relays the current frontier for a late subscriber.
 	durMu         sync.Mutex
 	durCond       *sync.Cond
 	durable       uint64
@@ -181,12 +181,6 @@ type SAL struct {
 	sliceWG      sync.WaitGroup
 	applyDone    chan struct{}
 
-	// Registered read replicas: transport node names notified (best
-	// effort) whenever the durable watermark advances, so log-tailing
-	// replicas refresh immediately instead of waiting out their poll
-	// interval.
-	repMu        sync.Mutex
-	replicaNodes []string
 	notifierDone chan struct{}
 	// Frontier relays to the Log Stores (push-stream distribution):
 	// frontierWatch counts embedded replicas that want them (remote
@@ -456,32 +450,6 @@ func (s *SAL) TruncateLogs(watermark uint64) (GCResult, error) {
 		res.BytesReclaimed += gc.Bytes
 	}
 	return res, nil
-}
-
-// RegisterReplica subscribes a read replica (a transport node name that
-// handles cluster.LSNAdvanceReq) to durable-watermark advances.
-func (s *SAL) RegisterReplica(node string) {
-	s.repMu.Lock()
-	s.replicaNodes = append(s.replicaNodes, node)
-	s.repMu.Unlock()
-	// Wake the notifier so a replica registered after the last write
-	// still learns the current watermark promptly.
-	s.durMu.Lock()
-	s.repGen++
-	s.durCond.Broadcast()
-	s.durMu.Unlock()
-}
-
-// UnregisterReplica removes a read replica subscription.
-func (s *SAL) UnregisterReplica(node string) {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	for i, n := range s.replicaNodes {
-		if n == node {
-			s.replicaNodes = append(s.replicaNodes[:i], s.replicaNodes[i+1:]...)
-			return
-		}
-	}
 }
 
 // AddFrontierWatch arms frontier relays to the Log Stores: while at

@@ -137,18 +137,13 @@ type Config struct {
 
 	// Master attaches a read replica to a running master's storage
 	// cluster (OpenReplica only; ignored by Open). The replica shares
-	// the master's Log Stores and Page Stores, tails the log to advance
-	// its visible LSN, and serves read-only SQL.
+	// the master's Log Stores and Page Stores, follows a Log Store's
+	// push stream to advance its visible LSN, and serves read-only SQL.
 	Master *DB
-	// ReplicaRefreshInterval is the replica's poll fallback cadence
-	// (OpenReplica only; default 25ms). The master's SAL also pushes
-	// LSN-advance notifications, which usually refresh sooner.
+	// ReplicaRefreshInterval is the replica loop's idle tick and its
+	// stream watchdog's unit (OpenReplica only; default 25ms): pushed
+	// frames advance the replica as they arrive.
 	ReplicaRefreshInterval time.Duration
-	// ReplicaPullTail opts a replica out of push-based log subscription
-	// streams and back into the legacy pull tailer (MsgLogRead +
-	// MsgSliceLSN polling). Mixed fleets work: pull and push replicas
-	// can tail the same stores concurrently (OpenReplica only).
-	ReplicaPullTail bool
 }
 
 // DB is an open database frontend: a read-write master (Open) or a
@@ -454,13 +449,13 @@ func (db *DB) checkpointerProbe() health.Probe {
 // OpenReplica attaches a read-only frontend to a running master's
 // storage cluster (cfg.Master): the replica bootstraps its catalog and
 // B+ tree roots from the master's latest checkpoint meta (or, without
-// one, from the full log), then tails the Log Stores to advance a
-// replica-visible LSN and serves SELECTs from the shared Page Stores at
-// that snapshot. DML and DDL are rejected; writes go to the master and
-// become visible on the replica after catch-up (bounded lag). The
-// master's SAL pushes LSN-advance notifications so the replica usually
-// trails by one refresh cycle, with ReplicaRefreshInterval as the poll
-// fallback. Close the replica before closing its master.
+// one, from the full log), then subscribes to a Log Store's push stream
+// to advance a replica-visible LSN and serves SELECTs from the shared
+// Page Stores at that snapshot. DML and DDL are rejected; writes go to
+// the master and become visible on the replica after catch-up (bounded
+// lag): the master's SAL relays its durable and applied frontier to the
+// Log Stores, whose hubs push it with the records, so the replica trails
+// by one pushed frame. Close the replica before closing its master.
 func OpenReplica(cfg Config) (*DB, error) {
 	m := cfg.Master
 	if m == nil {
@@ -484,7 +479,7 @@ func OpenReplica(cfg Config) (*DB, error) {
 	// (catalog entries plus current roots), advance the transaction-ID
 	// allocator past everything the checkpoint covers, and hand back the
 	// checkpoint watermark as the new tail position. repEng/repSession
-	// are assigned below, before the replica's tailer starts.
+	// are assigned below, before the replica subscribes.
 	var repEng *engine.Engine
 	var repSession *sql.Session
 	loadCkpt := func() (uint64, error) {
@@ -544,9 +539,7 @@ func OpenReplica(cfg Config) (*DB, error) {
 		RefreshInterval:   cfg.ReplicaRefreshInterval,
 		Metrics:           reg,
 		Name:              repName,
-		Tracer:            repTracer,
 		Events:            repEvents,
-		Subscribe:         !cfg.ReplicaPullTail,
 		Node:              repName,
 		LoadCheckpoint:    loadCkpt,
 
@@ -572,8 +565,8 @@ func OpenReplica(cfg Config) (*DB, error) {
 		obsReg: reg, rpc: m.rpc, repName: repName,
 		tracer: repTracer, events: repEvents}
 	// A replica's trace queries see its own spans plus the shared storage
-	// components' — tailing rpc spans land on the shared transport's
-	// collector, server spans on the Log/Page Store collectors.
+	// components' — rpc spans land on the shared transport's collector,
+	// server spans on the Log/Page Store collectors.
 	db.tracers = append([]*obs.Tracer{repTracer}, m.tracers...)
 	db.session = sql.NewSession(eng)
 	db.session.NDP = !cfg.DisableNDP
@@ -622,33 +615,20 @@ func OpenReplica(cfg Config) (*DB, error) {
 			start = meta.AppliedLSN
 		}
 	}
-	// Register the replica's handler before the tailer starts so no
-	// advance (pull mode) or stream frame (push mode) is missed. Pull
-	// replicas subscribe to the SAL's per-replica LSNAdvance notifier;
-	// push replicas instead arm the SAL's frontier relay, whose cost is
+	// Register the replica's handler before it subscribes so no stream
+	// frame is missed, and arm the SAL's frontier relay, whose cost is
 	// O(#LogStores) per advance regardless of replica count.
 	m.tr.Register(db.repName, rep)
 	repEng, repSession = eng, db.session
-	if cfg.ReplicaPullTail {
-		m.eng.SAL().RegisterReplica(db.repName)
-	} else {
-		m.eng.SAL().AddFrontierWatch()
-	}
-	unregister := func() {
-		if cfg.ReplicaPullTail {
-			m.eng.SAL().UnregisterReplica(db.repName)
-		} else {
-			m.eng.SAL().RemoveFrontierWatch()
-		}
-		m.tr.Unregister(db.repName)
-	}
+	m.eng.SAL().AddFrontierWatch()
 	// Catch up to everything the master had committed when we opened —
 	// the SAL's acknowledged commit watermark, not the per-store max
 	// (a store can hold batches whose sibling acks are still in
 	// flight, which the visible LSN is gated never to pass): a SELECT
 	// issued right after OpenReplica sees every acknowledged commit.
 	if err := rep.Start(start, m.eng.SAL().DurableLSN()); err != nil {
-		unregister()
+		m.eng.SAL().RemoveFrontierWatch()
+		m.tr.Unregister(db.repName)
 		return nil, fmt.Errorf("taurus: replica catch-up: %w", err)
 	}
 	// Optimizer statistics for the bootstrapped tables (the master's
@@ -668,9 +648,9 @@ func OpenReplica(cfg Config) (*DB, error) {
 // IsReplica reports whether this frontend is a read replica.
 func (db *DB) IsReplica() bool { return db.rep != nil }
 
-// ReplicaStats reports a replica's tailing state: visible LSN, lag in
-// records and bytes, refresh/notification counts, pages invalidated,
-// and DDL attached. Zero value on a master.
+// ReplicaStats reports a replica's stream-following state: visible LSN,
+// lag in records and bytes, pushed-frame and refresh counts, pages
+// invalidated, and DDL attached. Zero value on a master.
 func (db *DB) ReplicaStats() replica.Stats {
 	if db.rep == nil {
 		return replica.Stats{}
@@ -1072,17 +1052,13 @@ func (db *DB) closeLogs() error {
 // makes the final buffered (unacknowledged) records durable too.
 func (db *DB) Close() error {
 	if db.rep != nil {
-		// Replica: stop the tailer and drop the master's subscription
+		// Replica: stop its loop and drop the master's frontier watch
 		// and transport registration (a master that cycles replicas
 		// must not accumulate dead handlers). The shared storage nodes
 		// belong to the master. rep.Close runs before the transport
-		// unregistration so a push replica's stream detach and version
-		// pin clears still reach the storage nodes.
-		if db.cfg.ReplicaPullTail {
-			db.master.eng.SAL().UnregisterReplica(db.repName)
-		} else {
-			db.master.eng.SAL().RemoveFrontierWatch()
-		}
+		// unregistration so the stream detach and version pin clears
+		// still reach the storage nodes.
+		db.master.eng.SAL().RemoveFrontierWatch()
 		db.rep.Close()
 		db.master.tr.Unregister(db.repName)
 		db.master.det.Forget(db.repName)

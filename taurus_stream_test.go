@@ -121,49 +121,3 @@ func TestReplicaGCOverrunCheckpointResync(t *testing.T) {
 		t.Fatalf("replica not streaming after resync: %+v", st)
 	}
 }
-
-// TestReplicaPullTailBackCompat: a pull-mode replica (mixed-version
-// fleet: an old replica against upgraded stores) still tails by polling
-// and registers for LSN-advance notifications.
-func TestReplicaPullTailBackCompat(t *testing.T) {
-	master, err := Open(Config{PagesPerSlice: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	if _, err := master.Exec(`CREATE TABLE kv (id BIGINT, v INT, PRIMARY KEY(id))`); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if _, err := master.Exec(fmt.Sprintf("INSERT INTO kv VALUES (%d, %d)", i, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := OpenReplica(Config{Master: master, ReplicaPullTail: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-	if got := waitReplicaCount(t, rep, "SELECT COUNT(*) FROM kv", 100, 5*time.Second); got != 100 {
-		t.Fatalf("catch-up count = %d, want 100", got)
-	}
-	for i := 100; i < 150; i++ {
-		if _, err := master.Exec(fmt.Sprintf("INSERT INTO kv VALUES (%d, %d)", i, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := waitReplicaCount(t, rep, "SELECT COUNT(*) FROM kv", 150, 5*time.Second); got != 150 {
-		t.Fatalf("post-write count = %d, want 150", got)
-	}
-	st := rep.ReplicaStats()
-	if st.Subscribed || st.StreamBatches != 0 {
-		t.Fatalf("pull replica used the push stream: %+v", st)
-	}
-	if st.Refreshes == 0 || st.Notifies == 0 {
-		t.Fatalf("pull replica not polling/notified: %+v", st)
-	}
-	wp := master.WritePathStats()
-	if wp.RegisteredReplicas != 1 || wp.FrontierWatchers != 0 {
-		t.Fatalf("pull replica registration: replicas=%d watchers=%d", wp.RegisteredReplicas, wp.FrontierWatchers)
-	}
-}
