@@ -343,59 +343,6 @@ func BenchmarkDurableAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentCommit measures durable commits per second through
-// the write path under concurrent committers (use -cpu 1,4,8 to vary
-// them): Pipelined is the group-commit pipeline (Write + WaitDurable —
-// durability in triplicate, Page Store application asynchronous);
-// SerialBaseline emulates the pre-pipeline path (global mutex across
-// log append AND serial page application, flush per commit).
-func BenchmarkConcurrentCommit(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"Pipelined", false}, {"SerialBaseline", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c, err := bench.NewWritePathCluster(b.TempDir(), 64, mode.serial)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			var worker atomic.Uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				pageID := worker.Add(1)%64 + 1
-				i := int64(0)
-				for pb.Next() {
-					i++
-					rec := bench.CommitRecord(pageID, i)
-					if mode.serial {
-						if err := c.Serial.Commit(rec); err != nil {
-							b.Error(err)
-							return
-						}
-						continue
-					}
-					if _, err := c.SAL.Write(rec); err != nil {
-						b.Error(err)
-						return
-					}
-					if err := c.SAL.WaitDurable(rec.LSN); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			if !mode.serial {
-				st := c.SAL.Stats()
-				if st.WindowsFlushed > 0 {
-					b.ReportMetric(float64(st.RecordsFlushed)/float64(st.WindowsFlushed), "records/window")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkShardedBufferPool measures buffer pool Get throughput under
 // concurrent scans (run with -cpu 1,4,8): a hot working set over a
 // sharded pool, where the old single-mutex design serialized every
@@ -553,42 +500,5 @@ func BenchmarkCrashRecovery(b *testing.B) {
 			}
 			b.ReportMetric(float64(rows), "rows-recovered")
 		})
-	}
-}
-
-// BenchmarkSkewedSliceCommit runs the skewed-slice write-path scenario
-// (hot slice beside a slow Page Store replica on an unrelated slice)
-// and reports the hot-commit p99 improvement of per-slice lanes over
-// the single-global-window baseline. CI runs it with -benchtime=1x as
-// the lane smoke test; taurus-bench writepath runs the full version.
-func BenchmarkSkewedSliceCommit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, promotions, err := bench.SkewedWritePath(96, 2, 500*time.Microsecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var rep bench.WritePathReport
-		rep.AddSkewed(rows, promotions)
-		b.ReportMetric(rep.SkewedHotP99ImprovementX, "p99-improvement-x")
-		b.ReportMetric(float64(promotions), "promotions")
-	}
-}
-
-// BenchmarkReplicaReads runs the taurus-bench replicas scenario's
-// smallest levels: point SELECTs on log-tailing read replicas beside a
-// continuous writer, reporting read QPS and sampled p99 lag. (QPS
-// scaling across replicas tracks available cores; the CI smoke run
-// checks the machinery, not the scaling factor.)
-func BenchmarkReplicaReads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Replicas(250*time.Millisecond, []int{1, 2}, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep := bench.BuildReplicasReport(rows)
-		b.ReportMetric(rows[0].ReadQPS, "reads/s@1")
-		b.ReportMetric(rows[len(rows)-1].ReadQPS, "reads/s@2")
-		b.ReportMetric(rows[len(rows)-1].P99LagRecords, "p99-lag-records")
-		b.ReportMetric(rep.ReadScaling2x, "scaling-2x")
 	}
 }

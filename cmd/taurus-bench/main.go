@@ -1,219 +1,113 @@
-// taurus-bench replays the paper's evaluation (§VII) and prints the
-// tables behind each figure.
+// taurus-bench replays the paper's evaluation (§VII) from counted work
+// and prints the tables behind each figure. No wall-clock time enters
+// them: measured performance comes from `bash benchmark/run.sh` (see
+// benchmark/README.md).
 //
 // Usage:
 //
-//	taurus-bench [-sf 0.005] [fig5|fig6|fig7|fig8|fig9|q4-bufferpool|durability|checkpoint|writepath|replicas|analytics|all]
-//
-// writepath compares the serial (pre-pipeline) and pipelined
-// group-commit write paths under concurrent committers and writes the
-// result to -writepath-out (default BENCH_writepath.json).
-//
-// replicas measures read-QPS scaling across push-subscribed read
-// replicas beside one continuous writer, plus sampled replication lag
-// and the per-message-type RPC load on the storage cluster, and
-// writes the result to -replicas-out (default BENCH_replicas.json).
-//
-// analytics sweeps the parallel NDP scan scheduler — Q6 (scalar merge)
-// and Q1G (grouped merge) at each -analytics-levels parallelism with
-// least-loaded replica routing on and off — then measures master write
-// QPS alone vs under continuous replica scans, and writes the result
-// to -analytics-out (default BENCH_analytics.json).
+//	taurus-bench [-sf 0.005] [fig5|fig6|fig7|fig8|fig9|q4-bufferpool|all]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
-	"strconv"
-	"strings"
-	"time"
+	"slices"
 
 	"taurus/internal/bench"
 )
 
-func main() {
-	sf := flag.Float64("sf", 0.005, "TPC-H scale factor")
-	commits := flag.Int("commits", 1500, "durable commits per worker count (writepath)")
-	skewCommits := flag.Int("skew-commits", 800, "hot-slice commits in the skewed scenario (writepath; 0 = skip)")
-	skewDelay := flag.Duration("skew-delay", 20*time.Millisecond, "injected apply latency of the slow Page Store replica (writepath)")
-	wpOut := flag.String("writepath-out", "BENCH_writepath.json", "write-path JSON report path (writepath; empty = don't write)")
-	repDuration := flag.Duration("replica-duration", 1500*time.Millisecond, "measurement window per replica count (replicas)")
-	repCounts := flag.String("replica-counts", "1,2,4,8,16", "comma-separated replica counts (replicas)")
-	repReaders := flag.Int("replica-readers", 2, "reader goroutines per replica (replicas)")
-	repOut := flag.String("replicas-out", "BENCH_replicas.json", "replica-scaling JSON report path (replicas; empty = don't write)")
-	anRuns := flag.Int("analytics-runs", 3, "cold-pool runs per cell (analytics)")
-	anLevels := flag.String("analytics-levels", "1,2,4,8", "comma-separated scan parallelism levels (analytics)")
-	anHTAP := flag.Duration("analytics-htap-duration", 800*time.Millisecond, "write-QPS window, alone and under replica scans (analytics)")
-	anOut := flag.String("analytics-out", "BENCH_analytics.json", "parallel-scan JSON report path (analytics; empty = don't write)")
-	flag.Parse()
-	which := "all"
-	if flag.NArg() > 0 {
-		which = flag.Arg(0)
-	}
-	if which == "analytics" {
-		var levels []int
-		for _, part := range strings.Split(*anLevels, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				log.Fatalf("bad -analytics-levels entry %q", part)
-			}
-			levels = append(levels, n)
-		}
-		fmt.Printf("Loading TPC-H at SF %g for the parallel-scan sweep...\n", *sf)
-		rep, err := bench.Analytics(*sf, *anRuns, levels, *anHTAP)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bench.PrintAnalytics(os.Stdout, rep)
-		if *anOut != "" {
-			if err := bench.WriteAnalyticsJSON(*anOut, rep); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("report written to %s\n", *anOut)
-		}
-		return
-	}
-	if which == "replicas" {
-		var counts []int
-		for _, part := range strings.Split(*repCounts, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				log.Fatalf("bad -replica-counts entry %q", part)
-			}
-			counts = append(counts, n)
-		}
-		rows, err := bench.Replicas(*repDuration, counts, *repReaders)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bench.PrintReplicas(os.Stdout, rows)
-		if *repOut != "" {
-			if err := bench.WriteReplicasJSON(*repOut, bench.BuildReplicasReport(rows)); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("report written to %s\n", *repOut)
-		}
-		return
-	}
-	if which == "writepath" {
-		// No TPC-H fixture needed: the write path benchmark builds its
-		// own durable clusters.
-		rows, err := bench.WritePath(*commits, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bench.PrintWritePath(os.Stdout, rows)
-		rep := bench.BuildWritePathReport(rows)
-		if *skewCommits > 0 {
-			fmt.Println()
-			skewRows, promotions, err := bench.SkewedWritePath(*skewCommits, 4, *skewDelay)
-			if err != nil {
-				log.Fatal(err)
-			}
-			bench.PrintSkewedWritePath(os.Stdout, skewRows, promotions)
-			rep.AddSkewed(skewRows, promotions)
-		}
-		fmt.Println()
-		ovh, err := bench.TraceOverhead(*commits, 8)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bench.PrintTraceOverhead(os.Stdout, ovh)
-		rep.TraceOverhead = &ovh
-		if *wpOut != "" {
-			if err := bench.WriteWritePathJSON(*wpOut, rep); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("report written to %s\n", *wpOut)
-		}
-		return
-	}
-	fmt.Printf("Loading TPC-H at SF %g on a 4-Page-Store, 3-way-replicated cluster...\n", *sf)
-	f, err := bench.NewFixture(*sf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	run := func(name string, fn func() error) {
-		if which != "all" && which != name {
-			return
-		}
-		fmt.Println()
-		if err := fn(); err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-	}
-	run("fig5", func() error {
-		rows, err := f.Fig5()
-		if err != nil {
-			return err
-		}
-		bench.PrintFig5(os.Stdout, rows)
-		return nil
-	})
-	run("fig6", func() error {
-		rows, err := f.Fig6()
-		if err != nil {
-			return err
-		}
-		bench.PrintFig6(os.Stdout, rows)
-		return nil
-	})
-	run("fig7", func() error {
-		res, err := f.Fig7()
-		if err != nil {
-			return err
-		}
-		bench.PrintFig7(os.Stdout, res)
-		return nil
-	})
-	run("fig8", func() error {
-		res, err := f.Fig8()
-		if err != nil {
-			return err
-		}
-		bench.PrintFig8(os.Stdout, res)
-		return nil
-	})
-	run("fig9", func() error {
-		rows, err := f.Fig9()
-		if err != nil {
-			return err
-		}
-		bench.PrintFig9(os.Stdout, rows)
-		return nil
-	})
-	run("durability", func() error {
-		rows, err := bench.Durability(0, nil)
-		if err != nil {
-			return err
-		}
-		bench.PrintDurability(os.Stdout, rows)
-		fmt.Println()
-		rec, err := bench.RecoveryTimes(nil)
-		if err != nil {
-			return err
-		}
-		bench.PrintRecovery(os.Stdout, rec)
-		return nil
-	})
-	run("checkpoint", func() error {
-		rows, err := bench.CheckpointRecovery(nil)
-		if err != nil {
-			return err
-		}
-		bench.PrintCheckpoint(os.Stdout, rows)
-		return nil
-	})
-	run("q4-bufferpool", func() error {
+// experiments lists the figures in the order `all` prints them.
+var experiments = []struct {
+	name string
+	run  func(*bench.Fixture, io.Writer) error
+}{
+	{"fig5", table((*bench.Fixture).Fig5, bench.PrintFig5)},
+	{"fig6", table((*bench.Fixture).Fig6, bench.PrintFig6)},
+	{"fig7", table((*bench.Fixture).Fig7, bench.PrintFig7)},
+	{"fig8", table((*bench.Fixture).Fig8, bench.PrintFig8)},
+	{"fig9", table((*bench.Fixture).Fig9, bench.PrintFig9)},
+	{"q4-bufferpool", func(f *bench.Fixture, w io.Writer) error {
 		noNDP, withNDP, err := f.Q4BufferPool()
 		if err != nil {
 			return err
 		}
-		fmt.Println("§VII-D buffer-pool experiment (lineitem pages resident after Q1–Q3):")
-		fmt.Printf("  NDP disabled: %d pages\n  NDP enabled:  %d pages\n", noNDP, withNDP)
-		fmt.Println("  (paper: 1,272,972 vs 24,186)")
+		fmt.Fprintln(w, "§VII-D buffer-pool experiment (lineitem pages resident after Q1–Q3):")
+		fmt.Fprintf(w, "  NDP disabled: %d pages\n  NDP enabled:  %d pages\n", noNDP, withNDP)
+		fmt.Fprintln(w, "  (paper: 1,272,972 vs 24,186)")
 		return nil
-	})
+	}},
 }
+
+// retired names were timing subcommands of this tool; the repo benchmark
+// measures what they did.
+var retired = []string{"writepath", "replicas", "analytics", "durability", "checkpoint"}
+
+func table[T any](compute func(*bench.Fixture) (T, error), print func(io.Writer, T)) func(*bench.Fixture, io.Writer) error {
+	return func(f *bench.Fixture, w io.Writer) error {
+		v, err := compute(f)
+		if err != nil {
+			return err
+		}
+		print(w, v)
+		return nil
+	}
+}
+
+// checkName reports why taurus-bench cannot run the named experiment.
+func checkName(which string) error {
+	if which == "all" {
+		return nil
+	}
+	for _, e := range experiments {
+		if e.name == which {
+			return nil
+		}
+	}
+	if slices.Contains(retired, which) {
+		return fmt.Errorf("taurus-bench: unknown experiment %q\n  (retired: use `bash benchmark/run.sh --workload <ndp_scan|raw_scan|oltp_mixed|htap_replica>`, see benchmark/README.md)", which)
+	}
+	return fmt.Errorf("taurus-bench: unknown experiment %q", which)
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("taurus-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sf := fs.Float64("sf", 0.005, "TPC-H scale factor")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: taurus-bench [-sf 0.005] [fig5|fig6|fig7|fig8|fig9|q4-bufferpool|all]")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	which := "all"
+	if fs.NArg() > 0 {
+		which = fs.Arg(0)
+	}
+	if err := checkName(which); err != nil {
+		fmt.Fprintln(stderr, err)
+		fs.Usage()
+		return 2
+	}
+	fmt.Fprintf(stdout, "Loading TPC-H at SF %g on a 4-Page-Store, 3-way-replicated cluster...\n", *sf)
+	f, err := bench.NewFixture(*sf)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	for _, e := range experiments {
+		if which != "all" && which != e.name {
+			continue
+		}
+		fmt.Fprintln(stdout)
+		if err := e.run(f, stdout); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
+			return 1
+		}
+	}
+	return 0
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -9,10 +9,10 @@ import (
 	"io"
 	"time"
 
+	"taurus/internal/costmodel"
 	"taurus/internal/engine"
 	"taurus/internal/exec"
 	"taurus/internal/pagestore"
-	"taurus/internal/sim"
 	"taurus/internal/testutil"
 	"taurus/internal/tpch"
 )
@@ -21,7 +21,7 @@ import (
 type Fixture struct {
 	Cluster *testutil.Cluster
 	DB      *tpch.DB
-	Model   sim.Model
+	Model   costmodel.Model
 }
 
 // NewFixture builds the paper's small test cluster (4 Page Stores, 3-way
@@ -48,7 +48,7 @@ func NewFixture(sf float64) (*Fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Fixture{Cluster: c, DB: db, Model: sim.DefaultModel()}, nil
+	return &Fixture{Cluster: c, DB: db, Model: costmodel.DefaultModel()}, nil
 }
 
 // Measurement captures one query execution.
@@ -137,9 +137,9 @@ func storeCounters(v pagestore.StatsSnapshot) StoreCounters {
 	return StoreCounters{RecordsIn: v.NDPRecordsIn, Processed: v.NDPPagesProcessed, Skipped: v.NDPPagesSkipped}
 }
 
-// Work converts a measurement into the sim model's input.
-func (m Measurement) Work() sim.Work {
-	return sim.Work{
+// Work converts a measurement into the cost model's input.
+func (m Measurement) Work() costmodel.Work {
+	return costmodel.Work{
 		NetBytes:         float64(m.NetBytes),
 		NetRequests:      float64(m.NetReqs),
 		SerialCPUUnits:   m.SerialCPUUnits,

@@ -3,7 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"taurus/internal/tpch"
 )
@@ -248,51 +247,5 @@ func TestSortedByQueryNumber(t *testing.T) {
 	s := SortedByQueryNumber(rows)
 	if s[0].Query != "Q1" || s[1].Query != "Q2" || s[2].Query != "Q10" {
 		t.Errorf("order: %v", s)
-	}
-}
-
-// TestCheckpointRecoveryShape pins the checkpoint-recovery experiment's
-// invariants: both modes run, the checkpointed restart replays only the
-// post-checkpoint tail, and the full-replay baseline sees everything.
-func TestCheckpointRecoveryShape(t *testing.T) {
-	rows, err := CheckpointRecovery([]int{4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Mode != "full-replay" || rows[1].Mode != "checkpoint+tail" {
-		t.Fatalf("rows = %+v", rows)
-	}
-	if rows[0].Replayed != 4000 {
-		t.Fatalf("full replay applied %d of 4000", rows[0].Replayed)
-	}
-	if rows[1].Replayed == 0 || rows[1].Replayed*4 > rows[0].Replayed {
-		t.Fatalf("checkpoint+tail replayed %d, want only the ~5%% tail", rows[1].Replayed)
-	}
-}
-
-// TestSkewedWritePathSmoke runs the skewed-slice scenario (hot slice +
-// slow replica behind a different slice) with tiny parameters: both
-// modes complete, the lanes mode promotes the hot slice, and the report
-// derives the p99 delta.
-func TestSkewedWritePathSmoke(t *testing.T) {
-	rows, promotions, err := SkewedWritePath(48, 2, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (global-window and slice-lanes)", len(rows))
-	}
-	for _, r := range rows {
-		if r.Commits == 0 || r.P99Micros == 0 {
-			t.Fatalf("empty row: %+v", r)
-		}
-	}
-	if promotions == 0 {
-		t.Fatal("lanes mode never promoted the hot slice")
-	}
-	var rep WritePathReport
-	rep.AddSkewed(rows, promotions)
-	if rep.SkewedHotP99ImprovementX <= 0 {
-		t.Fatalf("no p99 delta derived: %+v", rep)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"io"
 	"sort"
 
-	"taurus/internal/sim"
+	"taurus/internal/costmodel"
 	"taurus/internal/tpch"
 )
 
@@ -70,8 +70,8 @@ func (f *Fixture) Fig6() ([]Fig6Row, error) {
 		pqNDP := f.Model.Runtime(on.Work(), dop)
 		out = append(out, Fig6Row{
 			Query:          q.Name,
-			PQOnlyPct:      sim.Reduction(base, pqOnly),
-			PQandNDPPct:    sim.Reduction(base, pqNDP),
+			PQOnlyPct:      costmodel.Reduction(base, pqOnly),
+			PQandNDPPct:    costmodel.Reduction(base, pqNDP),
 			TheoreticalPct: (1 - 1/float64(dop)) * 100,
 		})
 	}
@@ -194,7 +194,7 @@ func (f *Fixture) Fig8() (*Fig8Result, error) {
 	for i := range offs {
 		t0 := f.Model.Runtime(offs[i].Work(), 1)
 		t1 := f.Model.Runtime(ons[i].Work(), 1)
-		red := sim.Reduction(t0, t1)
+		red := costmodel.Reduction(t0, t1)
 		res.Rows = append(res.Rows, Fig8Row{
 			Query: offs[i].Query, RuntimeNoNDP: t0, RuntimeNDP: t1, ReductionPct: red,
 			WallNoNDPMillis: float64(offs[i].Wall.Microseconds()) / 1000,
@@ -209,7 +209,7 @@ func (f *Fixture) Fig8() (*Fig8Result, error) {
 			res.CountOver80++
 		}
 	}
-	res.TotalPct = sim.Reduction(totOff, totOn)
+	res.TotalPct = costmodel.Reduction(totOff, totOn)
 	return res, nil
 }
 
@@ -255,7 +255,7 @@ func (f *Fixture) Fig9() ([]Fig9Row, error) {
 			share = w.SerialCPUUnits / (w.SerialCPUUnits + w.ParallelCPUUnits)
 		}
 		out = append(out, Fig9Row{
-			Query: name, ReductionPct: sim.Reduction(serial, parallel), SerialShare: share,
+			Query: name, ReductionPct: costmodel.Reduction(serial, parallel), SerialShare: share,
 		})
 	}
 	return out, nil

@@ -1,4 +1,4 @@
-// Package sim provides the simulated-cluster cost model used to
+// Package costmodel provides the simulated-cluster cost model used to
 // reproduce the paper's run-time figures (Figs. 6, 8, 9).
 //
 // The reproduction runs on a single machine, so wall-clock time cannot
@@ -17,7 +17,7 @@
 // I/O", §VII-A); and NDP removes that bottleneck while shifting record
 // processing into the (parallel) Page Stores. Constants are stated, not
 // fitted; EXPERIMENTS.md compares shapes, not absolute values.
-package sim
+package costmodel
 
 // Model holds the cost constants.
 type Model struct {

@@ -110,11 +110,6 @@ func WithSegmentBytes(n int64) Option {
 	return func(o *plog.Options) { o.SegmentBytes = n }
 }
 
-// WithSyncEveryAppend forces an fsync per append (no group commit).
-func WithSyncEveryAppend() Option {
-	return func(o *plog.Options) { o.SyncEveryAppend = true }
-}
-
 // WithNoSync disables fsync (volatile disk mode, for benchmarks).
 func WithNoSync() Option {
 	return func(o *plog.Options) { o.NoSync = true }

@@ -73,9 +73,6 @@ type Config struct {
 	// Events, when non-nil, records structural events (resyncs, tailed
 	// catalog barriers) in the flight recorder. nil is inert.
 	Events *obs.EventRing
-	// DisableLeastLoadedReads pins scan sub-batch routing to plain
-	// round-robin instead of the least-loaded replica pick.
-	DisableLeastLoadedReads bool
 	// Subscribe is ignored — a replica always subscribes. The field
 	// stays only because benchmark/ (frozen for product PRs) sets it.
 	Subscribe bool
@@ -267,7 +264,6 @@ func New(cfg Config) (*Replica, error) {
 		done:         make(chan struct{}),
 	}
 	r.router = sal.NewReadRouter()
-	r.router.SetLeastLoaded(!cfg.DisableLeastLoadedReads)
 	r.fanOut = &sal.FanOut{
 		Transport: cfg.Transport,
 		Tenant:    cfg.Tenant,

@@ -876,3 +876,35 @@ func TestBarrierCompletesUnderSustainedWrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// BenchmarkWriteDurable measures a commit through the pipeline: Write
+// plus WaitDurable in triplicate, Page Store application asynchronous
+// (run with -cpu 1,4,8 to vary the committers). Each committer owns a
+// page, re-formatted every 300 inserts so it never fills.
+func BenchmarkWriteDurable(b *testing.B) {
+	f, _ := newHookedFixture(b, 16, 3, 64)
+	var worker atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		pageID := worker.Add(1)
+		for i := int64(0); pb.Next(); i++ {
+			rec := insertRec(pageID, i)
+			if i%300 == 0 {
+				rec = &wal.Record{Type: wal.TypeFormatPage, PageID: pageID, IndexID: 1}
+			}
+			if _, err := f.sal.Write(rec); err != nil {
+				b.Error(err)
+				return
+			}
+			if err := f.sal.WaitDurable(rec.LSN); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if st := f.sal.Stats(); st.WindowsFlushed > 0 {
+		b.ReportMetric(float64(st.RecordsFlushed)/float64(st.WindowsFlushed), "records/window")
+	}
+}

@@ -17,8 +17,9 @@ import (
 // replicates every log record to the full replica set), so reads are
 // free to chase load: the router tracks in-flight requests and an EWMA
 // of observed latency per store and sends the next sub-batch to the
-// cheapest one. Round-robin remains available as a fallback (and as
-// the bench's routing-off baseline).
+// cheapest one. A router starts least-loaded; SetLeastLoaded(false)
+// switches it to round-robin at run time. Both modes stay until a
+// trusted measurement picks one.
 type ReadRouter struct {
 	leastLoaded atomic.Bool
 	rr          atomic.Uint64

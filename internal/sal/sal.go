@@ -87,8 +87,8 @@ type Config struct {
 	ApplyBacklogWindows int
 	// MaxSliceLanes is how many dedicated write lanes hot slices can be
 	// promoted into, besides the shared lane (default 2). Negative
-	// disables promotion entirely (single shared lane — the old
-	// global-window behavior, kept for before/after benchmarks).
+	// disables promotion entirely: every slice shares one lane and one
+	// group-commit window.
 	MaxSliceLanes int
 	// Metrics, when non-nil, receives write-path stage histograms,
 	// fetch-latency histograms, and pipeline gauges. nil disables
@@ -103,10 +103,6 @@ type Config struct {
 	// transitions: lane promotions/demotions, window seals by reason,
 	// sticky-error poisoning. nil is inert.
 	Events *obs.EventRing
-	// DisableLeastLoadedReads pins scan sub-batch routing to plain
-	// round-robin instead of the least-loaded replica pick (the
-	// routing-off baseline in BENCH_analytics.json).
-	DisableLeastLoadedReads bool
 	// NotifyFrontier forces frontier relays (cluster.FrontierReq — the
 	// durable watermark plus per-slice applied LSNs) to the Log Stores
 	// on every advance, whether or not an embedded replica registered a
@@ -255,7 +251,6 @@ func New(cfg Config) (*SAL, error) {
 		sliceProg: make(map[uint32]*sliceProgress),
 	}
 	s.router = NewReadRouter()
-	s.router.SetLeastLoaded(!cfg.DisableLeastLoadedReads)
 	s.fanOut = &FanOut{
 		Transport: cfg.Transport,
 		Tenant:    cfg.Tenant,

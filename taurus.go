@@ -62,13 +62,10 @@ type Config struct {
 	// the least-loaded Page Store replica of its slice (0 = GOMAXPROCS,
 	// 1 = serial).
 	ScanParallelism int
-	// DisableScanRouting pins scan sub-batch routing to round-robin
-	// instead of the least-loaded replica pick (the bench baseline).
-	DisableScanRouting bool
 	// WriteLanes is the number of dedicated per-slice write lanes hot
 	// slices can be promoted into, besides the shared lane (0 = SAL
-	// default; negative disables promotion — the old single-global-
-	// window write path, kept for before/after benchmarks).
+	// default; negative disables promotion: every slice shares one
+	// group-commit window).
 	WriteLanes int
 	// WriteFlushThreshold pins every lane's group-commit window size.
 	// 0 (default) keeps the adaptive threshold: lanes size their
@@ -103,9 +100,6 @@ type Config struct {
 	// LogSegmentBytes is the Log Stores' segment rotation size
 	// (default 16 MB).
 	LogSegmentBytes int64
-	// LogSyncEveryAppend disables group commit and fsyncs every append
-	// — the durability benchmark's baseline.
-	LogSyncEveryAppend bool
 
 	// SlowOpThreshold arms the slow-op log: every statement whose total
 	// execution time meets or exceeds it emits one structured line with
@@ -277,9 +271,6 @@ func Open(cfg Config) (*DB, error) {
 			if cfg.LogSegmentBytes > 0 {
 				opts = append(opts, logstore.WithSegmentBytes(cfg.LogSegmentBytes))
 			}
-			if cfg.LogSyncEveryAppend {
-				opts = append(opts, logstore.WithSyncEveryAppend())
-			}
 			var err error
 			ls, err = logstore.Open(n, filepath.Join(cfg.DataDir, n), opts...)
 			if err != nil {
@@ -352,7 +343,6 @@ func Open(cfg Config) (*DB, error) {
 		Plugin: pagestore.PluginInnoDB, MaxSliceLanes: cfg.WriteLanes,
 		FlushThreshold: cfg.WriteFlushThreshold, Metrics: reg,
 		Tracer: db.tracer, Events: db.events,
-		DisableLeastLoadedReads: cfg.DisableScanRouting,
 	})
 	if err != nil {
 		return nil, err
@@ -542,8 +532,6 @@ func OpenReplica(cfg Config) (*DB, error) {
 		Events:            repEvents,
 		Node:              repName,
 		LoadCheckpoint:    loadCkpt,
-
-		DisableLeastLoadedReads: cfg.DisableScanRouting,
 	})
 	if err != nil {
 		return nil, err
