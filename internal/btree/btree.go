@@ -102,64 +102,54 @@ func (t *Tree) Height() int {
 	return t.height
 }
 
-// descend returns the path of (pageID, recOff-of-chosen-child) from the
-// root to the leaf that may contain key. The last element is the leaf.
-type pathEntry struct {
-	pageID uint64
-	// chosenOff is the heap offset of the node-pointer record followed
-	// (interior levels only).
-	chosenOff int
+// childFor returns the child page to follow from the interior page pg
+// toward key: the last node pointer whose separator is <= key, or the
+// first pointer when key sorts before every separator. A nil key sorts
+// first, so it selects the leftmost child. This is the tree's only
+// comparison of a search key with node-pointer separators.
+func childFor(pg *page.Page, key []byte) (uint64, error) {
+	var child uint64
+	found := false
+	var err error
+	pg.Iter(func(r page.Record) bool {
+		k, c, err2 := page.SplitNodePtr(r.Payload)
+		if err2 != nil {
+			err = err2
+			return false
+		}
+		if found && bytes.Compare(k, key) > 0 {
+			return false
+		}
+		child, found = c, true
+		return true
+	})
+	if err != nil {
+		return 0, err
+	}
+	if !found {
+		return 0, fmt.Errorf("btree: interior page %d is empty", pg.ID())
+	}
+	return child, nil
 }
 
-func (t *Tree) descendLocked(key []byte) ([]pathEntry, error) {
-	var path []pathEntry
-	cur := t.rootID
-	for {
-		pg, err := t.pager.Read(cur)
+// descendLocked returns the page IDs from the root down to the page at
+// stopLevel (0 = leaf) that covers key, following childFor at each
+// interior page. The page at stopLevel itself is not read. The caller
+// holds t.mu.
+func (t *Tree) descendLocked(key []byte, stopLevel int) ([]uint64, error) {
+	path := []uint64{t.rootID}
+	for level := t.height - 1; level > stopLevel; level-- {
+		pg, err := t.pager.Read(path[len(path)-1])
 		if err != nil {
 			return nil, err
 		}
-		path = append(path, pathEntry{pageID: cur})
-		if pg.Level() == 0 {
-			return path, nil
-		}
-		// Choose the last node pointer with key <= search key; default
-		// to the first child for keys before every separator.
-		chosen := 0
-		var chosenChild uint64
-		first := true
-		stop := false
-		pg.Iter(func(r page.Record) bool {
-			k, child, err2 := page.SplitNodePtr(r.Payload)
-			if err2 != nil {
-				err = err2
-				return false
-			}
-			if first {
-				chosen, chosenChild, first = r.Off, child, false
-				if bytes.Compare(k, key) > 0 {
-					stop = true
-					return false
-				}
-				return true
-			}
-			if bytes.Compare(k, key) > 0 {
-				stop = true
-				return false
-			}
-			chosen, chosenChild = r.Off, child
-			return true
-		})
-		_ = stop
+		child, err := childFor(pg, key)
 		if err != nil {
 			return nil, err
 		}
-		if first {
-			return nil, fmt.Errorf("btree: interior page %d is empty", cur)
-		}
-		path[len(path)-1].chosenOff = chosen
-		cur = chosenChild
+		path = append(path, child)
 	}
+	return path, nil
 }
 
 // Insert adds a (key, row) pair with the given transaction ID. Duplicate
@@ -175,12 +165,11 @@ func (t *Tree) descendLocked(key []byte) ([]pathEntry, error) {
 func (t *Tree) Insert(key, row []byte, trxID uint64) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	path, err := t.descendLocked(key)
+	path, err := t.descendLocked(key, 0)
 	if err != nil {
 		return 0, err
 	}
-	leafID := path[len(path)-1].pageID
-	leaf, err := t.pager.Read(leafID)
+	leaf, err := t.pager.Read(path[len(path)-1])
 	if err != nil {
 		return 0, err
 	}
@@ -233,8 +222,8 @@ func lastPos(pg *page.Page) int {
 
 // splitLocked splits the leaf at the end of path (splitting ancestors as
 // needed) and returns the leaf that should now receive key.
-func (t *Tree) splitLocked(path []pathEntry, key []byte) (*page.Page, error) {
-	leafID := path[len(path)-1].pageID
+func (t *Tree) splitLocked(path []uint64, key []byte) (*page.Page, error) {
+	leafID := path[len(path)-1]
 	leaf, err := t.pager.Read(leafID)
 	if err != nil {
 		return nil, err
@@ -378,7 +367,7 @@ func splitSepKey(pg *page.Page, moved page.Record) ([]byte, error) {
 // insertNodePtr inserts a (sepKey -> child) pointer into the parent at
 // the end of path, splitting upward as needed. An empty path means the
 // root split: a new root is created one level up.
-func (t *Tree) insertNodePtr(path []pathEntry, sepKey []byte, child uint64, childLevel uint16) error {
+func (t *Tree) insertNodePtr(path []uint64, sepKey []byte, child uint64, childLevel uint16) error {
 	payload := page.EncodeNodePtr(nil, sepKey, child)
 	if len(path) == 0 {
 		// Root split: new root points at old root and the new child.
@@ -414,7 +403,7 @@ func (t *Tree) insertNodePtr(path []pathEntry, sepKey []byte, child uint64, chil
 		t.height++
 		return nil
 	}
-	parentID := path[len(path)-1].pageID
+	parentID := path[len(path)-1]
 	parent, err := t.pager.Read(parentID)
 	if err != nil {
 		return err
@@ -485,177 +474,96 @@ func firstKeyOf(pg *page.Page) ([]byte, error) {
 	return append([]byte(nil), k...), err
 }
 
-// SeekLeaf returns the page ID of the leaf that may contain key.
+// SeekLeaf returns the page ID of the leaf that may contain key; a nil
+// key returns the leftmost leaf, the head of the leaf chain. The leaf
+// itself is not read.
 func (t *Tree) SeekLeaf(key []byte) (uint64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	path, err := t.descendLocked(key)
+	path, err := t.descendLocked(key, 0)
 	if err != nil {
 		return 0, err
 	}
-	return path[len(path)-1].pageID, nil
+	return path[len(path)-1], nil
 }
 
-// FirstLeaf returns the leftmost leaf's page ID.
-func (t *Tree) FirstLeaf() (uint64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cur := t.rootID
-	for {
-		pg, err := t.pager.Read(cur)
-		if err != nil {
-			return 0, err
-		}
-		if pg.Level() == 0 {
-			return cur, nil
-		}
-		off := pg.FirstRecord()
-		if off == 0 {
-			return 0, fmt.Errorf("btree: empty interior page %d", cur)
-		}
-		_, child, err := page.SplitNodePtr(pg.RecordAt(off).Payload)
-		if err != nil {
-			return 0, err
-		}
-		cur = child
-	}
-}
-
-// Batch is the result of a batch-read collection (§IV-C4): the child leaf
-// page IDs extracted from level-1 pages within the scan boundary, plus
-// the LSN stamped while the sub-tree was share-locked. "The Page Store
-// only returns those page versions matching the LSN value, and thus, the
-// batch read is shielded from the concurrent B-tree modifications."
+// Batch is the result of a batch-read collection (§IV-C4): every leaf
+// page ID in the scan boundary, in leaf-chain order, plus the LSN
+// stamped while the tree was share-locked. "The Page Store only returns
+// those page versions matching the LSN value, and thus, the batch read
+// is shielded from the concurrent B-tree modifications."
 type Batch struct {
 	LeafIDs []uint64
 	LSN     uint64
 }
 
-// CollectBatch gathers up to maxPages leaf page IDs covering keys in
-// [startKey, endKey] (nil endKey = unbounded), starting from startKey.
-// The traversal holds the tree's shared lock from the root to the level-1
-// pages, stamps the current LSN, and releases — the caller then issues
-// the batch read against storage at that LSN without blocking writers.
-// The follow-up call should pass the last returned leaf's high key as the
-// next startKey; resume is driven by the scan cursor in the engine.
+// CollectBatch returns, in one call, every leaf that may hold a key in
+// [startKey, endKey]: the contiguous run of the leaf chain from
+// SeekLeaf(startKey) to SeekLeaf(endKey), or to the chain's end when
+// endKey is nil. There is no page limit and no resume; the caller chunks
+// the list into batch reads. Under the tree's shared lock it stamps the
+// current LSN, descends to the level-1 page covering startKey (and to
+// endKey's leaf ID, if bounded), walks the level-1 sibling chain reading
+// child IDs from node pointers (no leaf is read) and releases — the
+// caller then batch-reads at that LSN without blocking writers.
 //
 // "A batch read is aware of scan boundaries ... the batch read will not
 // read leaf pages beyond the range because level-1 pages store
 // 'boundary' values" (§IV-C4).
-func (t *Tree) CollectBatch(startKey, endKey []byte, maxPages int) (Batch, error) {
+func (t *Tree) CollectBatch(startKey, endKey []byte) (Batch, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	b := Batch{LSN: t.pager.CurrentLSN()}
-	if maxPages <= 0 {
-		maxPages = 1
+	if endKey != nil && bytes.Compare(startKey, endKey) > 0 {
+		return b, nil
 	}
 	if t.height == 1 {
 		// Root is the only leaf.
 		b.LeafIDs = []uint64{t.rootID}
 		return b, nil
 	}
-	// Descend to the level-1 page covering startKey.
-	cur := t.rootID
-	for {
-		pg, err := t.pager.Read(cur)
-		if err != nil {
-			return b, err
-		}
-		if pg.Level() == 1 {
-			break
-		}
-		next, err := chooseChild(pg, startKey)
-		if err != nil {
-			return b, err
-		}
-		cur = next
+	path, err := t.descendLocked(startKey, 1)
+	if err != nil {
+		return b, err
 	}
-	// Walk level-1 pages left to right, collecting children whose key
-	// range intersects [startKey, endKey].
-	for cur != page.InvalidPageID && len(b.LeafIDs) < maxPages {
+	last := page.InvalidPageID
+	if endKey != nil {
+		endPath, err := t.descendLocked(endKey, 0)
+		if err != nil {
+			return b, err
+		}
+		last = endPath[len(endPath)-1]
+	}
+	// Walk level-1 siblings from startKey's leaf through endKey's.
+	var first uint64
+	for cur := path[len(path)-1]; cur != page.InvalidPageID; {
 		pg, err := t.pager.Read(cur)
 		if err != nil {
 			return b, err
 		}
-		var iterErr error
-		stop := false
-		var prevChild uint64
-		var prevKey []byte
-		havePrev := false
-		flushPrev := func(nextKey []byte) {
-			// prevChild covers [prevKey, nextKey); include it if that
-			// range may contain keys >= startKey and <= endKey.
-			if endKey != nil && prevKey != nil && bytes.Compare(prevKey, endKey) > 0 {
-				stop = true
-				return
+		if cur == path[len(path)-1] {
+			if first, err = childFor(pg, startKey); err != nil {
+				return b, err
 			}
-			if nextKey != nil && startKey != nil && bytes.Compare(nextKey, startKey) <= 0 {
-				return // entirely before the scan start
-			}
-			b.LeafIDs = append(b.LeafIDs, prevChild)
 		}
 		pg.Iter(func(r page.Record) bool {
-			k, child, err2 := page.SplitNodePtr(r.Payload)
+			_, child, err2 := page.SplitNodePtr(r.Payload)
 			if err2 != nil {
-				iterErr = err2
+				err = err2
 				return false
 			}
-			if havePrev {
-				flushPrev(k)
-				if stop || len(b.LeafIDs) >= maxPages {
-					return false
-				}
+			if child == first || len(b.LeafIDs) > 0 {
+				b.LeafIDs = append(b.LeafIDs, child)
 			}
-			prevChild, prevKey, havePrev = child, append(prevKey[:0], k...), true
-			return true
+			return child != last
 		})
-		if iterErr != nil {
-			return b, iterErr
+		if err != nil {
+			return b, err
 		}
-		if stop {
-			break
-		}
-		if havePrev && len(b.LeafIDs) < maxPages {
-			flushPrev(nil)
-		}
-		if stop || len(b.LeafIDs) >= maxPages {
+		if n := len(b.LeafIDs); n > 0 && b.LeafIDs[n-1] == last {
 			break
 		}
 		cur = pg.NextPage()
-		// Interior pages do not maintain next links below the root
-		// split path; stop at the end of this level-1 page if so.
-		if cur == page.InvalidPageID || cur == 0 {
-			break
-		}
 	}
 	return b, nil
-}
-
-func chooseChild(pg *page.Page, key []byte) (uint64, error) {
-	var chosen uint64
-	first := true
-	var err error
-	pg.Iter(func(r page.Record) bool {
-		k, child, err2 := page.SplitNodePtr(r.Payload)
-		if err2 != nil {
-			err = err2
-			return false
-		}
-		if first {
-			chosen, first = child, false
-			return !(key != nil && bytes.Compare(k, key) > 0)
-		}
-		if key != nil && bytes.Compare(k, key) > 0 {
-			return false
-		}
-		chosen = child
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	if first {
-		return 0, fmt.Errorf("btree: empty interior page %d", pg.ID())
-	}
-	return chosen, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -70,7 +71,7 @@ func intKey(v int64) []byte {
 // (key, row) pair in order.
 func collectAll(t *testing.T, pgr Pager, tree *Tree) (keys [][]byte, rows [][]byte) {
 	t.Helper()
-	leafID, err := tree.FirstLeaf()
+	leafID, err := tree.SeekLeaf(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +113,9 @@ func TestCreateEmptyTree(t *testing.T) {
 	if root.Level() != 0 || root.IndexID() != 5 {
 		t.Fatal("root should be an empty leaf for index 5")
 	}
-	leaf, err := tree.FirstLeaf()
+	leaf, err := tree.SeekLeaf(nil)
 	if err != nil || leaf != tree.Root() {
-		t.Fatalf("FirstLeaf = %d, %v", leaf, err)
+		t.Fatalf("SeekLeaf(nil) = %d, %v", leaf, err)
 	}
 }
 
@@ -167,7 +168,7 @@ func TestSortedBulkInsertGrowsRight(t *testing.T) {
 	// fill, 2000 rows need ~15 leaves; a half-split strategy would use
 	// ~2x. Count leaves.
 	leaves := 0
-	leafID, _ := tree.FirstLeaf()
+	leafID, _ := tree.SeekLeaf(nil)
 	for leafID != page.InvalidPageID {
 		pg, _ := m.Read(leafID)
 		leaves++
@@ -184,6 +185,10 @@ func TestSeekLeaf(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tree.Insert(intKey(int64(i*2)), []byte("r"), 1)
 	}
+	head, err := tree.SeekLeaf(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Seek an existing key and a missing key; the leaf must contain the
 	// right range.
 	for _, probe := range []int64{0, 500, 999, 1998} {
@@ -194,20 +199,11 @@ func TestSeekLeaf(t *testing.T) {
 		pg, _ := m.Read(leafID)
 		lo, hi := leafKeyRange(t, pg)
 		pk := intKey(probe)
-		if bytes.Compare(pk, lo) < 0 && leafID != mustFirstLeaf(t, tree) {
+		if bytes.Compare(pk, lo) < 0 && leafID != head {
 			t.Errorf("probe %d before leaf range", probe)
 		}
 		_ = hi
 	}
-}
-
-func mustFirstLeaf(t *testing.T, tree *Tree) uint64 {
-	t.Helper()
-	id, err := tree.FirstLeaf()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
 }
 
 func leafKeyRange(t *testing.T, pg *page.Page) (lo, hi []byte) {
@@ -226,39 +222,185 @@ func leafKeyRange(t *testing.T, pg *page.Page) (lo, hi []byte) {
 	return lo, hi
 }
 
-func TestCollectBatchFullScan(t *testing.T) {
+// wideKey is a ~1 KB key: a 16 KB page holds about 15 of them, leaf or
+// interior, so a few thousand keys build a 4-level tree.
+func wideKey(v int64) []byte {
+	return append(intKey(v), bytes.Repeat([]byte{'k'}, 1000)...)
+}
+
+// growTree inserts wideKey(next()) until the tree is h levels high, then
+// half as many keys again, and returns the tree and the keys inserted.
+func growTree(t *testing.T, h int, next func() int64) (*memPager, *Tree, [][]byte) {
+	t.Helper()
 	m := newMemPager()
 	tree, _ := Create(m, 1)
-	row := bytes.Repeat([]byte("y"), 64)
-	n := 3000
-	for i := 0; i < n; i++ {
-		tree.Insert(intKey(int64(i)), row, 1)
-	}
-	if tree.Height() < 2 {
-		t.Skip("tree too small for batch collection")
-	}
-	batch, err := tree.CollectBatch(nil, nil, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.LSN != m.CurrentLSN() {
-		t.Errorf("batch LSN %d != current %d", batch.LSN, m.CurrentLSN())
-	}
-	// The batch must cover exactly the leaf chain.
-	var chain []uint64
-	leafID, _ := tree.FirstLeaf()
-	for leafID != page.InvalidPageID {
-		pg, _ := m.Read(leafID)
-		chain = append(chain, leafID)
-		leafID = pg.NextPage()
-	}
-	if len(batch.LeafIDs) != len(chain) {
-		t.Fatalf("batch has %d leaves, chain has %d", len(batch.LeafIDs), len(chain))
-	}
-	for i := range chain {
-		if batch.LeafIDs[i] != chain[i] {
-			t.Fatalf("batch[%d] = %d, chain %d", i, batch.LeafIDs[i], chain[i])
+	var keys [][]byte
+	add := func() {
+		k := wideKey(next())
+		if _, err := tree.Insert(k, []byte("r"), 1); err != nil {
+			t.Fatal(err)
 		}
+		keys = append(keys, k)
+	}
+	for tree.Height() < h {
+		add()
+	}
+	for n := len(keys) / 2; n > 0; n-- {
+		add()
+	}
+	if tree.Height() != h {
+		t.Fatalf("height %d after %d keys, want %d", tree.Height(), len(keys), h)
+	}
+	return m, tree, keys
+}
+
+// leafChain walks the leaf chain from its head — the one leaf without a
+// prev link, found among all pages rather than by a descent — and
+// returns the leaf IDs with each leaf's keys.
+func leafChain(t *testing.T, m *memPager) (ids []uint64, keys [][][]byte) {
+	t.Helper()
+	head := page.InvalidPageID
+	for id, pg := range m.pages {
+		if pg.Level() == 0 && pg.PrevPage() == page.InvalidPageID {
+			if head != page.InvalidPageID {
+				t.Fatalf("two leaves without a prev link: %d and %d", head, id)
+			}
+			head = id
+		}
+	}
+	for id := head; id != page.InvalidPageID; {
+		pg, _ := m.Read(id)
+		var ks [][]byte
+		pg.Iter(func(r page.Record) bool {
+			k, _, _ := page.SplitLeafPayload(r.Payload)
+			ks = append(ks, append([]byte(nil), k...))
+			return true
+		})
+		ids = append(ids, id)
+		keys = append(keys, ks)
+		id = pg.NextPage()
+	}
+	return ids, keys
+}
+
+// TestCollectBatchFullScan checks the one descent rule on 2-, 3- and
+// 4-level trees built from ascending inserts: SeekLeaf(nil) is the chain
+// head, CollectBatch(nil, nil) is the whole chain, and a ranged batch is
+// the contiguous chain run from SeekLeaf(lo) to SeekLeaf(hi) covering
+// every leaf that holds a key in [lo, hi].
+func TestCollectBatchFullScan(t *testing.T) {
+	for h := 2; h <= 4; h++ {
+		t.Run(fmt.Sprintf("height=%d", h), func(t *testing.T) {
+			next := int64(0)
+			m, tree, keys := growTree(t, h, func() int64 { next++; return next })
+			chain, chainKeys := leafChain(t, m)
+			if len(chainKeys) == 0 {
+				t.Fatal("empty leaf chain")
+			}
+			total := 0
+			for _, ks := range chainKeys {
+				total += len(ks)
+			}
+			if total != len(keys) {
+				t.Fatalf("leaf chain holds %d keys, inserted %d", total, len(keys))
+			}
+			if head, err := tree.SeekLeaf(nil); err != nil || head != chain[0] {
+				t.Fatalf("SeekLeaf(nil) = %d, %v; chain head %d", head, err, chain[0])
+			}
+			full, err := tree.CollectBatch(nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.LSN != m.CurrentLSN() {
+				t.Errorf("batch LSN %d != current %d", full.LSN, m.CurrentLSN())
+			}
+			if !slices.Equal(full.LeafIDs, chain) {
+				t.Fatalf("CollectBatch(nil, nil) has %d leaves, chain has %d", len(full.LeafIDs), len(chain))
+			}
+
+			pos := map[uint64]int{}
+			for i, id := range chain {
+				pos[id] = i
+			}
+			r := rand.New(rand.NewSource(int64(h)))
+			for trial := 0; trial < 40; trial++ {
+				i, j := r.Intn(len(keys)), r.Intn(len(keys))
+				if i > j {
+					i, j = j, i
+				}
+				lo, hi := keys[i], keys[j]
+				switch trial % 4 {
+				case 1:
+					lo = nil
+				case 2:
+					hi = nil
+				}
+				b, err := tree.CollectBatch(lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, _ := tree.SeekLeaf(lo)
+				if len(b.LeafIDs) == 0 || b.LeafIDs[0] != first {
+					t.Fatalf("[%d, %d]: batch %v does not start at SeekLeaf(lo) = %d", i, j, b.LeafIDs, first)
+				}
+				s := pos[first]
+				for k, id := range b.LeafIDs {
+					if s+k >= len(chain) || chain[s+k] != id {
+						t.Fatalf("[%d, %d]: batch is not a contiguous chain run", i, j)
+					}
+				}
+				if hi != nil {
+					last, _ := tree.SeekLeaf(hi)
+					if b.LeafIDs[len(b.LeafIDs)-1] != last {
+						t.Fatalf("[%d, %d]: batch does not end at SeekLeaf(hi) = %d", i, j, last)
+					}
+				}
+				for c, ks := range chainKeys {
+					for _, k := range ks {
+						in := (lo == nil || bytes.Compare(k, lo) >= 0) && (hi == nil || bytes.Compare(k, hi) <= 0)
+						if in && (c < s || c >= s+len(b.LeafIDs)) {
+							t.Fatalf("[%d, %d]: leaf %d holds an in-range key but is not in the batch", i, j, chain[c])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestScatteredInsertsKeepEveryLeafChained checks, at heights 2-4, that
+// the leaf chain built by scattered (seeded random) inserts holds exactly
+// the inserted keys in sorted order.
+func TestScatteredInsertsKeepEveryLeafChained(t *testing.T) {
+	t.Skip("ROADMAP 1c: the root split keys the leftmost node pointer with the old root's first key, " +
+		"so keys inserted below it later land out of order; fails with seeds 3 and 4 (heights 3 and 4)")
+	for h := 2; h <= 4; h++ {
+		t.Run(fmt.Sprintf("height=%d", h), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(h)))
+			seen := map[int64]bool{}
+			m, _, keys := growTree(t, h, func() int64 {
+				for {
+					if v := r.Int63n(1 << 40); !seen[v] {
+						seen[v] = true
+						return v
+					}
+				}
+			})
+			slices.SortFunc(keys, bytes.Compare)
+			_, chainKeys := leafChain(t, m)
+			var got [][]byte
+			for _, ks := range chainKeys {
+				got = append(got, ks...)
+			}
+			if len(got) != len(keys) {
+				t.Fatalf("leaf chain holds %d keys, inserted %d", len(got), len(keys))
+			}
+			for i := range keys {
+				if !bytes.Equal(got[i], keys[i]) {
+					t.Fatalf("leaf chain key %d differs from the sorted model", i)
+				}
+			}
+		})
 	}
 }
 
@@ -272,11 +414,11 @@ func TestCollectBatchRangeBoundaries(t *testing.T) {
 	}
 	// Range [1000, 1500]: the batch must include every leaf that could
 	// hold those keys and stop well short of the full chain.
-	batch, err := tree.CollectBatch(intKey(1000), intKey(1500), 10000)
+	batch, err := tree.CollectBatch(intKey(1000), intKey(1500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _ := tree.CollectBatch(nil, nil, 10000)
+	full, _ := tree.CollectBatch(nil, nil)
 	if len(batch.LeafIDs) >= len(full.LeafIDs) {
 		t.Errorf("range batch (%d) should be smaller than full scan (%d)", len(batch.LeafIDs), len(full.LeafIDs))
 	}
@@ -293,38 +435,6 @@ func TestCollectBatchRangeBoundaries(t *testing.T) {
 		if !inBatch[leafID] {
 			t.Fatalf("leaf %d for key %d missing from batch", leafID, k)
 		}
-	}
-}
-
-func TestCollectBatchMaxPages(t *testing.T) {
-	m := newMemPager()
-	tree, _ := Create(m, 1)
-	row := bytes.Repeat([]byte("w"), 128)
-	for i := 0; i < 4000; i++ {
-		tree.Insert(intKey(int64(i)), row, 1)
-	}
-	batch, err := tree.CollectBatch(nil, nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.LeafIDs) != 3 {
-		t.Fatalf("maxPages=3 returned %d leaves", len(batch.LeafIDs))
-	}
-	// Resume from the first key of the leaf after the batch: a second
-	// batch continues the chain.
-	lastPg, _ := m.Read(batch.LeafIDs[len(batch.LeafIDs)-1])
-	next := lastPg.NextPage()
-	if next == page.InvalidPageID {
-		t.Fatal("expected more leaves")
-	}
-	nextPg, _ := m.Read(next)
-	lo, _ := leafKeyRange(t, nextPg)
-	b2, err := tree.CollectBatch(lo, nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b2.LeafIDs) == 0 || b2.LeafIDs[0] != next {
-		t.Fatalf("resume batch starts at %v, want %d", b2.LeafIDs, next)
 	}
 }
 

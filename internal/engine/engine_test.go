@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"taurus/internal/cluster"
@@ -532,6 +533,95 @@ func TestGroupedNDPAggregation(t *testing.T) {
 	for g, w := range want {
 		if got[g] != w {
 			t.Errorf("group %d: %d, want %d", g, got[g], w)
+		}
+	}
+}
+
+// countSum accumulates a scan's COUNT(*) and SUM(col 0) the way the
+// executor does: an NDP aggregate record's partial states, then its row.
+type countSum struct{ n, sum int64 }
+
+func (c *countSum) emit(row types.Row, st []core.AggState) error {
+	if st != nil {
+		c.n += st[0].Count
+		if st[1].Has {
+			c.sum += st[1].Val.I
+		}
+	}
+	c.n++
+	c.sum += row[0].I
+	return nil
+}
+
+// TestNDPScanOnThreeLevelTree checks that an unbounded NDP scan of an
+// index three levels high finds every leaf: on a cold pool, NDP COUNT(*)
+// and SUM equal the generated rows, the regular scan, and the
+// partitioned run of the same scan.
+func TestNDPScanOnThreeLevelTree(t *testing.T) {
+	tc := newTestCluster(t, 4096)
+	schema := types.NewSchema(
+		types.Column{Name: "id", Kind: types.KindInt, NotNull: true},
+		types.Column{Name: "pad", Kind: types.KindString, NotNull: true},
+		types.Column{Name: "val", Kind: types.KindInt, NotNull: true},
+	)
+	// A ~1 KB key keeps the interior fan-out near 15, so a few hundred
+	// rows already need three levels.
+	tbl, err := tc.eng.CreateTable("wide", schema, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("p", 1000)
+	var want countSum
+	tx := tc.eng.Txm().Begin()
+	for i := int64(0); i < 800; i++ {
+		if err := tc.eng.Insert(tbl, tx, types.Row{types.NewInt(i), types.NewString(pad), types.NewInt(i % 97)}); err != nil {
+			t.Fatal(err)
+		}
+		want.n++
+		want.sum += i % 97
+	}
+	tx.Commit()
+	if err := tc.eng.SAL().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if h := tbl.Primary.Tree.Height(); h < 3 {
+		t.Fatalf("tree height %d, want >= 3", h)
+	}
+
+	var regular countSum
+	rows, _ := collectScan(t, tc.eng, ScanOptions{Index: tbl.Primary, Projection: []int{2}})
+	for _, r := range rows {
+		regular.emit(r, nil)
+	}
+	opts := ScanOptions{
+		Index: tbl.Primary, Projection: []int{2},
+		NDP: &NDPPush{PushProjection: true, Aggs: []core.AggSpec{
+			{Fn: core.AggCountStar, ArgCol: -1},
+			{Fn: core.AggSum, ArgCol: 0},
+		}},
+	}
+	tc.eng.Pool().Clear()
+	var ndp countSum
+	if err := tc.eng.Scan(opts, ndp.emit); err != nil {
+		t.Fatal(err)
+	}
+	tc.eng.Pool().Clear()
+	ps, err := tc.eng.PrepareNDPScan(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]countSum, ps.Parts())
+	if err := ps.Run(func(i int) EmitFunc { return parts[i].emit }); err != nil {
+		t.Fatal(err)
+	}
+	var partitioned countSum
+	for _, p := range parts {
+		partitioned.n += p.n
+		partitioned.sum += p.sum
+	}
+	for name, got := range map[string]countSum{"regular": regular, "NDP": ndp, "partitioned NDP": partitioned} {
+		if got != want {
+			t.Errorf("%s scan: COUNT(*) %d SUM %d, want %d %d", name, got.n, got.sum, want.n, want.sum)
 		}
 	}
 }

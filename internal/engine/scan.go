@@ -183,13 +183,7 @@ func (e *Engine) processFullRecord(s *scanState, rec page.Record, key, rowBytes 
 // experiment, §VII-D).
 func (e *Engine) regularScan(opts ScanOptions, emit EmitFunc) error {
 	s := newScanState(opts, emit)
-	var leafID uint64
-	var err error
-	if opts.Start != nil {
-		leafID, err = opts.Index.Tree.SeekLeaf(opts.Start)
-	} else {
-		leafID, err = opts.Index.Tree.FirstLeaf()
-	}
+	leafID, err := opts.Index.Tree.SeekLeaf(opts.Start)
 	if err != nil {
 		return err
 	}
@@ -311,7 +305,7 @@ func (e *Engine) ndpScan(opts ScanOptions, emit EmitFunc) error {
 	// lock, with one LSN stamp. Client-side chunking into look-ahead
 	// sized batch reads bounds the NDP page area exactly as
 	// innodb_ndp_max_pages_look_ahead does.
-	batch, err := opts.Index.Tree.CollectBatch(opts.Start, opts.End, 1<<30)
+	batch, err := opts.Index.Tree.CollectBatch(opts.Start, opts.End)
 	if err != nil {
 		return err
 	}
@@ -446,7 +440,7 @@ func (e *Engine) PrepareNDPScan(opts ScanOptions) (*PartitionedScan, error) {
 	if lookAhead <= 0 {
 		lookAhead = e.lookAhead
 	}
-	batch, err := opts.Index.Tree.CollectBatch(opts.Start, opts.End, 1<<30)
+	batch, err := opts.Index.Tree.CollectBatch(opts.Start, opts.End)
 	if err != nil {
 		return nil, err
 	}

@@ -200,3 +200,75 @@ func TestQueryByName(t *testing.T) {
 		t.Fatal("micro workload should have 5 queries")
 	}
 }
+
+// TestNDPGroundTruthSF001 runs lineitem COUNT(*) and Q6 with NDP on at
+// SF 0.01, where lineitem's primary index is three levels high, serially
+// and in parallel, and checks them against answers computed from the
+// generator's rows: 59 884 lineitems and Q6 revenue 792 030.40.
+func TestNDPGroundTruthSF001(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads TPC-H at SF 0.01 (~8 s)")
+	}
+	// Replay Load's generator calls so Orders draws the same stream.
+	g := NewGen(0.01)
+	g.Regions()
+	g.Nations()
+	g.Suppliers()
+	g.Customers()
+	g.Parts()
+	g.PartSupps()
+	_, lines := g.Orders()
+	lo, hi := types.DateFromYMD(1994, 1, 1).I, types.DateFromYMD(1995, 1, 1).I
+	var q6 int64
+	for _, l := range lines {
+		ship, disc := l[LShipdate].I, l[LDiscount].I
+		if ship >= lo && ship < hi && disc >= 5 && disc <= 7 && l[LQuantity].I < 2400 {
+			q6 += l[LExtendedprice].I * disc / types.DecimalScale
+		}
+	}
+	if len(lines) != 59884 || q6 != 79203040 {
+		t.Fatalf("generator gives %d lineitems and Q6 %d (scaled), want 59884 and 79203040", len(lines), q6)
+	}
+
+	c, err := testutil.NewCluster(testutil.Options{
+		PoolPages: 512, PagesPerSlice: 32, LookAhead: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Load(c.Engine, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := db.Lineitem.Primary.Tree.Height(); h < 3 {
+		t.Fatalf("lineitem primary index height %d, want >= 3", h)
+	}
+	cases := []struct {
+		q    Query
+		want types.Datum
+	}{
+		{Query{"Q0", Q0}, types.NewInt(int64(len(lines)))},
+		{Query{"Q6", Q6}, types.NewDecimal(q6)},
+	}
+	for _, par := range []int{1, 4} {
+		db.Eng.SetScanParallelism(par)
+		for _, tc := range cases {
+			db.Eng.Pool().Clear()
+			env := NewEnv(db, true)
+			rows, err := Run(env, exec.NewCtx(db.Eng), tc.q)
+			if err != nil {
+				t.Fatalf("%s parallelism %d: %v", tc.q.Name, par, err)
+			}
+			ndp := false
+			for _, r := range env.Reports {
+				ndp = ndp || (r.Spec.Table == "lineitem" && r.Dec.NDPEnabled())
+			}
+			if !ndp {
+				t.Fatalf("%s: lineitem access did not use NDP", tc.q.Name)
+			}
+			if len(rows) != 1 || types.Compare(rows[0][0], tc.want) != 0 {
+				t.Errorf("%s parallelism %d = %v, want %v", tc.q.Name, par, rows, tc.want)
+			}
+		}
+	}
+}
