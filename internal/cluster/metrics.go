@@ -115,38 +115,3 @@ func (m *RPCMetrics) observe(t MsgType, reqLen, respLen int, d time.Duration, is
 		ins.errors.Inc()
 	}
 }
-
-// RPCTypeStats is a point-in-time per-MsgType traffic summary.
-type RPCTypeStats struct {
-	Requests     uint64  `json:"requests"`
-	Errors       uint64  `json:"errors"`
-	RequestBytes uint64  `json:"request_bytes"`
-	ReplyBytes   uint64  `json:"reply_bytes"`
-	LatencyP50   float64 `json:"latency_p50_s"`
-	LatencyP99   float64 `json:"latency_p99_s"`
-	LatencyMax   float64 `json:"latency_max_s"`
-}
-
-// Snapshot returns per-MsgType stats keyed by type name. Safe on a nil
-// receiver (returns nil).
-func (m *RPCMetrics) Snapshot() map[string]RPCTypeStats {
-	if m == nil {
-		return nil
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[string]RPCTypeStats, len(m.byType))
-	for t, ins := range m.byType {
-		h := ins.latency.Snapshot()
-		out[t.String()] = RPCTypeStats{
-			Requests:     ins.requests.Value(),
-			Errors:       ins.errors.Value(),
-			RequestBytes: ins.reqBytes.Value(),
-			ReplyBytes:   ins.respBytes.Value(),
-			LatencyP50:   h.P50,
-			LatencyP99:   h.P99,
-			LatencyMax:   h.Max,
-		}
-	}
-	return out
-}

@@ -349,102 +349,54 @@ func (p pager) CurrentLSN() uint64 {
 	return p.e.salc.CurrentLSN()
 }
 
-// CreateTable registers a table and builds its primary index tree. The
-// definition is logged as a catalog record ahead of the tree's first
-// page, so a restarted frontend can rebuild its data dictionary from
-// the same durable log that rebuilds the pages.
+// CreateTable registers a table and builds its primary index tree.
 func (e *Engine) CreateTable(name string, schema *types.Schema, pkCols []int) (*Table, error) {
-	if e.view != nil {
-		return nil, ErrReadOnly
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.tables[name]; ok {
-		return nil, fmt.Errorf("engine: table %q exists", name)
-	}
-	if len(pkCols) == 0 {
-		return nil, fmt.Errorf("engine: table %q needs a primary key", name)
-	}
-	idxID := e.nextIndex
-	e.nextIndex++
-	if _, err := e.logCatalog(&wal.CatalogEntry{
-		Kind: wal.CatalogCreateTable, IndexID: idxID, Table: name,
-		Cols: catalogCols(schema), Ords: pkCols,
+	if _, err := e.create(&wal.CatalogEntry{
+		Kind: wal.CatalogCreateTable, Table: name, Cols: catalogCols(schema), Ords: pkCols,
 	}); err != nil {
 		return nil, err
 	}
-	tree, rootLSN, err := btree.CreateAt(pager{e}, idxID)
-	if err != nil {
-		return nil, err
-	}
-	ords := make([]int, schema.Len())
-	for i := range ords {
-		ords[i] = i
-	}
-	primary := &Index{
-		ID: idxID, Name: name + "_pk", Table: name, Schema: schema,
-		KeyCols: pkCols, TableOrds: ords, Primary: true, Tree: tree,
-	}
-	t := &Table{Name: name, Schema: schema, PKCols: pkCols, Primary: primary}
-	e.tables[name] = t
-	e.indexes[idxID] = primary
-	// DDL is acknowledged durable: the catalog record and root page
-	// must reach the Log Stores before CreateTable returns (the root's
-	// LSN covers the catalog record logged just before it). Application
-	// to the Page Stores is asynchronous like any other write.
-	if err := e.salc.WaitDurable(rootLSN); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return e.Table(name)
 }
 
 // CreateSecondaryIndex builds a secondary index on the given table
-// columns. The stored layout is (indexed columns..., primary key
-// columns...) and the sort key is the whole layout, making entries
-// unique — InnoDB's secondary index structure.
+// columns.
 func (e *Engine) CreateSecondaryIndex(table, name string, cols []int) (*Index, error) {
+	return e.create(&wal.CatalogEntry{
+		Kind: wal.CatalogCreateIndex, Table: table, Index: name, Ords: cols,
+	})
+}
+
+// create runs one DDL statement: it assigns the next index ID, logs the
+// definition as a catalog record ahead of the tree's root page (so a
+// restarted frontend rebuilds its data dictionary from the same durable
+// log that rebuilds the pages), registers both, and waits until they
+// are durable. DDL is acknowledged durable: the root's LSN covers the
+// catalog record logged just before it, and a crash right after create
+// returns must not lose the definition. Application to the Page Stores
+// is asynchronous like any other write.
+func (e *Engine) create(entry *wal.CatalogEntry) (*Index, error) {
 	if e.view != nil {
 		return nil, ErrReadOnly
 	}
+	var rootLSN uint64
 	e.mu.Lock()
-	t, ok := e.tables[table]
-	if !ok {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("engine: no table %q", table)
-	}
-	ords := append(append([]int(nil), cols...), t.PKCols...)
-	idxCols := make([]types.Column, len(ords))
-	for i, o := range ords {
-		idxCols[i] = t.Schema.Cols[o]
-	}
-	keyCols := make([]int, len(ords))
-	for i := range keyCols {
-		keyCols[i] = i
-	}
-	idxID := e.nextIndex
-	e.nextIndex++
-	if _, err := e.logCatalog(&wal.CatalogEntry{
-		Kind: wal.CatalogCreateIndex, IndexID: idxID, Table: table, Index: name,
-		Ords: cols,
-	}); err != nil {
-		e.mu.Unlock()
-		return nil, err
-	}
+	entry.IndexID = e.nextIndex
+	idx, err := e.register(entry, func() (*btree.Tree, error) {
+		// The ID is spent once its catalog record may be in the log,
+		// even if the root page then fails.
+		e.nextIndex++
+		if _, err := e.logCatalog(entry); err != nil {
+			return nil, err
+		}
+		tree, lsn, err := btree.CreateAt(pager{e}, entry.IndexID)
+		rootLSN = lsn
+		return tree, err
+	})
 	e.mu.Unlock()
-	tree, rootLSN, err := btree.CreateAt(pager{e}, idxID)
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{
-		ID: idxID, Name: name, Table: table, Schema: types.NewSchema(idxCols...),
-		KeyCols: keyCols, TableOrds: ords, Primary: false, Tree: tree,
-	}
-	e.mu.Lock()
-	t.Secondaries = append(t.Secondaries, idx)
-	e.indexes[idxID] = idx
-	e.mu.Unlock()
-	// Same durability point as CreateTable: a crash right after this
-	// call must not lose the index.
 	if err := e.salc.WaitDurable(rootLSN); err != nil {
 		return nil, err
 	}

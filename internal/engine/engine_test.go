@@ -21,6 +21,7 @@ import (
 type testCluster struct {
 	tr     *cluster.InProc
 	eng    *Engine
+	log    *logstore.Store
 	stores []*pagestore.Store
 }
 
@@ -30,7 +31,9 @@ func newTestCluster(t testing.TB, poolPages int) *testCluster {
 	tc := &testCluster{tr: tr}
 	logNames := []string{"log1", "log2", "log3"}
 	for _, n := range logNames {
-		tr.Register(n, logstore.New(n))
+		ls := logstore.New(n)
+		tc.log = ls
+		tr.Register(n, ls)
 	}
 	psNames := []string{"ps1", "ps2", "ps3", "ps4"}
 	for _, n := range psNames {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"taurus/internal/btree"
+	"taurus/internal/pstore"
 	"taurus/internal/types"
 	"taurus/internal/wal"
 )
@@ -41,368 +42,263 @@ func (e *Engine) logCatalog(entry *wal.CatalogEntry) (uint64, error) {
 	return e.salc.Write(&wal.Record{Type: wal.TypeCatalog, Payload: entry.EncodeCatalog(nil)})
 }
 
-// RecoveryStats summarizes what Recover rebuilt.
+// register is the data dictionary's one constructor: it checks a
+// catalog entry against the registered tables, builds its Index (and,
+// for a CREATE TABLE, its Table) on the tree newTree returns, fills the
+// maps and raises the index-ID allocator past it. newTree runs only
+// once the entry checked out, so DDL logs nothing for a bad
+// definition. Caller holds e.mu.
+func (e *Engine) register(entry *wal.CatalogEntry, newTree func() (*btree.Tree, error)) (*Index, error) {
+	idx := &Index{ID: entry.IndexID, Table: entry.Table}
+	var t *Table
+	switch entry.Kind {
+	case wal.CatalogCreateTable:
+		if _, ok := e.tables[entry.Table]; ok {
+			return nil, fmt.Errorf("engine: table %q exists", entry.Table)
+		}
+		if len(entry.Ords) == 0 {
+			return nil, fmt.Errorf("engine: table %q needs a primary key", entry.Table)
+		}
+		schema := schemaOf(entry.Cols)
+		if err := checkOrds(entry.Table, entry.Ords, schema); err != nil {
+			return nil, err
+		}
+		idx.Name, idx.Schema, idx.Primary = entry.Table+"_pk", schema, true
+		idx.KeyCols, idx.TableOrds = entry.Ords, identity(schema.Len())
+		t = &Table{Name: entry.Table, Schema: schema, PKCols: entry.Ords, Primary: idx}
+	case wal.CatalogCreateIndex:
+		if t = e.tables[entry.Table]; t == nil {
+			return nil, fmt.Errorf("engine: no table %q", entry.Table)
+		}
+		if err := checkOrds(entry.Index, entry.Ords, t.Schema); err != nil {
+			return nil, err
+		}
+		// The stored layout is (indexed columns..., primary key
+		// columns...) and the sort key is the whole layout, making
+		// entries unique — InnoDB's secondary index structure.
+		idx.Name = entry.Index
+		idx.TableOrds = append(append([]int(nil), entry.Ords...), t.PKCols...)
+		cols := make([]types.Column, len(idx.TableOrds))
+		for i, o := range idx.TableOrds {
+			cols[i] = t.Schema.Cols[o]
+		}
+		idx.Schema, idx.KeyCols = types.NewSchema(cols...), identity(len(cols))
+	default:
+		return nil, fmt.Errorf("engine: catalog kind %d defines no index", entry.Kind)
+	}
+	tree, err := newTree()
+	if err != nil {
+		return nil, err
+	}
+	idx.Tree = tree
+	if idx.Primary {
+		e.tables[t.Name] = t
+	} else {
+		t.Secondaries = append(t.Secondaries, idx)
+	}
+	e.indexes[idx.ID] = idx
+	if idx.ID >= e.nextIndex {
+		e.nextIndex = idx.ID + 1
+	}
+	return idx, nil
+}
+
+// checkOrds rejects a column ordinal outside the schema.
+func checkOrds(name string, ords []int, schema *types.Schema) error {
+	for _, o := range ords {
+		if o < 0 || o >= schema.Len() {
+			return fmt.Errorf("engine: %q: bad column ordinal %d", name, o)
+		}
+	}
+	return nil
+}
+
+// identity returns the ordinals 0..n-1.
+func identity(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// RecoveryStats summarizes one RecoverFrom merge.
 type RecoveryStats struct {
-	Tables  int
+	// Tables names the tables the merge registered, in catalog order;
+	// Indexes counts the secondary indexes it registered.
+	Tables  []string
 	Indexes int
+	// RootsAdvanced counts already-registered indexes whose root moved
+	// up (root splits since they were registered).
+	RootsAdvanced int
 	// Records is the total log records scanned.
 	Records int
 	// MaxLSN, MaxTrxID are the highest sequence numbers observed; the
-	// caller resumes the SAL's LSN allocator and the transaction
-	// manager above them.
+	// caller resumes the SAL's LSN allocator above MaxLSN.
 	MaxLSN   uint64
 	MaxTrxID uint64
 }
 
-// RootRecord names one index's current B+ tree root for a checkpoint.
-type RootRecord struct {
-	IndexID uint64
-	PageID  uint64
-	// Level is the root page's B+ tree level (height - 1).
-	Level uint16
-}
-
-// RecoveryBase is a checkpointed starting point for recovery: the data
-// dictionary and allocator state as of a checkpoint, so RecoverFrom
-// only needs the log tail above it instead of the whole history. It is
-// produced by CheckpointBase and persisted by the caller (the embedded
-// deployment stores it in the frontend's pstore meta checkpoint).
-type RecoveryBase struct {
-	// Catalog holds encoded wal.CatalogEntry payloads in creation order
-	// (tables before their secondary indexes).
-	Catalog [][]byte
-	// Roots holds each index's root at checkpoint time; a FormatPage
-	// record in the tail overrides it only by formatting a higher root
-	// (a root split after the checkpoint).
-	Roots []RootRecord
-	// Allocator high-water marks at checkpoint time.
-	MaxLSN     uint64
-	MaxTrxID   uint64
-	MaxPageID  uint64
-	MaxIndexID uint64
-}
-
-// CheckpointBase snapshots the engine's dictionary and allocators for a
-// checkpoint. The MaxLSN field is left to the caller (the SAL owns the
-// LSN allocator).
-func (e *Engine) CheckpointBase() RecoveryBase {
+// CheckpointBase snapshots the data dictionary, every index's current
+// root and the page, index and transaction allocators as the meta
+// checkpoint RecoverFrom merges back. Catalog entries come in creation
+// order: tables by primary index ID, each followed by its secondaries.
+// AppliedLSN and MaxLSN are left to the caller, because the SAL owns
+// the LSN allocator and the cluster watermark.
+func (e *Engine) CheckpointBase() *pstore.Meta {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var base RecoveryBase
-	base.MaxTrxID = e.txm.Current()
-	base.MaxPageID = e.nextPageID.Load()
-	base.MaxIndexID = e.nextIndex - 1
-	// Deterministic order: tables by primary index ID (creation order),
-	// each followed by its secondaries.
+	base := &pstore.Meta{
+		MaxTrxID:   e.txm.Current(),
+		MaxPageID:  e.nextPageID.Load(),
+		MaxIndexID: e.nextIndex - 1,
+	}
 	tables := make([]*Table, 0, len(e.tables))
 	for _, t := range e.tables {
 		tables = append(tables, t)
 	}
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Primary.ID < tables[j].Primary.ID })
-	addRoot := func(idx *Index) {
-		base.Roots = append(base.Roots, RootRecord{
+	add := func(idx *Index, entry *wal.CatalogEntry) {
+		base.Catalog = append(base.Catalog, entry.EncodeCatalog(nil))
+		base.Roots = append(base.Roots, pstore.Root{
 			IndexID: idx.ID, PageID: idx.Tree.Root(), Level: uint16(idx.Tree.Height() - 1),
 		})
 	}
 	for _, t := range tables {
-		entry := &wal.CatalogEntry{
+		add(t.Primary, &wal.CatalogEntry{
 			Kind: wal.CatalogCreateTable, IndexID: t.Primary.ID,
 			Table: t.Name, Cols: catalogCols(t.Schema), Ords: t.PKCols,
-		}
-		base.Catalog = append(base.Catalog, entry.EncodeCatalog(nil))
-		addRoot(t.Primary)
+		})
 		secs := append([]*Index(nil), t.Secondaries...)
 		sort.Slice(secs, func(i, j int) bool { return secs[i].ID < secs[j].ID })
 		for _, idx := range secs {
-			entry := &wal.CatalogEntry{
+			add(idx, &wal.CatalogEntry{
 				Kind: wal.CatalogCreateIndex, IndexID: idx.ID,
 				Table: t.Name, Index: idx.Name,
 				Ords: idx.TableOrds[:len(idx.TableOrds)-len(t.PKCols)],
-			}
-			base.Catalog = append(base.Catalog, entry.EncodeCatalog(nil))
-			addRoot(idx)
+			})
 		}
 	}
 	return base
 }
 
-// Recover rebuilds the engine's data dictionary from a durable log: the
-// catalog records re-register tables and secondary indexes, and each
-// index's current B+ tree root is located from the FormatPage records
-// (the unique page formatted at the index's highest level — a root
-// split always formats the new, higher root after its children, so at
-// equal level the earliest page formatted wins, which also tolerates a
-// crash between a root split's halves). ID allocators (page, index,
-// transaction) resume above everything the log mentions. The page
-// images themselves are rebuilt separately, by replaying the same
-// records through the Page Store apply path (sal.Replay).
+// RecoverFrom merges a checkpoint base (nil for none) and the log
+// records above it into the data dictionary. It is the one way a
+// catalog enters an engine: master recovery, a replica's bootstrap, its
+// checkpoint rebase and its streamed DDL all call it, on an engine that
+// may already hold part of what they bring. The merge rules:
 //
-// Recover must run on a freshly created engine, before any DDL.
-func (e *Engine) Recover(recs []wal.Record) (RecoveryStats, error) {
-	return e.RecoverFrom(nil, recs)
-}
-
-// RecoverFrom rebuilds the dictionary from a checkpoint base plus the
-// log tail above it. With a nil base it degenerates to full-log
-// recovery (Recover). The two may overlap: a tail record that
-// re-registers an entry already in the base (the corrupt-checkpoint
-// fallback replays from LSN 0 under a valid base) is skipped by index
-// ID, and a base root loses to a tail FormatPage only at a strictly
-// higher level — the base reflects checkpoint-time state, so at equal
-// level it is the newer fact.
-func (e *Engine) RecoverFrom(base *RecoveryBase, recs []wal.Record) (RecoveryStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var st RecoveryStats
-	if len(e.tables) > 0 {
-		return st, fmt.Errorf("engine: Recover on a non-empty engine")
-	}
-	type rootInfo struct {
-		level  uint16
-		pageID uint64
-	}
-	roots := make(map[uint64]rootInfo)
+//   - Every catalog entry whose index ID is not registered yet is
+//     registered, the base's first and then the tail's in log order;
+//     an ID that is already registered (in the engine, or earlier in
+//     the same call) is skipped, so merging the same input twice
+//     changes nothing.
+//   - An index's root is the base's root unless a FormatPage record
+//     formats a page of that index at a strictly higher level (a root
+//     split; at equal level the base, or else the earliest page, is the
+//     newer fact). A new index is attached at that root, or given a
+//     fresh one when the log holds its catalog entry but no page (a
+//     crash between a DDL's two records). A registered index moves
+//     only to a strictly higher root.
+//   - The page, index and transaction allocators only rise, to the
+//     highest IDs the base and the records mention.
+//
+// The page images themselves are rebuilt separately, by replaying the
+// same records through the Page Store apply path (sal.Replay).
+func (e *Engine) RecoverFrom(base *pstore.Meta, recs []wal.Record) (RecoveryStats, error) {
+	st := RecoveryStats{Records: len(recs)}
+	roots := make(map[uint64]pstore.Root)
 	var entries []*wal.CatalogEntry
-	var maxPage, maxTrx, maxIndex uint64
-	seenEntry := make(map[uint64]bool)
+	var maxPage, maxIndex uint64
+	addEntry := func(payload []byte) error {
+		entry, err := wal.DecodeCatalog(payload)
+		if err != nil {
+			return fmt.Errorf("engine: recovering catalog: %w", err)
+		}
+		// Recovery barriers carry a void-from LSN in IndexID, not an
+		// index id; they define nothing.
+		if entry.Kind != wal.CatalogBarrier {
+			entries = append(entries, entry)
+			maxIndex = max(maxIndex, entry.IndexID)
+		}
+		return nil
+	}
 	if base != nil {
-		st.MaxLSN = base.MaxLSN
-		maxPage, maxTrx, maxIndex = base.MaxPageID, base.MaxTrxID, base.MaxIndexID
+		st.MaxLSN, st.MaxTrxID = base.MaxLSN, base.MaxTrxID
+		maxPage, maxIndex = base.MaxPageID, base.MaxIndexID
 		for _, r := range base.Roots {
-			roots[r.IndexID] = rootInfo{level: r.Level, pageID: r.PageID}
+			roots[r.IndexID] = r
 		}
 		for _, payload := range base.Catalog {
-			entry, err := wal.DecodeCatalog(payload)
-			if err != nil {
-				return st, fmt.Errorf("engine: checkpointed catalog: %w", err)
-			}
-			entries = append(entries, entry)
-			seenEntry[entry.IndexID] = true
-			if entry.IndexID > maxIndex {
-				maxIndex = entry.IndexID
+			if err := addEntry(payload); err != nil {
+				return st, err
 			}
 		}
 	}
 	for i := range recs {
 		rec := &recs[i]
-		st.Records++
-		if rec.LSN > st.MaxLSN {
-			st.MaxLSN = rec.LSN
-		}
-		if rec.PageID > maxPage {
-			maxPage = rec.PageID
-		}
-		if rec.TrxID > maxTrx {
-			maxTrx = rec.TrxID
-		}
+		st.MaxLSN = max(st.MaxLSN, rec.LSN)
+		st.MaxTrxID = max(st.MaxTrxID, rec.TrxID)
+		maxPage = max(maxPage, rec.PageID)
 		switch rec.Type {
 		case wal.TypeCatalog:
-			entry, err := wal.DecodeCatalog(rec.Payload)
-			if err != nil {
-				return st, fmt.Errorf("engine: recovering catalog: %w", err)
-			}
-			if entry.Kind == wal.CatalogBarrier {
-				// Recovery barriers carry a void-from LSN in IndexID,
-				// not an index id; they define nothing.
-				continue
-			}
-			if seenEntry[entry.IndexID] {
-				continue // already in the checkpoint base
-			}
-			entries = append(entries, entry)
-			seenEntry[entry.IndexID] = true
-			if entry.IndexID > maxIndex {
-				maxIndex = entry.IndexID
+			if err := addEntry(rec.Payload); err != nil {
+				return st, err
 			}
 		case wal.TypeFormatPage:
-			if rec.IndexID > maxIndex {
-				maxIndex = rec.IndexID
-			}
-			ri, ok := roots[rec.IndexID]
-			if !ok || rec.Level > ri.level {
-				roots[rec.IndexID] = rootInfo{level: rec.Level, pageID: rec.PageID}
+			maxIndex = max(maxIndex, rec.IndexID)
+			if r, ok := roots[rec.IndexID]; !ok || rec.Level > r.Level {
+				roots[rec.IndexID] = pstore.Root{IndexID: rec.IndexID, PageID: rec.PageID, Level: rec.Level}
 			}
 		}
 	}
-	e.nextPageID.Store(maxPage)
+	e.txm.Advance(st.MaxTrxID)
+	for cur := e.nextPageID.Load(); cur < maxPage && !e.nextPageID.CompareAndSwap(cur, maxPage); {
+		cur = e.nextPageID.Load()
+	}
+
+	e.mu.Lock()
 	if maxIndex >= e.nextIndex {
 		e.nextIndex = maxIndex + 1
 	}
-	e.txm.Advance(maxTrx)
-	st.MaxTrxID = maxTrx
-
-	// treeFor attaches to the recovered root, or creates a fresh tree if
-	// the log holds the catalog entry but no page yet (a crash between a
-	// DDL's catalog record and its root FormatPage).
-	treeFor := func(indexID uint64) (*btree.Tree, error) {
-		if ri, ok := roots[indexID]; ok {
-			return btree.Attach(pager{e}, indexID, ri.pageID, int(ri.level)+1), nil
-		}
-		return btree.Create(pager{e}, indexID)
-	}
 	for _, entry := range entries {
-		switch entry.Kind {
-		case wal.CatalogCreateTable:
-			if _, ok := e.tables[entry.Table]; ok {
-				return st, fmt.Errorf("engine: recovered table %q twice", entry.Table)
+		if _, ok := e.indexes[entry.IndexID]; ok {
+			continue
+		}
+		_, err := e.register(entry, func() (*btree.Tree, error) {
+			if r, ok := roots[entry.IndexID]; ok {
+				return btree.Attach(pager{e}, entry.IndexID, r.PageID, int(r.Level)+1), nil
 			}
-			schema := schemaOf(entry.Cols)
-			for _, o := range entry.Ords {
-				if o < 0 || o >= schema.Len() {
-					return st, fmt.Errorf("engine: recovered table %q: bad pk ordinal %d", entry.Table, o)
-				}
-			}
-			tree, err := treeFor(entry.IndexID)
-			if err != nil {
-				return st, err
-			}
-			ords := make([]int, schema.Len())
-			for i := range ords {
-				ords[i] = i
-			}
-			primary := &Index{
-				ID: entry.IndexID, Name: entry.Table + "_pk", Table: entry.Table,
-				Schema: schema, KeyCols: entry.Ords, TableOrds: ords,
-				Primary: true, Tree: tree,
-			}
-			t := &Table{Name: entry.Table, Schema: schema, PKCols: entry.Ords, Primary: primary}
-			e.tables[entry.Table] = t
-			e.indexes[entry.IndexID] = primary
-			st.Tables++
-		case wal.CatalogCreateIndex:
-			t, ok := e.tables[entry.Table]
-			if !ok {
-				return st, fmt.Errorf("engine: recovered index %q for unknown table %q", entry.Index, entry.Table)
-			}
-			ords := append(append([]int(nil), entry.Ords...), t.PKCols...)
-			idxCols := make([]types.Column, len(ords))
-			for i, o := range ords {
-				if o < 0 || o >= t.Schema.Len() {
-					return st, fmt.Errorf("engine: recovered index %q: bad ordinal %d", entry.Index, o)
-				}
-				idxCols[i] = t.Schema.Cols[o]
-			}
-			keyCols := make([]int, len(ords))
-			for i := range keyCols {
-				keyCols[i] = i
-			}
-			tree, err := treeFor(entry.IndexID)
-			if err != nil {
-				return st, err
-			}
-			idx := &Index{
-				ID: entry.IndexID, Name: entry.Index, Table: entry.Table,
-				Schema: types.NewSchema(idxCols...), KeyCols: keyCols,
-				TableOrds: ords, Primary: false, Tree: tree,
-			}
-			t.Secondaries = append(t.Secondaries, idx)
-			e.indexes[entry.IndexID] = idx
+			return btree.Create(pager{e}, entry.IndexID)
+		})
+		if err != nil {
+			e.mu.Unlock()
+			return st, err
+		}
+		if entry.Kind == wal.CatalogCreateTable {
+			st.Tables = append(st.Tables, entry.Table)
+		} else {
 			st.Indexes++
 		}
 	}
+	var known []*Index
+	for id := range roots {
+		if idx, ok := e.indexes[id]; ok {
+			known = append(known, idx)
+		}
+	}
+	e.mu.Unlock()
+	// Re-bind roots with e.mu released: Tree.SetRoot takes the tree's
+	// write lock, and a reader inside a descent may hold its read lock
+	// while it waits on the engine.
+	for _, idx := range known {
+		r := roots[idx.ID]
+		if int(r.Level)+1 > idx.Tree.Height() {
+			idx.Tree.SetRoot(r.PageID, int(r.Level)+1)
+			st.RootsAdvanced++
+		}
+	}
 	return st, nil
-}
-
-// HasIndex reports whether an index id is registered (the read
-// replica's DDL tailer uses it to skip entries it already attached).
-func (e *Engine) HasIndex(id uint64) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	_, ok := e.indexes[id]
-	return ok
-}
-
-// AttachTable registers a table tailed from the master's log on a read
-// replica: the catalog entry supplies the definition, root the current
-// B+ tree root (already existing in the shared Page Stores — nothing is
-// created). Idempotent by index id.
-func (e *Engine) AttachTable(entry *wal.CatalogEntry, root RootRecord) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.indexes[entry.IndexID]; ok {
-		return nil
-	}
-	if _, ok := e.tables[entry.Table]; ok {
-		return fmt.Errorf("engine: attached table %q twice", entry.Table)
-	}
-	schema := schemaOf(entry.Cols)
-	for _, o := range entry.Ords {
-		if o < 0 || o >= schema.Len() {
-			return fmt.Errorf("engine: attached table %q: bad pk ordinal %d", entry.Table, o)
-		}
-	}
-	tree := btree.Attach(pager{e}, entry.IndexID, root.PageID, int(root.Level)+1)
-	ords := make([]int, schema.Len())
-	for i := range ords {
-		ords[i] = i
-	}
-	primary := &Index{
-		ID: entry.IndexID, Name: entry.Table + "_pk", Table: entry.Table,
-		Schema: schema, KeyCols: entry.Ords, TableOrds: ords,
-		Primary: true, Tree: tree,
-	}
-	e.tables[entry.Table] = &Table{Name: entry.Table, Schema: schema, PKCols: entry.Ords, Primary: primary}
-	e.indexes[entry.IndexID] = primary
-	if entry.IndexID >= e.nextIndex {
-		e.nextIndex = entry.IndexID + 1
-	}
-	return nil
-}
-
-// AttachIndex registers a tailed secondary index on a read replica (see
-// AttachTable). The owning table must already be attached.
-func (e *Engine) AttachIndex(entry *wal.CatalogEntry, root RootRecord) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.indexes[entry.IndexID]; ok {
-		return nil
-	}
-	t, ok := e.tables[entry.Table]
-	if !ok {
-		return fmt.Errorf("engine: attached index %q for unknown table %q", entry.Index, entry.Table)
-	}
-	ords := append(append([]int(nil), entry.Ords...), t.PKCols...)
-	idxCols := make([]types.Column, len(ords))
-	for i, o := range ords {
-		if o < 0 || o >= t.Schema.Len() {
-			return fmt.Errorf("engine: attached index %q: bad ordinal %d", entry.Index, o)
-		}
-		idxCols[i] = t.Schema.Cols[o]
-	}
-	keyCols := make([]int, len(ords))
-	for i := range keyCols {
-		keyCols[i] = i
-	}
-	tree := btree.Attach(pager{e}, entry.IndexID, root.PageID, int(root.Level)+1)
-	idx := &Index{
-		ID: entry.IndexID, Name: entry.Index, Table: entry.Table,
-		Schema: types.NewSchema(idxCols...), KeyCols: keyCols,
-		TableOrds: ords, Primary: false, Tree: tree,
-	}
-	t.Secondaries = append(t.Secondaries, idx)
-	e.indexes[entry.IndexID] = idx
-	if entry.IndexID >= e.nextIndex {
-		e.nextIndex = entry.IndexID + 1
-	}
-	return nil
-}
-
-// AdvanceRoot re-binds an index to a higher root tailed from the log (a
-// root split on the master). A FormatPage at a level below the current
-// height is an interior/leaf page, not a new root; it is ignored.
-// Returns whether the root moved.
-func (e *Engine) AdvanceRoot(indexID, pageID uint64, level uint16) bool {
-	e.mu.RLock()
-	idx, ok := e.indexes[indexID]
-	e.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	if int(level)+1 <= idx.Tree.Height() {
-		return false
-	}
-	idx.Tree.SetRoot(pageID, int(level)+1)
-	return true
 }
 
 // Tables lists the registered table names (recovery reporting, stats

@@ -59,11 +59,6 @@ type ScanOptions struct {
 	// NDP enables the NDP scan path (nil = regular InnoDB-style scan,
 	// one page read at a time, no batch reads).
 	NDP *NDPPush
-	// LookAhead overrides the engine's NDP batch size.
-	LookAhead int
-	// Parallelism overrides the engine's partitioned-scan worker-pool
-	// width (PrepareNDPScan path only; 0 = engine default).
-	Parallelism int
 	// Trace, when valid, is the sampled trace the scan's spans and
 	// batch-read RPCs attach to.
 	Trace obs.TraceContext
@@ -297,10 +292,6 @@ func (e *Engine) ndpScan(opts ScanOptions, emit EmitFunc) error {
 	s.proc = proc
 	descBytes := desc.Encode()
 
-	lookAhead := opts.LookAhead
-	if lookAhead <= 0 {
-		lookAhead = e.lookAhead
-	}
 	// Collect the full in-range leaf list once, under the shared tree
 	// lock, with one LSN stamp. Client-side chunking into look-ahead
 	// sized batch reads bounds the NDP page area exactly as
@@ -309,7 +300,7 @@ func (e *Engine) ndpScan(opts ScanOptions, emit EmitFunc) error {
 	if err != nil {
 		return err
 	}
-	return e.scanChunks(s, batch.LeafIDs, batch.LSN, descBytes, lookAhead, opts.Trace, nil)
+	return e.scanChunks(s, batch.LeafIDs, batch.LSN, descBytes, e.lookAhead, opts.Trace, nil)
 }
 
 // scanChunks runs the §IV-C4 chunked batch-read loop over one ordered
@@ -402,7 +393,6 @@ type PartitionedScan struct {
 	descBytes []byte
 	proc      *core.Processor
 	lsn       uint64
-	lookAhead int
 	parts     []scanPartition
 }
 
@@ -436,10 +426,6 @@ func (e *Engine) PrepareNDPScan(opts ScanOptions) (*PartitionedScan, error) {
 	if err != nil {
 		return nil, err
 	}
-	lookAhead := opts.LookAhead
-	if lookAhead <= 0 {
-		lookAhead = e.lookAhead
-	}
 	batch, err := opts.Index.Tree.CollectBatch(opts.Start, opts.End)
 	if err != nil {
 		return nil, err
@@ -450,7 +436,6 @@ func (e *Engine) PrepareNDPScan(opts ScanOptions) (*PartitionedScan, error) {
 		descBytes: desc.Encode(),
 		proc:      proc,
 		lsn:       batch.LSN,
-		lookAhead: lookAhead,
 	}
 	for _, id := range batch.LeafIDs {
 		sliceID := e.sliceOf(id)
@@ -480,19 +465,16 @@ func (p *PartitionedScan) Run(emitFor func(part int) EmitFunc) error {
 	if len(p.parts) == 0 {
 		return nil
 	}
-	workers := p.opts.Parallelism
-	if workers <= 0 {
-		workers = e.ScanParallelism()
-	}
+	workers := e.ScanParallelism()
 	if workers > len(p.parts) {
 		workers = len(p.parts)
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	perLook := p.lookAhead
+	perLook := e.lookAhead
 	if workers > 1 {
-		if perLook = p.lookAhead / workers; perLook < 1 {
+		if perLook = e.lookAhead / workers; perLook < 1 {
 			perLook = 1
 		}
 	}

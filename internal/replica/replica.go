@@ -80,18 +80,11 @@ type Config struct {
 	// stream's destination. Required: it must be registered as a
 	// cluster.Handler the Log Stores can reach.
 	Node string
-	// Window is the stream's flow-control window in frames (0 uses the
-	// Log Store default): how far the store lets this replica fall
-	// behind before disconnecting it.
-	Window uint32
-	// PinStride re-pins the Page Store version floor every this many
-	// records of visible-LSN advance (default 256).
-	PinStride uint64
 	// LoadCheckpoint, when set, rebases the replica on the master's
 	// latest checkpoint after log GC overran its detached tail: the hook
-	// re-attaches DDL the replica missed and returns the checkpoint's
-	// applied LSN. nil degrades to a blind reset at the truncation
-	// watermark.
+	// merges the checkpoint's catalog into the engine (RecoverFrom) and
+	// returns the checkpoint's applied LSN. nil degrades to a blind reset
+	// at the truncation watermark.
 	LoadCheckpoint func() (uint64, error)
 }
 
@@ -128,12 +121,6 @@ type Stats struct {
 	StreamBatches uint64
 	CkptResyncs   uint64
 	Subscribed    bool
-}
-
-// ddlEvent is a catalog or FormatPage record awaiting visibility.
-type ddlEvent struct {
-	lsn uint64
-	rec wal.Record
 }
 
 // lsnSize tracks one pending record's encoded size for the lag-bytes
@@ -174,12 +161,12 @@ type Replica struct {
 
 	// mu guards the tail state.
 	mu           sync.Mutex
-	tailed       uint64              // contiguous consumed log prefix
-	buf          map[uint64]tailRec  // out-of-order tailed records
-	slicePending map[uint32][]uint64 // slice → sorted pending LSNs
-	pagePending  map[uint64][]uint64 // page → sorted pending LSNs
-	ddlQ         []ddlEvent
-	pendingDDL   map[uint64]*wal.CatalogEntry // index id → entry awaiting root
+	tailed       uint64                // contiguous consumed log prefix
+	buf          map[uint64]tailRec    // out-of-order tailed records
+	slicePending map[uint32][]uint64   // slice → sorted pending LSNs
+	pagePending  map[uint64][]uint64   // page → sorted pending LSNs
+	ddlQ         []wal.Record          // catalog and FormatPage records awaiting visibility
+	pendingDDL   map[uint64]wal.Record // index id → catalog record awaiting root
 	byteQ        []lsnSize
 	pendingBytes uint64
 	maxTrx       uint64
@@ -249,15 +236,12 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Node == "" {
 		return nil, fmt.Errorf("replica: Node required (the registered cluster address the Log Stores push to)")
 	}
-	if cfg.PinStride == 0 {
-		cfg.PinStride = 256
-	}
 	r := &Replica{
 		cfg:          cfg,
 		buf:          make(map[uint64]tailRec),
 		slicePending: make(map[uint32][]uint64),
 		pagePending:  make(map[uint64][]uint64),
-		pendingDDL:   make(map[uint64]*wal.CatalogEntry),
+		pendingDDL:   make(map[uint64]wal.Record),
 		frontier:     make(map[uint32]uint64),
 		kick:         make(chan struct{}, 1),
 		stop:         make(chan struct{}),
@@ -525,7 +509,7 @@ func (r *Replica) subscribe() error {
 		from := r.tailed
 		r.mu.Unlock()
 		resp, err := r.cfg.Transport.Call(store, &cluster.LogSubscribeReq{
-			Tenant: r.cfg.Tenant, Node: r.cfg.Node, FromLSN: from, Window: r.cfg.Window,
+			Tenant: r.cfg.Tenant, Node: r.cfg.Node, FromLSN: from,
 		})
 		if err != nil {
 			return err
@@ -574,6 +558,10 @@ func (r *Replica) advance() error {
 	return err
 }
 
+// pinStride is how many records of visible-LSN advance pass between
+// version pins.
+const pinStride = 256
+
 // maybeRepin re-pins the replica's Page Store version floor when the
 // visible LSN advanced a stride past the last pin. The pin keeps the
 // version a lagging snapshot read needs alive on the stores, ending the
@@ -582,7 +570,7 @@ func (r *Replica) maybeRepin(visible uint64) {
 	if visible == 0 {
 		return
 	}
-	if p := r.pinned.Load(); p != 0 && visible < p+r.cfg.PinStride {
+	if p := r.pinned.Load(); p != 0 && visible < p+pinStride {
 		return
 	}
 	r.pinAll(visible)
@@ -604,7 +592,7 @@ func (r *Replica) pinAll(lsn uint64) {
 // checkpointResync rebases the replica after log GC overran its
 // detached tail: records in (tailed, truncated] are gone from the Log
 // Store, but everything they did is applied and checkpointed on the
-// Page Stores. The LoadCheckpoint hook re-attaches DDL the replica
+// Page Stores. The LoadCheckpoint hook merges the DDL the replica
 // missed and returns the checkpoint's applied LSN; reads resume at that
 // frontier immediately, and the stream resumes above it.
 func (r *Replica) checkpointResync(truncated uint64) {
@@ -727,8 +715,8 @@ func (r *Replica) advanceLocked() ([]string, error) {
 	r.stats.lagBytes.Store(r.pendingBytes)
 	maxTrx := r.maxTrx
 	// DDL at or below the snapshot attaches now.
-	var ddl []ddlEvent
-	for len(r.ddlQ) > 0 && r.ddlQ[0].lsn <= newVisible {
+	var ddl []wal.Record
+	for len(r.ddlQ) > 0 && r.ddlQ[0].LSN <= newVisible {
 		ddl = append(ddl, r.ddlQ[0])
 		r.ddlQ = r.ddlQ[1:]
 	}
@@ -748,7 +736,7 @@ func (r *Replica) advanceLocked() ([]string, error) {
 		// Re-queue everything not fully applied so a transient failure
 		// cannot permanently lose a table: the next cycle retries.
 		r.mu.Lock()
-		r.ddlQ = append(append([]ddlEvent(nil), ddl[done:]...), r.ddlQ...)
+		r.ddlQ = append(append([]wal.Record(nil), ddl[done:]...), r.ddlQ...)
 		r.mu.Unlock()
 	}
 	return attached, derr
@@ -840,7 +828,7 @@ func (r *Replica) consume(rec wal.Record) {
 			r.purgeVoid(entry.IndexID, rec.LSN)
 			return
 		}
-		r.ddlQ = append(r.ddlQ, ddlEvent{lsn: rec.LSN, rec: rec})
+		r.ddlQ = append(r.ddlQ, rec)
 		return
 	}
 	sliceID := r.SliceOf(rec.PageID)
@@ -848,7 +836,7 @@ func (r *Replica) consume(rec wal.Record) {
 	// Records are consumed in LSN order, so appends keep both sorted.
 	r.pagePending[rec.PageID] = append(r.pagePending[rec.PageID], rec.LSN)
 	if rec.Type == wal.TypeFormatPage {
-		r.ddlQ = append(r.ddlQ, ddlEvent{lsn: rec.LSN, rec: rec})
+		r.ddlQ = append(r.ddlQ, rec)
 	}
 }
 
@@ -884,67 +872,49 @@ func (r *Replica) purgeVoid(from, to uint64) {
 	}
 	kept := r.ddlQ[:0]
 	for _, ev := range r.ddlQ {
-		if !dead(ev.lsn) {
+		if !dead(ev.LSN) {
 			kept = append(kept, ev)
 		}
 	}
 	r.ddlQ = kept
 }
 
-// applyDDL attaches newly visible DDL to the engine: catalog entries
-// wait for their root's FormatPage, FormatPage records for known
-// indexes advance roots (root splits on the master). Returns tables
-// attached (their stats callbacks run later) and how many events were
-// fully applied — on error the caller re-queues the rest.
-func (r *Replica) applyDDL(events []ddlEvent) ([]string, int, error) {
+// applyDDL merges newly visible DDL into the engine: a catalog entry
+// waits for its root's FormatPage and then goes to RecoverFrom with it
+// as a two-record tail; a FormatPage of a known index goes alone, and
+// moves its root only if it is higher (a root split on the master).
+// Returns tables attached (their stats callbacks run later) and how
+// many events were fully applied — on error the caller re-queues the
+// rest.
+func (r *Replica) applyDDL(events []wal.Record) ([]string, int, error) {
 	var attached []string
-	for i, ev := range events {
-		switch ev.rec.Type {
-		case wal.TypeCatalog:
-			entry, err := wal.DecodeCatalog(ev.rec.Payload)
+	for i, rec := range events {
+		if rec.Type == wal.TypeCatalog {
+			entry, err := wal.DecodeCatalog(rec.Payload)
 			if err != nil {
 				return attached, i, fmt.Errorf("replica: tailed catalog record: %w", err)
 			}
-			if r.eng.HasIndex(entry.IndexID) {
-				continue
-			}
 			r.mu.Lock()
-			r.pendingDDL[entry.IndexID] = entry
+			r.pendingDDL[entry.IndexID] = rec
 			r.mu.Unlock()
-		case wal.TypeFormatPage:
-			r.mu.Lock()
-			entry := r.pendingDDL[ev.rec.IndexID]
-			if entry != nil {
-				delete(r.pendingDDL, ev.rec.IndexID)
-			}
-			r.mu.Unlock()
-			if entry == nil {
-				if r.eng.AdvanceRoot(ev.rec.IndexID, ev.rec.PageID, ev.rec.Level) {
-					r.stats.rootAdvances.Add(1)
-				}
-				continue
-			}
-			root := engine.RootRecord{IndexID: ev.rec.IndexID, PageID: ev.rec.PageID, Level: ev.rec.Level}
-			var err error
-			switch entry.Kind {
-			case wal.CatalogCreateTable:
-				err = r.eng.AttachTable(entry, root)
-				if err == nil {
-					attached = append(attached, entry.Table)
-				}
-			case wal.CatalogCreateIndex:
-				err = r.eng.AttachIndex(entry, root)
-			}
-			if err != nil {
-				// Restore the consumed catalog entry so the retry sees
-				// this FormatPage as the pending root again.
-				r.mu.Lock()
-				r.pendingDDL[ev.rec.IndexID] = entry
-				r.mu.Unlock()
-				return attached, i, err
-			}
-			r.stats.tablesAttached.Add(1)
+			continue
 		}
+		tail := []wal.Record{rec}
+		r.mu.Lock()
+		if cat, ok := r.pendingDDL[rec.IndexID]; ok {
+			tail = []wal.Record{cat, rec}
+		}
+		r.mu.Unlock()
+		st, err := r.eng.RecoverFrom(nil, tail)
+		if err != nil {
+			return attached, i, err
+		}
+		r.mu.Lock()
+		delete(r.pendingDDL, rec.IndexID)
+		r.mu.Unlock()
+		attached = append(attached, st.Tables...)
+		r.stats.tablesAttached.Add(uint64(len(st.Tables) + st.Indexes))
+		r.stats.rootAdvances.Add(uint64(st.RootsAdvanced))
 	}
 	return attached, len(events), nil
 }

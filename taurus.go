@@ -154,11 +154,8 @@ type DB struct {
 	recovered engine.RecoveryStats
 	summary   RecoverySummary
 
-	// obsReg collects every component's metrics for Prometheus export;
-	// rpc attributes transport traffic per message type (a replica shares
-	// its master's transport and therefore its RPC metrics).
+	// obsReg collects every component's metrics for Prometheus export.
 	obsReg *obs.Registry
-	rpc    *cluster.RPCMetrics
 
 	// tracer is this frontend's span collector (statement roots, SAL
 	// pipeline spans, client rpc spans); tracers additionally holds every
@@ -235,7 +232,10 @@ type Row = types.Row
 // crash) are read back from disk — a torn final record is detected by
 // CRC and discarded — and replayed through the regular Page Store apply
 // path, so every committed transaction is visible again.
-func Open(cfg Config) (*DB, error) {
+func Open(cfg Config) (_ *DB, err error) {
+	if cfg.CheckpointInterval > 0 && cfg.DataDir == "" {
+		return nil, fmt.Errorf("taurus: CheckpointInterval requires DataDir")
+	}
 	if cfg.PageStores <= 0 {
 		cfg.PageStores = 4
 	}
@@ -249,7 +249,18 @@ func Open(cfg Config) (*DB, error) {
 	reg := obs.NewRegistry()
 	rpc := cluster.NewRPCMetrics(reg, "client")
 	tr.Metrics = rpc
-	db := &DB{cfg: cfg, tr: tr, obsReg: reg, rpc: rpc}
+	db := &DB{cfg: cfg, tr: tr, obsReg: reg}
+	// A failed Open stops what it started: the SAL's pipeline and the
+	// Log Stores' stream hubs and disk segments.
+	var s *sal.SAL
+	defer func() {
+		if err != nil {
+			if s != nil {
+				s.Close()
+			}
+			db.closeLogs()
+		}
+	}()
 	// One tracer per embedded component, exactly as a TCP deployment has
 	// one per server: spans carry their collector's node name, and
 	// TraceSpans merges the rings the way taurus-sql -trace queries each
@@ -271,10 +282,8 @@ func Open(cfg Config) (*DB, error) {
 			if cfg.LogSegmentBytes > 0 {
 				opts = append(opts, logstore.WithSegmentBytes(cfg.LogSegmentBytes))
 			}
-			var err error
 			ls, err = logstore.Open(n, filepath.Join(cfg.DataDir, n), opts...)
 			if err != nil {
-				db.closeLogs()
 				return nil, err
 			}
 		}
@@ -304,7 +313,6 @@ func Open(cfg Config) (*DB, error) {
 		if cfg.DataDir != "" {
 			cs, err := pstore.Open(pstore.Options{Dir: filepath.Join(cfg.DataDir, name)})
 			if err != nil {
-				db.closeLogs()
 				return nil, err
 			}
 			popts = append(popts, pagestore.WithCheckpoints(cs))
@@ -313,7 +321,6 @@ func Open(cfg Config) (*DB, error) {
 		if cfg.DataDir != "" {
 			rst, err := ps.Restore()
 			if err != nil {
-				db.closeLogs()
 				return nil, fmt.Errorf("taurus: restoring %s: %w", name, err)
 			}
 			db.summary.RestoredSlices += rst.Slices
@@ -330,14 +337,12 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db.psNames = psNames
 	if cfg.DataDir != "" {
-		var err error
 		db.meta, err = pstore.Open(pstore.Options{Dir: filepath.Join(cfg.DataDir, "frontend")})
 		if err != nil {
-			db.closeLogs()
 			return nil, err
 		}
 	}
-	s, err := sal.New(sal.Config{
+	s, err = sal.New(sal.Config{
 		Tenant: 1, Transport: tr, LogStores: logNames, PageStores: psNames,
 		ReplicationFactor: cfg.ReplicationFactor, PagesPerSlice: cfg.PagesPerSlice,
 		Plugin: pagestore.PluginInnoDB, MaxSliceLanes: cfg.WriteLanes,
@@ -352,7 +357,6 @@ func Open(cfg Config) (*DB, error) {
 		ScanParallelism: cfg.ScanParallelism, Tracer: db.tracer, Events: db.events,
 	})
 	if err != nil {
-		db.closeLogs()
 		return nil, err
 	}
 	eng.RegisterMetrics(reg, "master")
@@ -367,14 +371,10 @@ func Open(cfg Config) (*DB, error) {
 		func() float64 { return float64(db.session.Slow.Fired()) })
 	if cfg.DataDir != "" {
 		if err := db.recover(s, eng); err != nil {
-			db.closeLogs()
 			return nil, err
 		}
 	}
 	if cfg.CheckpointInterval > 0 {
-		if cfg.DataDir == "" {
-			return nil, fmt.Errorf("taurus: CheckpointInterval requires DataDir")
-		}
 		db.ckStop = make(chan struct{})
 		db.ckDone = make(chan struct{})
 		go db.checkpointLoop(cfg.CheckpointInterval)
@@ -465,9 +465,9 @@ func OpenReplica(cfg Config) (*DB, error) {
 	repTracer := obs.NewTracer(repName, cfg.TraceSampleRate, 0)
 	repEvents := obs.NewEventRing(0)
 	// loadCkpt rebases the replica on the master's latest checkpoint when
-	// log GC overran a detached tail: re-attach DDL the replica missed
-	// (catalog entries plus current roots), advance the transaction-ID
-	// allocator past everything the checkpoint covers, and hand back the
+	// log GC overran a detached tail: merge the checkpoint's catalog and
+	// roots (DDL the replica missed, roots that split while it was
+	// detached) and allocators into the engine, and hand back the
 	// checkpoint watermark as the new tail position. repEng/repSession
 	// are assigned below, before the replica subscribes.
 	var repEng *engine.Engine
@@ -480,40 +480,11 @@ func OpenReplica(cfg Config) (*DB, error) {
 		if err != nil || meta == nil {
 			return 0, err
 		}
-		rootBy := make(map[uint64]engine.RootRecord, len(meta.Roots))
-		for _, rt := range meta.Roots {
-			rootBy[rt.IndexID] = engine.RootRecord{IndexID: rt.IndexID, PageID: rt.PageID, Level: rt.Level}
+		st, err := repEng.RecoverFrom(meta, nil)
+		if err != nil {
+			return 0, err
 		}
-		var analyzed []string
-		for _, enc := range meta.Catalog {
-			entry, err := wal.DecodeCatalog(enc)
-			if err != nil {
-				continue
-			}
-			rt, ok := rootBy[entry.IndexID]
-			if !ok {
-				continue
-			}
-			if repEng.HasIndex(entry.IndexID) {
-				// Known index — but its root may have split while we
-				// were detached.
-				repEng.AdvanceRoot(rt.IndexID, rt.PageID, rt.Level)
-				continue
-			}
-			switch entry.Kind {
-			case wal.CatalogCreateTable:
-				if err := repEng.AttachTable(entry, rt); err != nil {
-					return 0, err
-				}
-				analyzed = append(analyzed, entry.Table)
-			case wal.CatalogCreateIndex:
-				if err := repEng.AttachIndex(entry, rt); err != nil {
-					return 0, err
-				}
-			}
-		}
-		repEng.Txm().Advance(meta.MaxTrxID)
-		for _, table := range analyzed {
+		for _, table := range st.Tables {
 			// Best effort: a failed stats refresh leaves defaults, it
 			// must not abort the resync.
 			repSession.Cat.Analyze(table)
@@ -550,7 +521,7 @@ func OpenReplica(cfg Config) (*DB, error) {
 	eng.Pool().RegisterMetrics(reg, repName)
 	db := &DB{cfg: cfg, eng: eng, tr: m.tr, rep: rep, master: m,
 		logNames: m.logNames, psNames: m.psNames,
-		obsReg: reg, rpc: m.rpc, repName: repName,
+		obsReg: reg, repName: repName,
 		tracer: repTracer, events: repEvents}
 	// A replica's trace queries see its own spans plus the shared storage
 	// components' — rpc spans land on the shared transport's collector,
@@ -587,17 +558,7 @@ func OpenReplica(cfg Config) (*DB, error) {
 			return nil, err
 		}
 		if meta != nil {
-			base := &engine.RecoveryBase{
-				Catalog: meta.Catalog,
-				MaxLSN:  meta.MaxLSN, MaxTrxID: meta.MaxTrxID,
-				MaxPageID: meta.MaxPageID, MaxIndexID: meta.MaxIndexID,
-			}
-			for _, r := range meta.Roots {
-				base.Roots = append(base.Roots, engine.RootRecord{
-					IndexID: r.IndexID, PageID: r.PageID, Level: r.Level,
-				})
-			}
-			if _, err := eng.RecoverFrom(base, nil); err != nil {
+			if _, err := eng.RecoverFrom(meta, nil); err != nil {
 				return nil, fmt.Errorf("taurus: replica bootstrap: %w", err)
 			}
 			start = meta.AppliedLSN
@@ -660,18 +621,7 @@ func (db *DB) recover(s *sal.SAL, eng *engine.Engine) error {
 		return err
 	}
 	after := uint64(0)
-	var base *engine.RecoveryBase
 	if meta != nil {
-		base = &engine.RecoveryBase{
-			Catalog: meta.Catalog,
-			MaxLSN:  meta.MaxLSN, MaxTrxID: meta.MaxTrxID,
-			MaxPageID: meta.MaxPageID, MaxIndexID: meta.MaxIndexID,
-		}
-		for _, r := range meta.Roots {
-			base.Roots = append(base.Roots, engine.RootRecord{
-				IndexID: r.IndexID, PageID: r.PageID, Level: r.Level,
-			})
-		}
 		// The tail starts at the checkpoint watermark — unless a slice
 		// checkpoint was damaged, in which case its slice must be
 		// rebuilt from the full log (intact slices skip the prefix
@@ -753,7 +703,7 @@ func (db *DB) recover(s *sal.SAL, eng *engine.Engine) error {
 				db.summary.CorruptCheckpoints, firstLSN(recs))
 		}
 	}
-	if len(recs) == 0 && base == nil && newVoidFrom == 0 && maxDurable == 0 {
+	if len(recs) == 0 && meta == nil && newVoidFrom == 0 && maxDurable == 0 {
 		return nil
 	}
 	// Resume the LSN allocator first: recovery may itself log records
@@ -786,7 +736,7 @@ func (db *DB) recover(s *sal.SAL, eng *engine.Engine) error {
 	if err := s.Replay(recs); err != nil {
 		return fmt.Errorf("taurus: replaying %d records: %w", len(recs), err)
 	}
-	st, err := eng.RecoverFrom(base, recs)
+	st, err := eng.RecoverFrom(meta, recs)
 	if err != nil {
 		return fmt.Errorf("taurus: recovering catalog: %w", err)
 	}
@@ -943,18 +893,9 @@ func (db *DB) Checkpoint() (*CheckpointResult, error) {
 		return nil, err
 	}
 	res.Watermark = w
-	base := db.eng.CheckpointBase()
-	meta := &pstore.Meta{
-		AppliedLSN: w,
-		MaxLSN:     db.eng.SAL().CurrentLSN(),
-		MaxTrxID:   base.MaxTrxID,
-		MaxPageID:  base.MaxPageID,
-		MaxIndexID: base.MaxIndexID,
-		Catalog:    base.Catalog,
-	}
-	for _, r := range base.Roots {
-		meta.Roots = append(meta.Roots, pstore.Root{IndexID: r.IndexID, PageID: r.PageID, Level: r.Level})
-	}
+	meta := db.eng.CheckpointBase()
+	meta.AppliedLSN = w
+	meta.MaxLSN = db.eng.SAL().CurrentLSN()
 	if err := db.meta.WriteMeta(meta); err != nil {
 		return nil, err
 	}
@@ -1297,8 +1238,3 @@ func (db *DB) ScanRouting() sal.RouterStats {
 // covers its own tailing, engine, and buffer pool. Serve it over HTTP
 // with Metrics().Handler() or render it with WritePrometheus.
 func (db *DB) Metrics() *obs.Registry { return db.obsReg }
-
-// RPCStats returns per-message-type transport traffic (request counts,
-// bytes, errors, latency quantiles), keyed by MsgType name. A replica
-// reports its master's transport, which it shares.
-func (db *DB) RPCStats() map[string]cluster.RPCTypeStats { return db.rpc.Snapshot() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -246,11 +247,14 @@ func TestCorruptCheckpointAfterGCFailsLoudly(t *testing.T) {
 	db = nil
 
 	corruptOne(t, filepath.Join(dir, "pagestore-1", "slice-*.ckpt"))
+	before := runtime.NumGoroutine()
 	if _, err := Open(checkpointConfig(dir)); err == nil {
 		t.Fatal("Open must fail: corrupt checkpoint and GC'd log prefix")
 	} else if !strings.Contains(err.Error(), "garbage-collected") {
 		t.Fatalf("unexpected error: %v", err)
 	}
+	// The failure comes after the SAL and the Log Stores started.
+	waitGoroutines(t, before)
 }
 
 // TestCorruptMetaCheckpointFallsBackToFullReplay damages the frontend's

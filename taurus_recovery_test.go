@@ -89,7 +89,7 @@ func TestKillAndReopen(t *testing.T) {
 	}
 	defer db2.Close()
 	st := db2.RecoveryStats()
-	if st.Tables != 1 || st.Records == 0 {
+	if len(st.Tables) != 1 || st.Records == 0 {
 		t.Fatalf("recovery stats = %+v", st)
 	}
 	if db2.DurableLSN() < preLSN {
