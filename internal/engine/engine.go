@@ -30,16 +30,15 @@ import (
 type ReadView interface {
 	// VisibleLSN is the highest LSN reads may observe right now.
 	VisibleLSN() uint64
-	// Refresh advances the visible LSN (tail the log, re-poll the Page
-	// Stores) — the recovery path when a page version at the stamped
-	// LSN has aged out of a Page Store's retention.
-	Refresh() error
+	// AwaitAbove waits, bounded, for the visible LSN to pass lsn — the
+	// statement restart's wait after a SnapshotMissError. It never
+	// advances the view itself; only the view's own loop does.
+	AwaitAbove(lsn uint64)
 	// ReadPage fetches one page image at the given LSN.
 	ReadPage(pageID, lsn uint64) ([]byte, error)
-	// BatchRead is the NDP batch read at the given LSN.
-	BatchRead(pageIDs []uint64, lsn uint64, desc []byte) (*sal.BatchResult, error)
-	// BatchReadTraced is BatchRead carrying the scan's trace context so
-	// per-slice sub-batch RPCs join the scan's fan-out tree.
+	// BatchReadTraced is the NDP batch read at the given LSN, carrying
+	// the scan's trace context so per-slice sub-batch RPCs join the
+	// scan's fan-out tree.
 	BatchReadTraced(pageIDs []uint64, lsn uint64, desc []byte, tc obs.TraceContext) (*sal.BatchResult, error)
 	// SliceOf maps a page to its slice — the partitioning key of the
 	// parallel scan scheduler. Must match the master's slice mapping.
@@ -48,6 +47,20 @@ type ReadView interface {
 
 // ErrReadOnly rejects writes on a read-replica engine.
 var ErrReadOnly = fmt.Errorf("engine: read-only replica")
+
+// SnapshotMissError is a failed read-replica read at snapshot LSN: the
+// page version left the Page Stores' retention, a root the view's loop
+// re-bound is newer than the snapshot, or the read failed in transit.
+// The engine does not retry; the statement restarts once the visible
+// LSN passes LSN (ReadView.AwaitAbove).
+type SnapshotMissError struct {
+	LSN uint64
+	Err error
+}
+
+func (e *SnapshotMissError) Error() string {
+	return fmt.Sprintf("engine: replica read at lsn %d: %v", e.LSN, e.Err)
+}
 
 // Config sizes an Engine.
 type Config struct {
@@ -253,8 +266,8 @@ func (e *Engine) Commit(tx *txn.Txn) error {
 	return e.salc.WaitDurableTraced(tx.MaxLSN(), tx.Trace())
 }
 
-// ReadOnly reports whether the engine serves a read replica.
-func (e *Engine) ReadOnly() bool { return e.view != nil }
+// ReadView returns a replica engine's storage view (nil on a master).
+func (e *Engine) ReadView() ReadView { return e.view }
 
 // Pool exposes the buffer pool (experiments inspect residency).
 func (e *Engine) Pool() *buffer.Pool { return e.pool }
@@ -273,22 +286,16 @@ func (p pager) Read(pageID uint64) (*page.Page, error) {
 		// Read-replica miss path: fetch at the replica's visible LSN.
 		// The bound plumbed into GetAsOf makes a reader whose visible
 		// LSN advanced past an in-flight fetch's re-fetch instead of
-		// joining a result bound to the older snapshot. A fetch that
-		// fails because the stamped version aged out of the Page
-		// Store's retention refreshes the visible LSN and retries once.
+		// joining a result bound to the older snapshot. A failed fetch
+		// is a SnapshotMissError: this may run under the tree's lock, so
+		// it waits for nothing and retries nothing.
 		lsn := v.VisibleLSN()
 		return p.e.pool.GetAsOf(pageID,
 			func() uint64 { return lsn },
 			func(id uint64) (*page.Page, error) {
 				raw, err := v.ReadPage(id, lsn)
 				if err != nil {
-					if rerr := v.Refresh(); rerr != nil {
-						return nil, err
-					}
-					raw, err = v.ReadPage(id, v.VisibleLSN())
-					if err != nil {
-						return nil, err
-					}
+					return nil, &SnapshotMissError{LSN: lsn, Err: err}
 				}
 				return page.FromBytes(raw)
 			})

@@ -331,20 +331,16 @@ func (e *Engine) scanChunks(s *scanState, leafIDs []uint64, lsn uint64, descByte
 			e.Metrics.BatchReads.Add(1)
 			res, err := e.batchRead(missing, lsn, descBytes, tc)
 			if err != nil {
-				// The stamped version may have aged out of the Page
-				// Stores' retention under heavy concurrent writes;
-				// retry at latest (a replica refreshes its visible LSN
-				// instead — it must never read past it). Row visibility
-				// is still governed by MVCC, so results remain correct.
+				// A replica must never read past its snapshot: the
+				// statement restarts instead (SnapshotMissError).
 				if e.view != nil {
-					if rerr := e.view.Refresh(); rerr != nil {
-						return err
-					}
-					res, err = e.view.BatchReadTraced(missing, e.view.VisibleLSN(), descBytes, tc)
-				} else {
-					res, err = e.salc.BatchReadTraced(missing, 0, descBytes, tc)
+					return &SnapshotMissError{LSN: lsn, Err: err}
 				}
-				if err != nil {
+				// The stamped version may have aged out of the Page
+				// Stores' retention under heavy concurrent writes; retry
+				// at latest. Row visibility is still governed by MVCC,
+				// so results remain correct.
+				if res, err = e.salc.BatchReadTraced(missing, 0, descBytes, tc); err != nil {
 					return err
 				}
 			}

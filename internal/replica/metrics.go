@@ -14,7 +14,7 @@ func (r *Replica) registerMetrics(reg *obs.Registry, name string) {
 		name = "replica"
 	}
 	labels := []obs.Label{obs.L("replica", name)}
-	r.mRefresh = reg.Histogram("taurus_replica_refresh_seconds",
+	r.mAdvance = reg.Histogram("taurus_replica_refresh_seconds",
 		"One advance cycle.", nil, labels...)
 	r.mCatchup = reg.Histogram("taurus_replica_catchup_seconds",
 		"Start-time catch-up to the master's durable watermark.", nil, labels...)
@@ -33,7 +33,7 @@ func (r *Replica) registerMetrics(reg *obs.Registry, name string) {
 	counter := func(metric, help string, load func() uint64) {
 		reg.CounterFunc(metric, help, func() float64 { return float64(load()) }, labels...)
 	}
-	counter("taurus_replica_refreshes_total", "On-demand advance cycles (engine retention-miss retries).", r.stats.refreshes.Load)
+	counter("taurus_replica_refreshes_total", "Failed replica page and batch reads (snapshot misses; a SQL statement restarts once on one).", r.stats.refreshes.Load)
 	counter("taurus_replica_records_tailed_total", "Log records consumed from the Log Stores.", r.stats.recordsTailed.Load)
 	counter("taurus_replica_pages_invalidated_total", "Cached pages evicted as records became visible.", r.stats.pagesInvalidated.Load)
 	counter("taurus_replica_resyncs_total", "Hard resets after log GC overran the tail.", r.stats.resyncs.Load)

@@ -42,6 +42,7 @@ import (
 	"taurus/internal/engine"
 	"taurus/internal/health"
 	"taurus/internal/obs"
+	"taurus/internal/pstore"
 	"taurus/internal/sal"
 	"taurus/internal/wal"
 )
@@ -66,7 +67,7 @@ type Config struct {
 	// known to be ahead, or 40 regardless, is resubscribed.
 	RefreshInterval time.Duration
 	// Metrics, when non-nil, receives the replica's lag gauges and
-	// catch-up/refresh histograms; Name labels them when several
+	// catch-up/advance histograms; Name labels them when several
 	// replicas share one registry.
 	Metrics *obs.Registry
 	Name    string
@@ -80,12 +81,11 @@ type Config struct {
 	// stream's destination. Required: it must be registered as a
 	// cluster.Handler the Log Stores can reach.
 	Node string
-	// LoadCheckpoint, when set, rebases the replica on the master's
-	// latest checkpoint after log GC overran its detached tail: the hook
-	// merges the checkpoint's catalog into the engine (RecoverFrom) and
-	// returns the checkpoint's applied LSN. nil degrades to a blind reset
-	// at the truncation watermark.
-	LoadCheckpoint func() (uint64, error)
+	// LoadCheckpoint, when set, returns the master's latest checkpoint
+	// meta (nil when none is written yet); the replica rebases on it after
+	// log GC overran its detached tail. nil degrades to a blind reset at
+	// the truncation watermark.
+	LoadCheckpoint func() (*pstore.Meta, error)
 }
 
 // Stats is the replica's observable state.
@@ -102,9 +102,9 @@ type Stats struct {
 	// records not yet visible.
 	LagRecords uint64
 	LagBytes   uint64
-	// Refreshes counts on-demand advance cycles (the engine's retries
-	// after a version-retention miss); RecordsTailed counts log records
-	// consumed.
+	// Refreshes counts failed page and batch reads — each one a
+	// SnapshotMissError in the engine, which a SQL statement restarts on
+	// once; RecordsTailed counts log records consumed.
 	Refreshes     uint64
 	RecordsTailed uint64
 	// PagesInvalidated counts cached pages evicted because records
@@ -138,7 +138,9 @@ type tailRec struct {
 
 // Replica is one read-replica frontend's storage view. It implements
 // engine.ReadView (reads at the visible LSN) and cluster.Handler (the
-// stream frames a Log Store hub pushes).
+// stream frames a Log Store hub pushes). The background loop (and Start,
+// before it launches the loop) is the only writer of the visible LSN,
+// the engine's catalog and its B+ tree roots; readers only wait on it.
 type Replica struct {
 	cfg Config
 
@@ -154,10 +156,6 @@ type Replica struct {
 	// trackers, since its load profile differs from the master's.
 	router *sal.ReadRouter
 	fanOut *sal.FanOut
-
-	// refreshMu serializes whole advance cycles (background loop and
-	// on-demand Refresh calls).
-	refreshMu sync.Mutex
 
 	// mu guards the tail state.
 	mu           sync.Mutex
@@ -183,6 +181,9 @@ type Replica struct {
 	lastBatch  atomic.Int64
 	subSeq     atomic.Uint64
 	pinned     atomic.Uint64
+	// awaited is the highest snapshot a statement restart waits to see
+	// passed (AwaitAbove); the loop takes it after its next advance.
+	awaited atomic.Uint64
 
 	// health answers MsgPing/MsgHealthReport; nil answers pings with an
 	// empty OK report. Armed by SetHealth.
@@ -205,7 +206,7 @@ type Replica struct {
 	}
 
 	// Optional instruments, armed when cfg.Metrics is set; nil is inert.
-	mRefresh *obs.Histogram
+	mAdvance *obs.Histogram
 	mCatchup *obs.Histogram
 }
 
@@ -368,23 +369,23 @@ func (r *Replica) ReadPage(pageID, lsn uint64) ([]byte, error) {
 		Tenant: r.cfg.Tenant, SliceID: sliceID, PageID: pageID, LSN: lsn,
 	})
 	if err != nil {
+		r.stats.refreshes.Add(1)
 		return nil, err
 	}
 	return resp.(*cluster.PageResp).Page, nil
 }
 
-// BatchRead implements engine.ReadView: the NDP batch read, split into
-// per-slice sub-batches dispatched concurrently (the SAL's shared
-// §VI-2 fan-out), at the replica's snapshot LSN. No pre-read wait: the
-// snapshot LSN is already proven applied everywhere.
-func (r *Replica) BatchRead(pageIDs []uint64, lsn uint64, desc []byte) (*sal.BatchResult, error) {
-	return r.fanOut.BatchRead(obs.TraceContext{}, pageIDs, lsn, desc)
-}
-
-// BatchReadTraced implements engine.ReadView: BatchRead with the scan's
-// trace context riding the sub-batch RPCs.
+// BatchReadTraced implements engine.ReadView: the NDP batch read, split
+// into per-slice sub-batches dispatched concurrently (the SAL's shared
+// §VI-2 fan-out), at the replica's snapshot LSN, with the scan's trace
+// context riding the sub-batch RPCs. No pre-read wait: the snapshot LSN
+// is already proven applied everywhere.
 func (r *Replica) BatchReadTraced(pageIDs []uint64, lsn uint64, desc []byte, tc obs.TraceContext) (*sal.BatchResult, error) {
-	return r.fanOut.BatchRead(tc, pageIDs, lsn, desc)
+	res, err := r.fanOut.BatchRead(tc, pageIDs, lsn, desc)
+	if err != nil {
+		r.stats.refreshes.Add(1)
+	}
+	return res, err
 }
 
 // SetLeastLoadedReads toggles least-loaded scan routing at runtime.
@@ -496,7 +497,16 @@ func (r *Replica) pushCycle() error {
 	if !r.subscribed.Load() {
 		r.subscribe()
 	}
-	return r.advance()
+	err := r.advance()
+	// A statement restart waits above a snapshot this advance did not
+	// pass: nothing pushed moves it, so the stream may not be delivering
+	// (a hub drops a subscriber that overflowed its window without
+	// telling it). Resubscribe next round, not at the watchdog.
+	if w := r.awaited.Swap(0); w != 0 && r.visible.Load() <= w {
+		r.subscribed.Store(false)
+		r.kickLoop()
+	}
+	return err
 }
 
 // subscribe attaches to one Log Store's push stream, rotating the store
@@ -533,29 +543,33 @@ func (r *Replica) subscribe() error {
 	}
 }
 
-// advance runs one advance cycle under the refresh lock: visibility is
-// computed from the pushed per-slice frontier and durable watermark — no
-// storage RPCs.
+// advance runs one advance cycle: visibility is computed from the
+// pushed per-slice frontier and durable watermark — no storage RPCs.
+// Only the loop goroutine (and Start, before it launches the loop)
+// calls it, so cycles never overlap.
 func (r *Replica) advance() error {
-	r.refreshMu.Lock()
 	var t0 time.Time
-	if r.mRefresh != nil {
+	if r.mAdvance != nil {
 		t0 = time.Now()
 	}
-	attached, err := r.advanceLocked()
-	if r.mRefresh != nil {
-		r.mRefresh.ObserveDuration(time.Since(t0))
+	attached, err := r.advanceCycle()
+	if r.mAdvance != nil {
+		r.mAdvance.ObserveDuration(time.Since(t0))
 	}
-	r.refreshMu.Unlock()
-	// Post-attach callbacks run outside the cycle: they scan the new
-	// table at the just-published visible LSN, which can itself trigger a
-	// nested Refresh on a retention miss.
-	for _, table := range attached {
-		if r.onAttach != nil {
-			r.onAttach(table)
-		}
-	}
+	r.attached(attached)
 	return err
+}
+
+// attached runs the post-attach callback for tables the loop registered,
+// once the visible LSN they are scanned at covers them. A read that
+// fails there leaves the table's default statistics.
+func (r *Replica) attached(tables []string) {
+	if r.onAttach == nil {
+		return
+	}
+	for _, table := range tables {
+		r.onAttach(table)
+	}
 }
 
 // pinStride is how many records of visible-LSN advance pass between
@@ -564,8 +578,8 @@ const pinStride = 256
 
 // maybeRepin re-pins the replica's Page Store version floor when the
 // visible LSN advanced a stride past the last pin. The pin keeps the
-// version a lagging snapshot read needs alive on the stores, ending the
-// refresh-and-retry storms version retention otherwise causes.
+// version a lagging snapshot read needs alive on the stores, so it does
+// not miss its snapshot and restart its statement.
 func (r *Replica) maybeRepin(visible uint64) {
 	if visible == 0 {
 		return
@@ -592,66 +606,64 @@ func (r *Replica) pinAll(lsn uint64) {
 // checkpointResync rebases the replica after log GC overran its
 // detached tail: records in (tailed, truncated] are gone from the Log
 // Store, but everything they did is applied and checkpointed on the
-// Page Stores. The LoadCheckpoint hook merges the DDL the replica
-// missed and returns the checkpoint's applied LSN; reads resume at that
-// frontier immediately, and the stream resumes above it.
+// Page Stores. The checkpoint's catalog and roots (DDL the replica
+// missed, roots that split while it was detached) are merged into the
+// engine; reads resume at its applied LSN immediately, and the stream
+// resumes above it. A reader that meets a merged root before the raise
+// misses its snapshot and restarts above it.
 func (r *Replica) checkpointResync(truncated uint64) {
-	newTail := truncated
 	var ckpt uint64
+	var tables []string
+	var err error
 	if r.cfg.LoadCheckpoint != nil {
-		if lsn, err := r.cfg.LoadCheckpoint(); err == nil {
-			ckpt = lsn
-			if ckpt > newTail {
-				newTail = ckpt
+		var meta *pstore.Meta
+		if meta, err = r.cfg.LoadCheckpoint(); err == nil && meta != nil {
+			var st engine.RecoveryStats
+			if st, err = r.eng.RecoverFrom(meta, nil); err == nil {
+				ckpt, tables = meta.AppliedLSN, st.Tables
 			}
 		}
 	}
-	r.resetTail(newTail)
+	r.resetTail(max(truncated, ckpt))
 	// Everything at or below the checkpoint frontier is applied on every
 	// Page Store, so reads may resume there right away.
 	raise(&r.visible, ckpt)
 	r.stats.ckptResyncs.Add(1)
+	// load_err is the checkpoint load's or merge's error (the rebase then
+	// fell back to a blind reset at the truncation watermark).
 	r.cfg.Events.Record(obs.EventCheckpointResync,
-		"%s: log GC overran detached tail (truncated=%d), rebased on checkpoint applied=%d",
-		r.cfg.Name, truncated, ckpt)
+		"%s: log GC overran detached tail (truncated=%d), rebased on checkpoint applied=%d load_err=%v",
+		r.cfg.Name, truncated, ckpt, err)
+	r.attached(tables)
 }
 
-// Refresh implements engine.ReadView: the engine's retry after a read at
-// the visible LSN missed the Page Stores' version retention — the master
-// is that far ahead. One advance from the pushed state usually moves the
-// snapshot. If nothing was pushed, the stream is not delivering (a hub
-// drops a subscriber that overflowed its window without telling it):
-// have the loop resubscribe now, not at its watchdog, and wait for the
-// catch-up — at most 8 ticks, and only while the master is ahead.
-func (r *Replica) Refresh() error {
-	r.stats.refreshes.Add(1)
-	from := r.visible.Load()
-	if err := r.advance(); err != nil || r.visible.Load() > from {
-		return err
-	}
-	r.subscribed.Store(false)
+// AwaitAbove implements engine.ReadView: the statement restart's wait
+// after a read missed its snapshot at lsn. It advances nothing itself:
+// it hands lsn to the loop, which resubscribes when its next advance
+// does not pass it. The wait ends when the visible LSN passes lsn, when
+// the replica has resubscribed and nothing is durable past lsn, or
+// after 8 ticks.
+func (r *Replica) AwaitAbove(lsn uint64) {
+	seq := r.subSeq.Load()
+	raise(&r.awaited, lsn)
 	r.kickLoop()
 	for deadline := time.Now().Add(8 * r.cfg.RefreshInterval); time.Now().Before(deadline); {
+		if r.visible.Load() > lsn ||
+			(r.subSeq.Load() != seq && r.subscribed.Load() && r.notified.Load() <= lsn) {
+			return
+		}
 		time.Sleep(time.Millisecond)
-		if err := r.advance(); err != nil || r.visible.Load() > from {
-			return err
-		}
-		if r.subscribed.Load() && r.notified.Load() <= from {
-			break // reattached, and nothing is durable past this snapshot
-		}
 	}
-	return nil
 }
 
-// advanceLocked advances the visible LSN from the pending state, the
+// advanceCycle advances the visible LSN from the pending state, the
 // pushed per-slice applied frontier and the pushed durable watermark,
 // batch-invalidates cached pages the advance covered, and applies newly
 // visible DDL. The pushed frontier needs no reachability guard: the
 // master's SAL reports a slice applied only after every Page Store
 // replica of it confirmed the apply. Returns tables attached this cycle
-// (their post-attach callbacks run after the refresh lock drops). Caller
-// holds refreshMu.
-func (r *Replica) advanceLocked() ([]string, error) {
+// (advance runs their post-attach callbacks).
+func (r *Replica) advanceCycle() ([]string, error) {
 	floor := r.notified.Load()
 	r.mu.Lock()
 	// Drop pending entries the Page Stores have confirmed applied.

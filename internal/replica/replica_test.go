@@ -1,15 +1,21 @@
 package replica_test
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"taurus/internal/cluster"
 	"taurus/internal/core"
 	"taurus/internal/engine"
+	"taurus/internal/obs"
+	"taurus/internal/pstore"
 	"taurus/internal/replica"
+	"taurus/internal/sql"
 	"taurus/internal/testutil"
 	"taurus/internal/types"
 	"taurus/internal/wal"
@@ -64,7 +70,7 @@ func (s *subscribeLog) seen() []string {
 const fastTick = 2 * time.Millisecond
 
 // newReplica builds a bound, registered, not yet started replica of c.
-func newReplica(t *testing.T, c *testutil.Cluster, tr cluster.Transport, tick time.Duration, loadCkpt func() (uint64, error)) (*replica.Replica, *engine.Engine) {
+func newReplica(t *testing.T, c *testutil.Cluster, tr cluster.Transport, tick time.Duration, loadCkpt func() (*pstore.Meta, error)) (*replica.Replica, *engine.Engine) {
 	t.Helper()
 	rep, err := replica.New(replica.Config{
 		Transport: tr, Tenant: 1, LogStores: logNames, PageStores: psNames,
@@ -216,11 +222,11 @@ func TestResubscribesAfterDisconnect(t *testing.T) {
 	}
 }
 
-// TestRefreshResubscribesADroppedReplica: the engine's retry hook on a
-// replica the hub dropped — nothing pushed to advance from — has the
-// loop resubscribe at once and returns a fresh snapshot, long before the
-// watchdog (10s at this tick) would have noticed the silence.
-func TestRefreshResubscribesADroppedReplica(t *testing.T) {
+// TestAwaitAboveResubscribesADroppedReplica: a statement restart's wait
+// on a replica the hub dropped — nothing pushed to advance from — has
+// the loop resubscribe at once and returns on a fresher snapshot, long
+// before the watchdog (10s at this tick) would have noticed the silence.
+func TestAwaitAboveResubscribesADroppedReplica(t *testing.T) {
 	c := newFleet(t)
 	if _, err := c.LoadWorkers(50); err != nil {
 		t.Fatal(err)
@@ -233,30 +239,85 @@ func TestRefreshResubscribesADroppedReplica(t *testing.T) {
 	stale := rep.VisibleLSN()
 	dropWhileWriting(t, c, rep, 50, 120)
 
-	if err := rep.Refresh(); err != nil {
-		t.Fatal(err)
-	}
+	t0 := time.Now()
+	rep.AwaitAbove(stale)
 	if rep.VisibleLSN() <= stale {
-		t.Fatalf("Refresh returned the stale snapshot %d: %+v", stale, rep.Stats())
+		t.Fatalf("AwaitAbove returned on the stale snapshot %d after %s: %+v", stale, time.Since(t0), rep.Stats())
 	}
 	durable := c.SAL.DurableLSN()
 	waitFor(t, "the rest of the catch-up", func() bool { return rep.VisibleLSN() >= durable })
 	if got := countRows(t, eng, "worker"); got != 120 {
-		t.Fatalf("replica sees %d rows after Refresh, want 120", got)
+		t.Fatalf("replica sees %d rows after AwaitAbove, want 120", got)
 	}
-	// Caught up and attached: a second Refresh has nothing to wait for.
-	t0 := time.Now()
-	if err := rep.Refresh(); err != nil {
+	// Caught up and attached: nothing is durable past the snapshot, so
+	// there is nothing to wait for.
+	t0 = time.Now()
+	rep.AwaitAbove(rep.VisibleLSN())
+	if d := time.Since(t0); d > time.Second {
+		t.Fatalf("AwaitAbove on a current replica took %s", d)
+	}
+}
+
+// stripFrontier delivers pushed frames to the replica without their
+// applied frontier: records and the durable watermark arrive, but the
+// visible LSN cannot pass them.
+type stripFrontier struct{ rep *replica.Replica }
+
+func (s stripFrontier) Handle(req any) (any, error) {
+	if m, ok := req.(*cluster.LogBatchReq); ok {
+		c := *m
+		c.Frontier = nil
+		return s.rep.Handle(&c)
+	}
+	return s.rep.Handle(req)
+}
+
+// TestAwaitAboveResubscribesAFrontierStarvedReplica: the hub dropped a
+// replica that holds the master's records and durable watermark but not
+// the applied frontier that makes them visible. Something durable past
+// the snapshot was pushed, yet no advance passes it, so AwaitAbove still
+// has the loop resubscribe, and the catch-up's frontier moves the
+// snapshot long before the watchdog (10s at this tick).
+func TestAwaitAboveResubscribesAFrontierStarvedReplica(t *testing.T) {
+	c := newFleet(t)
+	if _, err := c.LoadWorkers(50); err != nil {
 		t.Fatal(err)
 	}
-	if d := time.Since(t0); d > time.Second {
-		t.Fatalf("Refresh on a current replica took %s", d)
+	rep, eng := newReplica(t, c, c.Transport, 250*time.Millisecond, nil)
+	if err := rep.Start(0, c.SAL.DurableLSN()); err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	stale := rep.VisibleLSN()
+	c.Transport.Register(node, stripFrontier{rep})
+	insertWorkers(t, c, 50, 120)
+	durable := c.SAL.DurableLSN()
+	waitFor(t, "the records and the watermark without the frontier", func() bool {
+		st := rep.Stats()
+		return st.TailedLSN >= durable && st.DurableLSN >= durable
+	})
+	if v := rep.VisibleLSN(); v != stale {
+		t.Fatalf("visible LSN moved %d -> %d without a frontier", stale, v)
+	}
+	dropWhileWriting(t, c, rep, 120, 121)
+
+	t0 := time.Now()
+	rep.AwaitAbove(stale)
+	if rep.VisibleLSN() <= stale {
+		t.Fatalf("AwaitAbove returned on the stale snapshot %d after %s: %+v", stale, time.Since(t0), rep.Stats())
+	}
+	durable = c.SAL.DurableLSN()
+	waitFor(t, "the rest of the catch-up", func() bool { return rep.VisibleLSN() >= durable })
+	if got := countRows(t, eng, "worker"); got != 121 {
+		t.Fatalf("replica sees %d rows after AwaitAbove, want 121", got)
 	}
 }
 
 // TestRefusedSubscribeRebasesOnCheckpoint: log GC ran past the
 // replica's start position, so the subscription is refused; the replica
-// rebases through LoadCheckpoint — once — and subscribes above it.
+// rebases through LoadCheckpoint — once — merges the checkpoint's
+// catalog, runs the post-attach callback at the rebased snapshot, and
+// subscribes above it.
 func TestRefusedSubscribeRebasesOnCheckpoint(t *testing.T) {
 	c := newFleet(t)
 	if _, err := c.LoadWorkers(50); err != nil {
@@ -267,9 +328,19 @@ func TestRefusedSubscribeRebasesOnCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	loads := 0
-	rep, _ := newReplica(t, c, c.Transport, fastTick, func() (uint64, error) {
+	rep, eng := newReplica(t, c, c.Transport, fastTick, func() (*pstore.Meta, error) {
 		loads++
-		return durable, nil
+		meta := c.Engine.CheckpointBase()
+		meta.AppliedLSN = durable
+		return meta, nil
+	})
+	var seen []int
+	rep.Bind(eng, func(table string) {
+		n, err := scanCount(eng, table)
+		if err != nil {
+			t.Errorf("post-attach scan of %s: %v", table, err)
+		}
+		seen = append(seen, n)
 	})
 	if err := rep.Start(0, durable); err != nil {
 		t.Fatal(err)
@@ -282,6 +353,54 @@ func TestRefusedSubscribeRebasesOnCheckpoint(t *testing.T) {
 	if !st.Subscribed || st.VisibleLSN < durable || st.TailedLSN < durable {
 		t.Fatalf("replica did not resume above the checkpoint (%d): %+v", durable, st)
 	}
+	if len(seen) != 1 || seen[0] != 50 {
+		t.Fatalf("post-attach scans after the rebase saw %v; want one table of 50 rows", seen)
+	}
+	if got := countRows(t, eng, "worker"); got != 50 {
+		t.Fatalf("replica sees %d rows after the rebase, want 50", got)
+	}
+}
+
+// TestFailedCheckpointLoadIsRecorded: when the rebase cannot load the
+// master's checkpoint, the replica falls back to a blind reset at the
+// truncation watermark, and the flight recorder's resync event says why.
+func TestFailedCheckpointLoadIsRecorded(t *testing.T) {
+	c := newFleet(t)
+	if _, err := c.LoadWorkers(50); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SAL.TruncateLogs(c.SAL.DurableLSN() + 1); err != nil {
+		t.Fatal(err)
+	}
+	events := obs.NewEventRing(0)
+	rep, err := replica.New(replica.Config{
+		Transport: c.Transport, Tenant: 1, LogStores: logNames, PageStores: psNames,
+		ReplicationFactor: 3, PagesPerSlice: 64, RefreshInterval: fastTick,
+		Name: node, Node: node, Events: events,
+		LoadCheckpoint: func() (*pstore.Meta, error) { return nil, errors.New("injected: meta unreadable") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(engine.Config{ReadView: rep, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Bind(eng, nil)
+	c.Transport.Register(node, rep)
+	if err := rep.Start(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	for _, ev := range events.Events() {
+		if ev.Kind == obs.EventCheckpointResync {
+			if !strings.Contains(ev.Detail, "injected: meta unreadable") {
+				t.Fatalf("resync event does not carry the load error: %q", ev.Detail)
+			}
+			return
+		}
+	}
+	t.Fatalf("no %s event: %+v", obs.EventCheckpointResync, events.Events())
 }
 
 func TestNewRejectsEmptyNode(t *testing.T) {
@@ -315,67 +434,152 @@ func (f *failOneRead) Call(n string, req any) (any, error) {
 	return f.Transport.Call(n, req)
 }
 
-// TestRefreshUnderTreeLockDoesNotDeadlock: a scan's descent holds the
-// B+ tree's read lock across its page reads; when one misses retention
-// the engine calls Refresh from under that lock. If the master split the
-// root meanwhile, the advance that makes the split visible re-binds the
-// tree (btree.Tree.SetRoot, the tree's write lock) while holding
-// refreshMu — which Refresh needs. Loop: refreshMu → tree lock; reader:
-// tree lock → refreshMu. (When the reader's own advance pops the root
-// change it is worse: SetRoot on the goroutine that holds the read
-// lock.) TestReplicaSeesDDLAfterOpen hangs on this about once in a hundred
-// runs, at the parent commit as well.
-func TestRefreshUnderTreeLockDoesNotDeadlock(t *testing.T) {
-	t.Skip("ROADMAP 4e (new): Replica.advance applies DDL under refreshMu and on whichever goroutine called it; " +
-		"found while deleting the pull tailer, present at the parent commit too")
+// failReads wraps the replica's transport and fails the next n page
+// reads.
+type failReads struct {
+	cluster.Transport
+	n atomic.Int32
+}
+
+func (f *failReads) Call(n string, req any) (any, error) {
+	if _, ok := req.(*cluster.ReadPageReq); ok && f.n.Add(-1) >= 0 {
+		return nil, fmt.Errorf("injected: page version not retained")
+	}
+	return f.Transport.Call(n, req)
+}
+
+// TestStatementRestartsOnceOnASnapshotMiss: a SELECT whose page read
+// misses its snapshot restarts once, at the statement boundary; a miss
+// in the restarted run is the statement's error. Every failed read is
+// counted in Stats.Refreshes.
+func TestStatementRestartsOnceOnASnapshotMiss(t *testing.T) {
 	c := newFleet(t)
-	if _, err := c.LoadWorkers(20); err != nil {
+	if _, err := c.LoadWorkers(50); err != nil {
 		t.Fatal(err)
 	}
+	tr := &failReads{Transport: c.Transport}
+	rep, eng := newReplica(t, c, tr, fastTick, nil)
+	if err := rep.Start(0, c.SAL.DurableLSN()); err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	s := sql.NewSession(eng)
+	s.ReadOnly = true
+
+	eng.Pool().Clear()
+	tr.n.Store(1)
+	res, err := s.Exec("SELECT COUNT(*) FROM worker")
+	if err != nil {
+		t.Fatalf("one miss: %v, want the restarted statement to succeed", err)
+	}
+	if got := res.Rows[0][0].I; got != 50 {
+		t.Fatalf("restarted statement counts %d rows, want 50", got)
+	}
+
+	eng.Pool().Clear()
+	tr.n.Store(2)
+	_, err = s.Exec("SELECT COUNT(*) FROM worker")
+	var miss *engine.SnapshotMissError
+	if !errors.As(err, &miss) {
+		t.Fatalf("two misses: %v, want a SnapshotMissError from the one restart", err)
+	}
+	if st := rep.Stats(); st.Refreshes != 3 {
+		t.Fatalf("Refreshes = %d, want 3 (one per failed read)", st.Refreshes)
+	}
+}
+
+// TestReadMissUnderTreeLockDoesNotBlockRootRebind (ROADMAP 4e): an NDP
+// scan's CollectBatch holds the B+ tree's read lock across its read of
+// a height-2 root. While that read is parked, the master splits the root
+// to height 3 and the replica's loop, publishing the split, waits for
+// the tree's write lock to re-bind the root. Then the read fails. The
+// scan must return a SnapshotMissError at once — nothing on the reader's
+// side advances the replica or waits on the loop under the lock — so
+// the re-bind goes through and a re-scan counts every row.
+func TestReadMissUnderTreeLockDoesNotBlockRootRebind(t *testing.T) {
+	c := newFleet(t)
+	schema := types.NewSchema(
+		types.Column{Name: "k", Kind: types.KindString, NotNull: true},
+		types.Column{Name: "v", Kind: types.KindInt, NotNull: true})
+	mt, err := c.Engine.CreateTable("wide", schema, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1.5 KB keys: a leaf record carries the key twice (key and row), so
+	// the tree is two levels high after 6 rows and three at about 50.
+	pad := strings.Repeat("k", 1500)
+	rows := 0
+	growTo := func(height int) {
+		for mt.Primary.Tree.Height() < height {
+			tx := c.Engine.Txm().Begin()
+			row := types.Row{types.NewString(fmt.Sprintf("%06d%s", rows, pad)), types.NewInt(int64(rows))}
+			if err := c.Engine.Insert(mt, tx, row); err != nil {
+				t.Fatal(err)
+			}
+			tx.Commit()
+			rows++
+		}
+		if err := c.SAL.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	growTo(2)
 	tr := &failOneRead{Transport: c.Transport, armed: make(chan struct{}, 1),
 		parked: make(chan struct{}), release: make(chan struct{})}
 	rep, eng := newReplica(t, c, tr, fastTick, nil)
 	if err := rep.Start(0, c.SAL.DurableLSN()); err != nil {
 		t.Fatal(err)
 	}
-	// No rep.Close here: on the deadlock its loop never exits.
+	// No deferred rep.Close: on a deadlock its loop never exits.
+	tbl, err := eng.Table("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := tbl.Primary.Tree.Height(); h != 2 {
+		t.Fatalf("replica tree height %d at start, want 2", h)
+	}
 
-	// A cold scan parks in the root's page read, under the tree lock.
+	// A cold NDP scan parks in the root's page read, under the tree lock.
 	eng.Pool().Clear()
 	tr.armed <- struct{}{}
 	scanned := make(chan error, 1)
 	go func() {
-		_, err := scanCount(eng, "worker")
-		scanned <- err
+		scanned <- eng.Scan(engine.ScanOptions{Index: tbl.Primary, NDP: &engine.NDPPush{}},
+			func(types.Row, []core.AggState) error { return nil })
 	}()
 	<-tr.parked
 
-	// The master splits the root; the replica's loop makes it visible
-	// and goes on to re-bind the tree.
-	insertWorkers(t, c, 20, 2000)
-	mt, err := c.Engine.Table("worker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt.Primary.Tree.Height() < 2 {
-		t.Fatal("master root never split; the test needs more rows")
-	}
-	var split uint64 // the new root's FormatPage
+	// The master splits the root again; the replica's loop makes the
+	// split visible and goes on to re-bind the tree.
+	growTo(3)
+	var split uint64 // the height-3 root's FormatPage
 	for _, rec := range c.LogStores[0].ReadFrom(0) {
-		if rec.Type == wal.TypeFormatPage && rec.Level > 0 {
+		if rec.Type == wal.TypeFormatPage && rec.IndexID == mt.Primary.ID && rec.Level == 2 {
 			split = rec.LSN
 		}
 	}
-	waitFor(t, "the root split to become visible", func() bool { return split != 0 && rep.VisibleLSN() >= split })
+	if split == 0 {
+		t.Fatal("no height-3 root FormatPage in the log")
+	}
+	waitFor(t, "the root split to become visible", func() bool { return rep.VisibleLSN() >= split })
 
-	close(tr.release) // the read fails; the engine calls Refresh
+	close(tr.release) // the parked read fails
 	select {
 	case err := <-scanned:
-		if err != nil {
-			t.Error(err)
+		var miss *engine.SnapshotMissError
+		if !errors.As(err, &miss) {
+			t.Fatalf("scan returned %v, want a SnapshotMissError", err)
 		}
-		rep.Close()
 	case <-time.After(5 * time.Second):
-		t.Fatal("scan never returned: Refresh under the tree's read lock deadlocked against the root re-bind")
+		t.Fatal("scan never returned: the failed read under the tree's read lock deadlocked against the root re-bind")
+	}
+	defer rep.Close()
+	waitFor(t, "the loop to re-bind the height-3 root", func() bool { return tbl.Primary.Tree.Height() == 3 })
+	// The split's FormatPage re-binds the root before the records that
+	// fill it; re-scan once everything the master wrote is visible.
+	durable := c.SAL.DurableLSN()
+	waitFor(t, "the replica to catch up", func() bool { return rep.VisibleLSN() >= durable })
+	if got := countRows(t, eng, "wide"); got != rows {
+		t.Fatalf("re-scan counts %d rows, want %d", got, rows)
 	}
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -81,6 +82,14 @@ func (s *Session) ExecTraced(sqlText string, force bool) (*Result, uint64, error
 	tc := root.Context()
 	slowTraceID = tc.TraceID
 	res, err := s.exec(sqlText, tr, tc)
+	// A replica read that missed its snapshot restarts the statement
+	// once, after the replica's loop has moved the visible LSN past it.
+	var miss *engine.SnapshotMissError
+	if errors.As(err, &miss) {
+		root.Annotate("restart: %v", err)
+		s.Eng.ReadView().AwaitAbove(miss.LSN)
+		res, err = s.exec(sqlText, tr, tc)
+	}
 	if err != nil {
 		root.Annotate("err=%v", err)
 	}

@@ -134,10 +134,6 @@ type Config struct {
 	// the master's Log Stores and Page Stores, follows a Log Store's
 	// push stream to advance its visible LSN, and serves read-only SQL.
 	Master *DB
-	// ReplicaRefreshInterval is the replica loop's idle tick and its
-	// stream watchdog's unit (OpenReplica only; default 25ms): pushed
-	// frames advance the replica as they arrive.
-	ReplicaRefreshInterval time.Duration
 }
 
 // DB is an open database frontend: a read-write master (Open) or a
@@ -464,46 +460,23 @@ func OpenReplica(cfg Config) (*DB, error) {
 	repName := fmt.Sprintf("replica-%d", m.repSeq.Add(1))
 	repTracer := obs.NewTracer(repName, cfg.TraceSampleRate, 0)
 	repEvents := obs.NewEventRing(0)
-	// loadCkpt rebases the replica on the master's latest checkpoint when
-	// log GC overran a detached tail: merge the checkpoint's catalog and
-	// roots (DDL the replica missed, roots that split while it was
-	// detached) and allocators into the engine, and hand back the
-	// checkpoint watermark as the new tail position. repEng/repSession
-	// are assigned below, before the replica subscribes.
-	var repEng *engine.Engine
-	var repSession *sql.Session
-	loadCkpt := func() (uint64, error) {
-		if m.meta == nil || repEng == nil {
-			return 0, nil
-		}
-		meta, err := m.meta.LoadMeta()
-		if err != nil || meta == nil {
-			return 0, err
-		}
-		st, err := repEng.RecoverFrom(meta, nil)
-		if err != nil {
-			return 0, err
-		}
-		for _, table := range st.Tables {
-			// Best effort: a failed stats refresh leaves defaults, it
-			// must not abort the resync.
-			repSession.Cat.Analyze(table)
-		}
-		return meta.AppliedLSN, nil
-	}
-	rep, err := replica.New(replica.Config{
+	repCfg := replica.Config{
 		Transport: m.tr, Tenant: 1,
 		LogStores: m.logNames, PageStores: m.psNames,
 		ReplicationFactor: m.cfg.ReplicationFactor,
 		PagesPerSlice:     m.cfg.PagesPerSlice,
 		Plugin:            pagestore.PluginInnoDB,
-		RefreshInterval:   cfg.ReplicaRefreshInterval,
 		Metrics:           reg,
 		Name:              repName,
 		Events:            repEvents,
 		Node:              repName,
-		LoadCheckpoint:    loadCkpt,
-	})
+	}
+	if m.meta != nil {
+		// Rebase on the master's latest checkpoint when log GC overran a
+		// detached tail.
+		repCfg.LoadCheckpoint = m.meta.LoadMeta
+	}
+	rep, err := replica.New(repCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -542,8 +515,9 @@ func OpenReplica(cfg Config) (*DB, error) {
 	rep.SetHealth(rm)
 	db.health = rm
 	rep.Bind(eng, func(table string) {
-		// A table the master created after the replica opened: refresh
-		// its optimizer statistics so NDP decisions see it.
+		// A table the master created after the replica opened (streamed
+		// or merged by a checkpoint rebase): refresh its optimizer
+		// statistics so NDP decisions see it.
 		db.session.Cat.Analyze(table)
 	})
 	// Bootstrap the catalog from the master's latest checkpoint meta:
@@ -568,7 +542,6 @@ func OpenReplica(cfg Config) (*DB, error) {
 	// frame is missed, and arm the SAL's frontier relay, whose cost is
 	// O(#LogStores) per advance regardless of replica count.
 	m.tr.Register(db.repName, rep)
-	repEng, repSession = eng, db.session
 	m.eng.SAL().AddFrontierWatch()
 	// Catch up to everything the master had committed when we opened —
 	// the SAL's acknowledged commit watermark, not the per-store max
@@ -598,7 +571,7 @@ func OpenReplica(cfg Config) (*DB, error) {
 func (db *DB) IsReplica() bool { return db.rep != nil }
 
 // ReplicaStats reports a replica's stream-following state: visible LSN,
-// lag in records and bytes, pushed-frame and refresh counts, pages
+// lag in records and bytes, pushed-frame and snapshot-miss counts, pages
 // invalidated, and DDL attached. Zero value on a master.
 func (db *DB) ReplicaStats() replica.Stats {
 	if db.rep == nil {
