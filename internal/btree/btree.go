@@ -4,7 +4,10 @@
 //
 // Trees are page-based. Interior records are node pointers (key, child
 // page id); leaf records hold (key, row) payloads. Leaves are chained
-// with prev/next links. Every structural mutation is expressed as a redo
+// with prev/next links. The root page never moves: a full root is raised
+// in place (InnoDB's rule), so the root page ID a catalog entry records
+// at CREATE stays valid for the life of the index, and the height is the
+// root page's level + 1. Every structural mutation is expressed as a redo
 // log record handed to the Pager, which assigns an LSN, makes the record
 // durable, distributes it to the Page Stores hosting the slice, and
 // applies it to the locally cached page — so the compute node's view and
@@ -34,7 +37,8 @@ type Pager interface {
 	Allocate() uint64
 	// Apply logs the mutation (assigning the record's LSN), applies it
 	// to the cached copy, and distributes it to storage. For
-	// TypeFormatPage it creates the page. It returns the affected page.
+	// TypeFormatPage it creates the page (wal.Format), or replaces an
+	// existing one with it. It returns the affected page.
 	Apply(rec *wal.Record) (*page.Page, error)
 	// CurrentLSN returns the latest assigned LSN; batch reads are
 	// stamped with it.
@@ -47,59 +51,37 @@ type Tree struct {
 
 	mu     sync.RWMutex
 	pager  Pager
-	rootID uint64
-	height int // 1 = root is a leaf
+	rootID uint64 // fixed at Create; a full root is raised in place
 }
 
 // Create builds an empty tree with a fresh leaf root.
 func Create(pager Pager, indexID uint64) (*Tree, error) {
-	t, _, err := CreateAt(pager, indexID)
-	return t, err
-}
-
-// CreateAt is Create returning also the LSN assigned to the root's
-// FormatPage record, so DDL can wait for exactly its own records to
-// become durable instead of a global allocator snapshot.
-func CreateAt(pager Pager, indexID uint64) (*Tree, uint64, error) {
-	rootID := pager.Allocate()
-	rec := &wal.Record{
-		Type: wal.TypeFormatPage, PageID: rootID, IndexID: indexID, Level: 0,
+	t := &Tree{IndexID: indexID, pager: pager}
+	var err error
+	if t.rootID, err = t.formatPage(0); err != nil {
+		return nil, err
 	}
-	if _, err := pager.Apply(rec); err != nil {
-		return nil, 0, err
-	}
-	return &Tree{IndexID: indexID, pager: pager, rootID: rootID, height: 1}, rec.LSN, nil
+	return t, nil
 }
 
-// Attach re-binds a tree to pages that already exist in storage — the
-// recovery path, where the root page ID and height are reconstructed
-// from the durable log's FormatPage records rather than created fresh.
-func Attach(pager Pager, indexID, rootID uint64, height int) *Tree {
-	return &Tree{IndexID: indexID, pager: pager, rootID: rootID, height: height}
+// Attach binds a tree to a root page that already exists in storage —
+// recovery and read replicas, where the root comes from the index's
+// catalog entry.
+func Attach(pager Pager, indexID, rootID uint64) *Tree {
+	return &Tree{IndexID: indexID, pager: pager, rootID: rootID}
 }
 
-// SetRoot re-binds the tree to a new root page — the read-replica path,
-// where a tailed FormatPage record at a higher level announces that the
-// master split the root. Height is 1 for a leaf root.
-func (t *Tree) SetRoot(rootID uint64, height int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rootID = rootID
-	t.height = height
-}
+// Root returns the root page ID, fixed for the life of the tree.
+func (t *Tree) Root() uint64 { return t.rootID }
 
-// Root returns the current root page ID.
-func (t *Tree) Root() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.rootID
-}
-
-// Height returns the tree height (1 = root is a leaf).
+// Height returns the tree height, the root page's level + 1 (1 = the
+// root is a leaf), or 0 when the root page cannot be read.
 func (t *Tree) Height() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.height
+	pg, err := t.pager.Read(t.rootID)
+	if err != nil {
+		return 0
+	}
+	return int(pg.Level()) + 1
 }
 
 // childFor returns the child page to follow from the interior page pg
@@ -134,22 +116,29 @@ func childFor(pg *page.Page, key []byte) (uint64, error) {
 
 // descendLocked returns the page IDs from the root down to the page at
 // stopLevel (0 = leaf) that covers key, following childFor at each
-// interior page. The page at stopLevel itself is not read. The caller
-// holds t.mu.
-func (t *Tree) descendLocked(key []byte, stopLevel int) ([]uint64, error) {
+// interior page, and the level of the path's last page: stopLevel, or
+// the root's level when the root is lower. Below the root, the page at
+// stopLevel itself is not read. The caller holds t.mu.
+func (t *Tree) descendLocked(key []byte, stopLevel int) ([]uint64, int, error) {
 	path := []uint64{t.rootID}
-	for level := t.height - 1; level > stopLevel; level-- {
-		pg, err := t.pager.Read(path[len(path)-1])
-		if err != nil {
-			return nil, err
-		}
+	pg, err := t.pager.Read(t.rootID)
+	if err != nil {
+		return nil, 0, err
+	}
+	level := int(pg.Level())
+	for level > stopLevel {
 		child, err := childFor(pg, key)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		path = append(path, child)
+		if level--; level > stopLevel {
+			if pg, err = t.pager.Read(child); err != nil {
+				return nil, 0, err
+			}
+		}
 	}
-	return path, nil
+	return path, level, nil
 }
 
 // Insert adds a (key, row) pair with the given transaction ID. Duplicate
@@ -165,7 +154,7 @@ func (t *Tree) descendLocked(key []byte, stopLevel int) ([]uint64, error) {
 func (t *Tree) Insert(key, row []byte, trxID uint64) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	path, err := t.descendLocked(key, 0)
+	path, _, err := t.descendLocked(key, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -221,8 +210,15 @@ func lastPos(pg *page.Page) int {
 }
 
 // splitLocked splits the leaf at the end of path (splitting ancestors as
-// needed) and returns the leaf that should now receive key.
+// needed; a leaf root is raised first) and returns the leaf that should
+// now receive key.
 func (t *Tree) splitLocked(path []uint64, key []byte) (*page.Page, error) {
+	if len(path) == 1 {
+		var err error
+		if path, err = t.raiseRootLocked(); err != nil {
+			return nil, err
+		}
+	}
 	leafID := path[len(path)-1]
 	leaf, err := t.pager.Read(leafID)
 	if err != nil {
@@ -233,16 +229,14 @@ func (t *Tree) splitLocked(path []uint64, key []byte) (*page.Page, error) {
 	// rightmost leaf instead of half-splitting — pages load ~100% full.
 	if leaf.NextPage() == page.InvalidPageID {
 		if lk, err := lastKeyOf(leaf); err == nil && lk != nil && bytes.Compare(key, lk) >= 0 {
-			newID := t.pager.Allocate()
-			if _, err := t.pager.Apply(&wal.Record{
-				Type: wal.TypeFormatPage, PageID: newID, IndexID: t.IndexID, Level: 0,
-			}); err != nil {
+			newID, err := t.formatPage(0)
+			if err != nil {
 				return nil, err
 			}
 			if err := t.linkSiblings(leafID, newID); err != nil {
 				return nil, err
 			}
-			if err := t.insertNodePtr(path[:len(path)-1], append([]byte(nil), key...), newID, 0); err != nil {
+			if err := t.insertNodePtr(path[:len(path)-1], append([]byte(nil), key...), newID); err != nil {
 				return nil, err
 			}
 			return t.pager.Read(newID)
@@ -252,7 +246,7 @@ func (t *Tree) splitLocked(path []uint64, key []byte) (*page.Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.insertNodePtr(path[:len(path)-1], sepKey, newLeafID, 0); err != nil {
+	if err := t.insertNodePtr(path[:len(path)-1], sepKey, newLeafID); err != nil {
 		return nil, err
 	}
 	// Decide which half receives the key.
@@ -276,28 +270,20 @@ func (t *Tree) splitPage(pageID uint64) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("btree: cannot split page %d with %d records", pageID, len(recs))
 	}
 	mid := len(recs) / 2
-	newID := t.pager.Allocate()
-	if _, err := t.pager.Apply(&wal.Record{
-		Type: wal.TypeFormatPage, PageID: newID, IndexID: t.IndexID, Level: pg.Level(),
-	}); err != nil {
+	newID, err := t.formatPage(pg.Level())
+	if err != nil {
 		return 0, nil, err
 	}
-	// Copy upper half to the new page (append order preserves key
-	// order), then delete-mark and compact the old page. The separator
-	// key must be captured first: record payloads alias the old page's
-	// buffer, which Compact rewrites.
+	// Move the upper half to the new page, then delete-mark and compact
+	// the old page. The separator key must be captured first: record
+	// payloads alias the old page's buffer, which Compact rewrites.
 	moved := recs[mid:]
 	sepKey, err := splitSepKey(pg, moved[0])
 	if err != nil {
 		return 0, nil, err
 	}
-	for _, r := range moved {
-		if _, err := t.pager.Apply(&wal.Record{
-			Type: wal.TypeInsertRec, PageID: newID, Off: wal.OffAppend,
-			RecType: r.Type, TrxID: r.TrxID, Payload: append([]byte(nil), r.Payload...),
-		}); err != nil {
-			return 0, nil, err
-		}
+	if err := t.moveRecords(moved, newID); err != nil {
+		return 0, nil, err
 	}
 	for _, r := range moved {
 		if _, err := t.pager.Apply(&wal.Record{
@@ -316,6 +302,64 @@ func (t *Tree) splitPage(pageID uint64) (uint64, []byte, error) {
 		return 0, nil, err
 	}
 	return newID, sepKey, nil
+}
+
+// formatPage allocates a page of this index and formats it empty at
+// level, returning its ID.
+func (t *Tree) formatPage(level uint16) (uint64, error) {
+	id := t.pager.Allocate()
+	_, err := t.pager.Apply(&wal.Record{
+		Type: wal.TypeFormatPage, PageID: id, IndexID: t.IndexID, Level: level,
+	})
+	return id, err
+}
+
+// moveRecords appends the live records of recs, in order, to the page
+// dst (append order preserves key order). Delete-marked records stay
+// behind, as Compact drops them from the page they leave: an InsertRec
+// carries no delete mark, so copying one would bring a deleted row back.
+func (t *Tree) moveRecords(recs []page.Record, dst uint64) error {
+	for _, r := range recs {
+		if r.Deleted {
+			continue
+		}
+		if _, err := t.pager.Apply(&wal.Record{
+			Type: wal.TypeInsertRec, PageID: dst, Off: wal.OffAppend,
+			RecType: r.Type, TrxID: r.TrxID, Payload: append([]byte(nil), r.Payload...),
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// raiseRootLocked grows the tree by one level without moving its root:
+// the full root's live records move into a fresh child at the root's
+// level, then one FormatPage rewrites the root one level up holding a
+// single empty-keyed node pointer to that child. A reader at any LSN
+// sees either the old root, whole, or the raised one over a filled
+// child, and the empty key makes the child cover every key, including
+// keys below everything the old root held. Returns the path from the
+// root to the child. The caller holds t.mu.
+func (t *Tree) raiseRootLocked() ([]uint64, error) {
+	root, err := t.pager.Read(t.rootID)
+	if err != nil {
+		return nil, err
+	}
+	childID, err := t.formatPage(root.Level())
+	if err != nil {
+		return nil, err
+	}
+	if err := t.moveRecords(root.Records(), childID); err != nil {
+		return nil, err
+	}
+	if _, err := t.pager.Apply(&wal.Record{
+		Type: wal.TypeFormatPage, PageID: t.rootID, IndexID: t.IndexID, Level: root.Level() + 1,
+		Payload: page.EncodeNodePtr(nil, nil, childID),
+	}); err != nil {
+		return nil, err
+	}
+	return []uint64{t.rootID, childID}, nil
 }
 
 // linkSiblings splices newID into the chain right after oldID.
@@ -364,56 +408,28 @@ func splitSepKey(pg *page.Page, moved page.Record) ([]byte, error) {
 	return append([]byte(nil), k...), nil
 }
 
-// insertNodePtr inserts a (sepKey -> child) pointer into the parent at
-// the end of path, splitting upward as needed. An empty path means the
-// root split: a new root is created one level up.
-func (t *Tree) insertNodePtr(path []uint64, sepKey []byte, child uint64, childLevel uint16) error {
+// insertNodePtr inserts a (sepKey -> child) pointer into the interior
+// page at the end of path, splitting it (and its ancestors) when full; a
+// full root is raised first, so the path never runs out.
+func (t *Tree) insertNodePtr(path []uint64, sepKey []byte, child uint64) error {
 	payload := page.EncodeNodePtr(nil, sepKey, child)
-	if len(path) == 0 {
-		// Root split: new root points at old root and the new child.
-		oldRoot := t.rootID
-		oldPg, err := t.pager.Read(oldRoot)
-		if err != nil {
-			return err
-		}
-		newRootID := t.pager.Allocate()
-		if _, err := t.pager.Apply(&wal.Record{
-			Type: wal.TypeFormatPage, PageID: newRootID, IndexID: t.IndexID, Level: oldPg.Level() + 1,
-		}); err != nil {
-			return err
-		}
-		// Leftmost pointer uses the old root's first key.
-		firstKey, err := firstKeyOf(oldPg)
-		if err != nil {
-			return err
-		}
-		if _, err := t.pager.Apply(&wal.Record{
-			Type: wal.TypeInsertRec, PageID: newRootID, Off: wal.OffAppend,
-			RecType: page.RecNodePtr, Payload: page.EncodeNodePtr(nil, firstKey, oldRoot),
-		}); err != nil {
-			return err
-		}
-		if _, err := t.pager.Apply(&wal.Record{
-			Type: wal.TypeInsertRec, PageID: newRootID, Off: wal.OffAppend,
-			RecType: page.RecNodePtr, Payload: payload,
-		}); err != nil {
-			return err
-		}
-		t.rootID = newRootID
-		t.height++
-		return nil
-	}
 	parentID := path[len(path)-1]
 	parent, err := t.pager.Read(parentID)
 	if err != nil {
 		return err
 	}
 	if !parent.HasRoomFor(len(payload)) {
+		if len(path) == 1 {
+			if path, err = t.raiseRootLocked(); err != nil {
+				return err
+			}
+			parentID = path[1]
+		}
 		newID, parentSep, err := t.splitPage(parentID)
 		if err != nil {
 			return err
 		}
-		if err := t.insertNodePtr(path[:len(path)-1], parentSep, newID, parent.Level()); err != nil {
+		if err := t.insertNodePtr(path[:len(path)-1], parentSep, newID); err != nil {
 			return err
 		}
 		if bytes.Compare(sepKey, parentSep) >= 0 {
@@ -460,27 +476,13 @@ func lastKeyOf(pg *page.Page) ([]byte, error) {
 	return append([]byte(nil), k...), err
 }
 
-func firstKeyOf(pg *page.Page) ([]byte, error) {
-	off := pg.FirstRecord()
-	if off == 0 {
-		return nil, nil // empty page: empty key sorts first
-	}
-	r := pg.RecordAt(off)
-	if pg.Level() == 0 {
-		k, _, err := page.SplitLeafPayload(r.Payload)
-		return append([]byte(nil), k...), err
-	}
-	k, _, err := page.SplitNodePtr(r.Payload)
-	return append([]byte(nil), k...), err
-}
-
 // SeekLeaf returns the page ID of the leaf that may contain key; a nil
 // key returns the leftmost leaf, the head of the leaf chain. The leaf
-// itself is not read.
+// itself is not read, unless it is the root.
 func (t *Tree) SeekLeaf(key []byte) (uint64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	path, err := t.descendLocked(key, 0)
+	path, _, err := t.descendLocked(key, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -517,18 +519,18 @@ func (t *Tree) CollectBatch(startKey, endKey []byte) (Batch, error) {
 	if endKey != nil && bytes.Compare(startKey, endKey) > 0 {
 		return b, nil
 	}
-	if t.height == 1 {
-		// Root is the only leaf.
-		b.LeafIDs = []uint64{t.rootID}
-		return b, nil
-	}
-	path, err := t.descendLocked(startKey, 1)
+	path, level, err := t.descendLocked(startKey, 1)
 	if err != nil {
 		return b, err
 	}
+	if level == 0 {
+		// The root is the only leaf.
+		b.LeafIDs = path
+		return b, nil
+	}
 	last := page.InvalidPageID
 	if endKey != nil {
-		endPath, err := t.descendLocked(endKey, 0)
+		endPath, _, err := t.descendLocked(endKey, 0)
 		if err != nil {
 			return b, err
 		}

@@ -45,9 +45,17 @@ func (m *memPager) Allocate() uint64 {
 func (m *memPager) Apply(rec *wal.Record) (*page.Page, error) {
 	rec.LSN = m.lsn.Add(1)
 	m.applied = append(m.applied, *rec)
+	return m.apply(rec)
+}
+
+// apply replays one logged record onto the page map, as a Page Store
+// would.
+func (m *memPager) apply(rec *wal.Record) (*page.Page, error) {
 	if rec.Type == wal.TypeFormatPage {
-		pg := page.New(rec.PageID, rec.IndexID, rec.Level)
-		pg.SetLSN(rec.LSN)
+		pg, err := wal.Format(rec)
+		if err != nil {
+			return nil, err
+		}
 		m.pages[rec.PageID] = pg
 		return pg, nil
 	}
@@ -368,40 +376,170 @@ func TestCollectBatchFullScan(t *testing.T) {
 	}
 }
 
-// TestScatteredInsertsKeepEveryLeafChained checks, at heights 2-4, that
-// the leaf chain built by scattered (seeded random) inserts holds exactly
-// the inserted keys in sorted order.
+// TestScatteredInsertsKeepEveryLeafChained checks, for 20 seeds at each
+// of heights 2-4, that the leaf chain built by scattered (seeded random)
+// inserts holds exactly the inserted keys in sorted order.
 func TestScatteredInsertsKeepEveryLeafChained(t *testing.T) {
-	t.Skip("ROADMAP 1c: the root split keys the leftmost node pointer with the old root's first key, " +
-		"so keys inserted below it later land out of order; fails with seeds 3 and 4 (heights 3 and 4)")
 	for h := 2; h <= 4; h++ {
-		t.Run(fmt.Sprintf("height=%d", h), func(t *testing.T) {
-			r := rand.New(rand.NewSource(int64(h)))
-			seen := map[int64]bool{}
-			m, _, keys := growTree(t, h, func() int64 {
-				for {
-					if v := r.Int63n(1 << 40); !seen[v] {
-						seen[v] = true
-						return v
+		for seed := 1; seed <= 20; seed++ {
+			t.Run(fmt.Sprintf("height=%d/seed=%d", h, seed), func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(100*h + seed)))
+				seen := map[int64]bool{}
+				m, _, keys := growTree(t, h, func() int64 {
+					for {
+						if v := r.Int63n(1 << 40); !seen[v] {
+							seen[v] = true
+							return v
+						}
+					}
+				})
+				slices.SortFunc(keys, bytes.Compare)
+				_, chainKeys := leafChain(t, m)
+				var got [][]byte
+				for _, ks := range chainKeys {
+					got = append(got, ks...)
+				}
+				if len(got) != len(keys) {
+					t.Fatalf("leaf chain holds %d keys, inserted %d", len(got), len(keys))
+				}
+				for i := range keys {
+					if !bytes.Equal(got[i], keys[i]) {
+						t.Fatalf("leaf chain key %d differs from the sorted model", i)
 					}
 				}
 			})
-			slices.SortFunc(keys, bytes.Compare)
-			_, chainKeys := leafChain(t, m)
-			var got [][]byte
-			for _, ks := range chainKeys {
-				got = append(got, ks...)
+		}
+	}
+}
+
+// TestRootRaiseKeepsEveryKeyAtEveryLSN grows a tree to height 3 from
+// random keys, then, at every LSN inside each root raise (from the LSN
+// before the child's FormatPage through the root's), replays the log
+// prefix onto fresh pages and attaches a tree at the fixed root, as a
+// read replica or a recovering frontend does. Every key the tree held
+// just before the raise must still be found, by descent and by walking
+// the leaf chain.
+func TestRootRaiseKeepsEveryKeyAtEveryLSN(t *testing.T) {
+	m := newMemPager()
+	tree, _ := Create(m, 1)
+	r := rand.New(rand.NewSource(1))
+	pad := bytes.Repeat([]byte{'k'}, 200)
+	var keys [][]byte
+	for tree.Height() < 3 {
+		k := append(intKey(r.Int63n(1<<40)), pad...)
+		if _, err := tree.Insert(k, []byte("r"), 1); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	// A raise runs from its child's FormatPage to the root's.
+	formatted := map[uint64]uint64{} // page → LSN of its latest FormatPage
+	type raise struct{ from, to uint64 }
+	var raises []raise
+	for _, rec := range m.applied {
+		if rec.Type != wal.TypeFormatPage {
+			continue
+		}
+		formatted[rec.PageID] = rec.LSN
+		if rec.PageID == tree.Root() && rec.Level > 0 {
+			_, child, err := page.SplitNodePtr(rec.Payload)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(got) != len(keys) {
-				t.Fatalf("leaf chain holds %d keys, inserted %d", len(got), len(keys))
-			}
-			for i := range keys {
-				if !bytes.Equal(got[i], keys[i]) {
-					t.Fatalf("leaf chain key %d differs from the sorted model", i)
+			raises = append(raises, raise{formatted[child], rec.LSN})
+		}
+	}
+	if len(raises) != 2 {
+		t.Fatalf("%d root raises, want 2", len(raises))
+	}
+	replayed := newMemPager()
+	next, checked := 0, 0
+	for _, rz := range raises {
+		// The raise may sit inside a leaf split, whose moved records are
+		// not reachable until its node pointer lands: the baseline is
+		// what is findable at the LSN before the raise.
+		var held [][]byte
+		for lsn := rz.from - 1; lsn <= rz.to; lsn++ {
+			for ; next < len(m.applied) && m.applied[next].LSN <= lsn; next++ {
+				if _, err := replayed.apply(&m.applied[next]); err != nil {
+					t.Fatal(err)
 				}
 			}
-		})
+			view := Attach(replayed, 1, tree.Root())
+			if held == nil {
+				var err error
+				if held, err = findable(replayed, view, keys); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			got, err := findable(replayed, view, held)
+			if err != nil {
+				t.Fatalf("at LSN %d (raise %d..%d): %v", lsn, rz.from, rz.to, err)
+			}
+			if len(got) != len(held) {
+				t.Fatalf("at LSN %d (raise %d..%d): %d of %d keys findable", lsn, rz.from, rz.to, len(got), len(held))
+			}
+			checked++
+		}
 	}
+	t.Logf("checked %d LSNs across %d raises", checked, len(raises))
+}
+
+// findable returns the keys that both SeekLeaf leads to and the leaf
+// chain from SeekLeaf(nil) holds.
+func findable(pgr Pager, tree *Tree, keys [][]byte) ([][]byte, error) {
+	type leaf struct {
+		keys map[string]bool
+		next uint64
+	}
+	leaves := map[uint64]leaf{}
+	leafAt := func(id uint64) (leaf, error) {
+		if l, ok := leaves[id]; ok {
+			return l, nil
+		}
+		pg, err := pgr.Read(id)
+		if err != nil {
+			return leaf{}, err
+		}
+		l := leaf{keys: map[string]bool{}, next: pg.NextPage()}
+		pg.Iter(func(r page.Record) bool {
+			k, _, _ := page.SplitLeafPayload(r.Payload)
+			l.keys[string(k)] = true
+			return true
+		})
+		leaves[id] = l
+		return l, nil
+	}
+	chain := map[string]bool{}
+	id, err := tree.SeekLeaf(nil)
+	for err == nil && id != page.InvalidPageID {
+		var l leaf
+		if l, err = leafAt(id); err == nil {
+			for k := range l.keys {
+				chain[k] = true
+			}
+			id = l.next
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	var out [][]byte
+	for _, k := range keys {
+		leafID, err := tree.SeekLeaf(k)
+		if err != nil {
+			return nil, err
+		}
+		l, err := leafAt(leafID)
+		if err != nil {
+			return nil, err
+		}
+		if l.keys[string(k)] && chain[string(k)] {
+			out = append(out, k)
+		}
+	}
+	return out, nil
 }
 
 func TestCollectBatchRangeBoundaries(t *testing.T) {
@@ -524,24 +662,17 @@ func TestRedoReplayConvergence(t *testing.T) {
 		tree.Insert(intKey(r.Int63n(100000)), bytes.Repeat([]byte("p"), 1+r.Intn(200)), 9)
 	}
 	// Replay.
-	replica := map[uint64]*page.Page{}
+	replica := newMemPager()
 	for i := range m.applied {
-		rec := &m.applied[i]
-		if rec.Type == wal.TypeFormatPage {
-			pg := page.New(rec.PageID, rec.IndexID, rec.Level)
-			pg.SetLSN(rec.LSN)
-			replica[rec.PageID] = pg
-			continue
-		}
-		if err := wal.Apply(replica[rec.PageID], rec); err != nil {
+		if _, err := replica.apply(&m.applied[i]); err != nil {
 			t.Fatalf("replay: %v", err)
 		}
 	}
-	if len(replica) != len(m.pages) {
-		t.Fatalf("replica has %d pages, primary %d", len(replica), len(m.pages))
+	if len(replica.pages) != len(m.pages) {
+		t.Fatalf("replica has %d pages, primary %d", len(replica.pages), len(m.pages))
 	}
 	for id, pg := range m.pages {
-		if !bytes.Equal(pg.Bytes(), replica[id].Bytes()) {
+		if !bytes.Equal(pg.Bytes(), replica.pages[id].Bytes()) {
 			t.Fatalf("page %d diverged after replay", id)
 		}
 	}

@@ -203,7 +203,7 @@ func (p *Pool) GetAsOf(pageID uint64, asOf func() uint64, fetch func(pageID uint
 		sh.mu.Unlock()
 		pg, err := fetch(pageID)
 		if err == nil {
-			pg = p.insertNewer(pg, epoch)
+			pg = p.insertFrame(pg, epoch)
 		}
 		return pg, err
 	}
@@ -214,7 +214,7 @@ func (p *Pool) GetAsOf(pageID uint64, asOf func() uint64, fetch func(pageID uint
 	// Fetch outside the lock; joiners wait on fl.done.
 	pg, err := fetch(pageID)
 	if err == nil {
-		pg = p.insertNewer(pg, epoch)
+		pg = p.insertFrame(pg, epoch)
 	}
 	fl.pg, fl.err = pg, err
 	sh.mu.Lock()
@@ -241,26 +241,19 @@ func (p *Pool) Lookup(pageID uint64) (*page.Page, bool) {
 	return f.pg, true
 }
 
-// Insert caches a page (idempotent), evicting LRU pages as needed.
-func (p *Pool) Insert(pg *page.Page) {
-	p.insertFrame(pg, false, p.epoch.Load())
+// Insert caches a page image, evicting LRU pages as needed, and returns
+// the resident image. When a frame is already resident the higher page
+// LSN wins: a formatted page replaces its older image, and a fetch
+// completing after a fresher one cannot shadow it.
+func (p *Pool) Insert(pg *page.Page) *page.Page {
+	return p.insertFrame(pg, p.epoch.Load())
 }
 
-// insertNewer caches a fetched page, resolving races between concurrent
-// fetches of the same page by page LSN: if a frame is already resident,
-// the higher-LSN image wins (a stale-bound fetch completing AFTER a
-// fresh one must not shadow it, and vice versa). epoch is the pool
-// epoch observed before the fetch started. Returns the resident image.
-func (p *Pool) insertNewer(pg *page.Page, epoch uint64) *page.Page {
-	return p.insertFrame(pg, true, epoch)
-}
-
-// insertFrame is the shared insert path: existing frames either win
-// (plain Insert) or lose to a higher-LSN image (replaceNewer); a new
-// frame evicts LRU pages for space. An image is rejected (returned
-// uncached) when a Clear intervened since epoch was observed or when
-// the page's invalidation floor says it is stale.
-func (p *Pool) insertFrame(pg *page.Page, replaceNewer bool, epoch uint64) *page.Page {
+// insertFrame is Insert for an image fetched since the pool epoch was
+// epoch. An image is rejected (returned uncached) when a Clear
+// intervened since then or when the page's invalidation floor says it
+// is stale.
+func (p *Pool) insertFrame(pg *page.Page, epoch uint64) *page.Page {
 	id := pg.ID()
 	sh := p.shardOf(id)
 	ndpShare := p.ndpShare()
@@ -283,7 +276,7 @@ func (p *Pool) insertFrame(pg *page.Page, replaceNewer bool, epoch uint64) *page
 		delete(sh.floors, id)
 	}
 	if f, ok := sh.frames[id]; ok {
-		if replaceNewer && pg.LSN() > f.pg.LSN() {
+		if pg.LSN() > f.pg.LSN() {
 			f.pg = pg
 		}
 		return f.pg

@@ -100,10 +100,17 @@ func TestInsertIdempotent(t *testing.T) {
 	a := page.New(5, 1, 0)
 	b := page.New(5, 1, 0)
 	p.Insert(a)
-	p.Insert(b)
-	got, _ := p.Lookup(5)
-	if got != a {
-		t.Error("second insert must not replace the first copy")
+	if got := p.Insert(b); got != a {
+		t.Error("second insert at the same page LSN must not replace the first copy")
+	}
+	// A higher page LSN wins: a formatted page replaces its old image.
+	c := page.New(5, 1, 1)
+	c.SetLSN(9)
+	if got := p.Insert(c); got != c {
+		t.Error("an image with a higher page LSN must replace the resident one")
+	}
+	if got := p.Insert(a); got != c {
+		t.Error("an older image must not replace a newer one")
 	}
 	if p.Resident() != 1 {
 		t.Errorf("resident = %d", p.Resident())

@@ -38,18 +38,6 @@ func (e *Engine) Insert(t *Table, tx *txn.Txn, row types.Row) error {
 	return nil
 }
 
-// LoadSorted bulk-inserts rows that arrive in primary key order (the
-// TPC-H generator produces them that way); it is Insert without
-// per-row validation overhead, kept separate for clarity at call sites.
-func (e *Engine) LoadSorted(t *Table, tx *txn.Txn, rows []types.Row) error {
-	for _, r := range rows {
-		if err := e.Insert(t, tx, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // findInLeaf locates the record with exactly key in the leaf, returning
 // its offset (0 if absent).
 func findInLeaf(leaf *page.Page, key []byte) int {

@@ -49,8 +49,8 @@ type ReadView interface {
 var ErrReadOnly = fmt.Errorf("engine: read-only replica")
 
 // SnapshotMissError is a failed read-replica read at snapshot LSN: the
-// page version left the Page Stores' retention, a root the view's loop
-// re-bound is newer than the snapshot, or the read failed in transit.
+// page version left the Page Stores' retention, a page (a table's root
+// among them) is newer than the snapshot, or the read failed in transit.
 // The engine does not retry; the statement restarts once the visible
 // LSN passes LSN (ReadView.AwaitAbove).
 type SnapshotMissError struct {
@@ -332,11 +332,13 @@ func (p pager) Apply(rec *wal.Record) (*page.Page, error) {
 		return nil, err
 	}
 	if rec.Type == wal.TypeFormatPage {
-		pg := page.New(rec.PageID, rec.IndexID, rec.Level)
-		pg.SetLSN(rec.LSN)
-		p.e.pool.Insert(pg)
-		got, _ := p.e.pool.Lookup(rec.PageID)
-		return got, nil
+		// A new page object, never the pooled one mutated: a reader
+		// still holding a raised root's old image keeps reading it.
+		pg, err := wal.Format(rec)
+		if err != nil {
+			return nil, err
+		}
+		return p.e.pool.Insert(pg), nil
 	}
 	if pg, ok := p.e.pool.Lookup(rec.PageID); ok {
 		if err := wal.Apply(pg, rec); err != nil {
@@ -374,37 +376,39 @@ func (e *Engine) CreateSecondaryIndex(table, name string, cols []int) (*Index, e
 	})
 }
 
-// create runs one DDL statement: it assigns the next index ID, logs the
-// definition as a catalog record ahead of the tree's root page (so a
-// restarted frontend rebuilds its data dictionary from the same durable
-// log that rebuilds the pages), registers both, and waits until they
-// are durable. DDL is acknowledged durable: the root's LSN covers the
-// catalog record logged just before it, and a crash right after create
-// returns must not lose the definition. Application to the Page Stores
-// is asynchronous like any other write.
+// create runs one DDL statement: it assigns the next index ID, formats
+// the tree's root page and then logs the definition, root included, as
+// a catalog record (so a restarted frontend or a replica rebuilds its
+// data dictionary from the same durable log that rebuilds the pages,
+// and finds the root already there), registers both, and waits until
+// they are durable. DDL is acknowledged durable: the catalog record's
+// LSN covers the root's, and a crash right after create returns must not
+// lose the definition. Application to the Page Stores is asynchronous
+// like any other write.
 func (e *Engine) create(entry *wal.CatalogEntry) (*Index, error) {
 	if e.view != nil {
 		return nil, ErrReadOnly
 	}
-	var rootLSN uint64
+	var lsn uint64
 	e.mu.Lock()
 	entry.IndexID = e.nextIndex
 	idx, err := e.register(entry, func() (*btree.Tree, error) {
-		// The ID is spent once its catalog record may be in the log,
-		// even if the root page then fails.
+		// The ID is spent once its root page may be in the log, even if
+		// the catalog record then fails.
 		e.nextIndex++
-		if _, err := e.logCatalog(entry); err != nil {
+		tree, err := btree.Create(pager{e}, entry.IndexID)
+		if err != nil {
 			return nil, err
 		}
-		tree, lsn, err := btree.CreateAt(pager{e}, entry.IndexID)
-		rootLSN = lsn
+		entry.Root = tree.Root()
+		lsn, err = e.logCatalog(entry)
 		return tree, err
 	})
 	e.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	if err := e.salc.WaitDurable(rootLSN); err != nil {
+	if err := e.salc.WaitDurable(lsn); err != nil {
 		return nil, err
 	}
 	return idx, nil

@@ -128,9 +128,6 @@ type RecoveryStats struct {
 	// Indexes counts the secondary indexes it registered.
 	Tables  []string
 	Indexes int
-	// RootsAdvanced counts already-registered indexes whose root moved
-	// up (root splits since they were registered).
-	RootsAdvanced int
 	// Records is the total log records scanned.
 	Records int
 	// MaxLSN, MaxTrxID are the highest sequence numbers observed; the
@@ -139,10 +136,11 @@ type RecoveryStats struct {
 	MaxTrxID uint64
 }
 
-// CheckpointBase snapshots the data dictionary, every index's current
-// root and the page, index and transaction allocators as the meta
-// checkpoint RecoverFrom merges back. Catalog entries come in creation
-// order: tables by primary index ID, each followed by its secondaries.
+// CheckpointBase snapshots the data dictionary (each entry with its
+// index's root) and the page, index and transaction allocators as the
+// meta checkpoint RecoverFrom merges back. Catalog entries come in
+// creation order: tables by primary index ID, each followed by its
+// secondaries.
 // AppliedLSN and MaxLSN are left to the caller, because the SAL owns
 // the LSN allocator and the cluster watermark.
 func (e *Engine) CheckpointBase() *pstore.Meta {
@@ -158,22 +156,19 @@ func (e *Engine) CheckpointBase() *pstore.Meta {
 		tables = append(tables, t)
 	}
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Primary.ID < tables[j].Primary.ID })
-	add := func(idx *Index, entry *wal.CatalogEntry) {
+	add := func(entry *wal.CatalogEntry) {
 		base.Catalog = append(base.Catalog, entry.EncodeCatalog(nil))
-		base.Roots = append(base.Roots, pstore.Root{
-			IndexID: idx.ID, PageID: idx.Tree.Root(), Level: uint16(idx.Tree.Height() - 1),
-		})
 	}
 	for _, t := range tables {
-		add(t.Primary, &wal.CatalogEntry{
-			Kind: wal.CatalogCreateTable, IndexID: t.Primary.ID,
+		add(&wal.CatalogEntry{
+			Kind: wal.CatalogCreateTable, IndexID: t.Primary.ID, Root: t.Primary.Tree.Root(),
 			Table: t.Name, Cols: catalogCols(t.Schema), Ords: t.PKCols,
 		})
 		secs := append([]*Index(nil), t.Secondaries...)
 		sort.Slice(secs, func(i, j int) bool { return secs[i].ID < secs[j].ID })
 		for _, idx := range secs {
-			add(idx, &wal.CatalogEntry{
-				Kind: wal.CatalogCreateIndex, IndexID: idx.ID,
+			add(&wal.CatalogEntry{
+				Kind: wal.CatalogCreateIndex, IndexID: idx.ID, Root: idx.Tree.Root(),
 				Table: t.Name, Index: idx.Name,
 				Ords: idx.TableOrds[:len(idx.TableOrds)-len(t.PKCols)],
 			})
@@ -189,17 +184,11 @@ func (e *Engine) CheckpointBase() *pstore.Meta {
 // may already hold part of what they bring. The merge rules:
 //
 //   - Every catalog entry whose index ID is not registered yet is
-//     registered, the base's first and then the tail's in log order;
-//     an ID that is already registered (in the engine, or earlier in
-//     the same call) is skipped, so merging the same input twice
-//     changes nothing.
-//   - An index's root is the base's root unless a FormatPage record
-//     formats a page of that index at a strictly higher level (a root
-//     split; at equal level the base, or else the earliest page, is the
-//     newer fact). A new index is attached at that root, or given a
-//     fresh one when the log holds its catalog entry but no page (a
-//     crash between a DDL's two records). A registered index moves
-//     only to a strictly higher root.
+//     registered, the base's first and then the tail's in log order,
+//     and attached at the root page its entry records (roots never
+//     move, and a root is logged before its entry); an ID that is
+//     already registered (in the engine, or earlier in the same call)
+//     is skipped, so merging the same input twice changes nothing.
 //   - The page, index and transaction allocators only rise, to the
 //     highest IDs the base and the records mention.
 //
@@ -207,7 +196,6 @@ func (e *Engine) CheckpointBase() *pstore.Meta {
 // same records through the Page Store apply path (sal.Replay).
 func (e *Engine) RecoverFrom(base *pstore.Meta, recs []wal.Record) (RecoveryStats, error) {
 	st := RecoveryStats{Records: len(recs)}
-	roots := make(map[uint64]pstore.Root)
 	var entries []*wal.CatalogEntry
 	var maxPage, maxIndex uint64
 	addEntry := func(payload []byte) error {
@@ -226,9 +214,6 @@ func (e *Engine) RecoverFrom(base *pstore.Meta, recs []wal.Record) (RecoveryStat
 	if base != nil {
 		st.MaxLSN, st.MaxTrxID = base.MaxLSN, base.MaxTrxID
 		maxPage, maxIndex = base.MaxPageID, base.MaxIndexID
-		for _, r := range base.Roots {
-			roots[r.IndexID] = r
-		}
 		for _, payload := range base.Catalog {
 			if err := addEntry(payload); err != nil {
 				return st, err
@@ -240,15 +225,12 @@ func (e *Engine) RecoverFrom(base *pstore.Meta, recs []wal.Record) (RecoveryStat
 		st.MaxLSN = max(st.MaxLSN, rec.LSN)
 		st.MaxTrxID = max(st.MaxTrxID, rec.TrxID)
 		maxPage = max(maxPage, rec.PageID)
-		switch rec.Type {
-		case wal.TypeCatalog:
+		// A root formatted by a DDL that crashed before its catalog
+		// record still spent its index ID.
+		maxIndex = max(maxIndex, rec.IndexID)
+		if rec.Type == wal.TypeCatalog {
 			if err := addEntry(rec.Payload); err != nil {
 				return st, err
-			}
-		case wal.TypeFormatPage:
-			maxIndex = max(maxIndex, rec.IndexID)
-			if r, ok := roots[rec.IndexID]; !ok || rec.Level > r.Level {
-				roots[rec.IndexID] = pstore.Root{IndexID: rec.IndexID, PageID: rec.PageID, Level: rec.Level}
 			}
 		}
 	}
@@ -258,6 +240,7 @@ func (e *Engine) RecoverFrom(base *pstore.Meta, recs []wal.Record) (RecoveryStat
 	}
 
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if maxIndex >= e.nextIndex {
 		e.nextIndex = maxIndex + 1
 	}
@@ -266,36 +249,15 @@ func (e *Engine) RecoverFrom(base *pstore.Meta, recs []wal.Record) (RecoveryStat
 			continue
 		}
 		_, err := e.register(entry, func() (*btree.Tree, error) {
-			if r, ok := roots[entry.IndexID]; ok {
-				return btree.Attach(pager{e}, entry.IndexID, r.PageID, int(r.Level)+1), nil
-			}
-			return btree.Create(pager{e}, entry.IndexID)
+			return btree.Attach(pager{e}, entry.IndexID, entry.Root), nil
 		})
 		if err != nil {
-			e.mu.Unlock()
 			return st, err
 		}
 		if entry.Kind == wal.CatalogCreateTable {
 			st.Tables = append(st.Tables, entry.Table)
 		} else {
 			st.Indexes++
-		}
-	}
-	var known []*Index
-	for id := range roots {
-		if idx, ok := e.indexes[id]; ok {
-			known = append(known, idx)
-		}
-	}
-	e.mu.Unlock()
-	// Re-bind roots with e.mu released: Tree.SetRoot takes the tree's
-	// write lock, and a reader inside a descent may hold its read lock
-	// while it waits on the engine.
-	for _, idx := range known {
-		r := roots[idx.ID]
-		if int(r.Level)+1 > idx.Tree.Height() {
-			idx.Tree.SetRoot(r.PageID, int(r.Level)+1)
-			st.RootsAdvanced++
 		}
 	}
 	return st, nil

@@ -352,7 +352,7 @@ func (h *hub) run() {
 			cursor := h.cursor
 			h.mu.Unlock()
 			if synced {
-				h.multicast(nil, 0)
+				h.multicast(cursor, nil, 0)
 			}
 			if cursor >= contiguous {
 				break
@@ -368,10 +368,9 @@ func (h *hub) run() {
 				// rather than spin.
 				break
 			}
-			h.mu.Lock()
-			h.cursor = cursor + uint64(count)
-			h.mu.Unlock()
-			h.multicast(enc, uint32(count))
+			// Frames nothing when a first subscriber moved the cursor
+			// while the range was read; the next pass reframes from it.
+			h.multicast(cursor, enc, uint32(count))
 		}
 		// Frontier-only advance: a relay landed after the last frame.
 		h.mu.Lock()
@@ -387,11 +386,22 @@ func (h *hub) run() {
 	}
 }
 
-// multicast builds one frame and offers it to every subscriber's
-// queue. A full queue means the consumer is too slow for its window:
-// it is disconnected (never blocking the stream) and will resubscribe.
-func (h *hub) multicast(enc []byte, count uint32) {
+// multicast frames the count records in enc, which follow LSN from,
+// advances the cursor past them and offers the frame to every
+// subscriber's queue, all under one hold of h.mu, so a subscriber that
+// joins later never receives records its attach sync frame already
+// covers. It frames nothing when the cursor is no longer at from: a
+// first subscriber moved it to the live edge while the records were
+// read, and its sync frame covers them. A full queue means the consumer
+// is too slow for its window: it is disconnected (never blocking the
+// stream) and will resubscribe.
+func (h *hub) multicast(from uint64, enc []byte, count uint32) {
 	h.mu.Lock()
+	if h.cursor != from {
+		h.mu.Unlock()
+		return
+	}
+	h.cursor += uint64(count)
 	frame := h.frameLocked(0, enc, count, h.cursor)
 	var slow []*subscriber
 	for _, sub := range h.subs {

@@ -366,24 +366,29 @@ func (s *Store) WriteLogs(tenant, sliceID uint32, encoded []byte) (uint64, error
 			sl.appliedLSN = rec.LSN
 			continue
 		}
+		pv, ok := sl.pages[rec.PageID]
+		var next *page.Page
 		if rec.Type == wal.TypeFormatPage {
-			pg := page.New(rec.PageID, rec.IndexID, rec.Level)
-			pg.SetLSN(rec.LSN)
-			pv := &pageVersions{}
-			pv.push(pg, 0)
-			sl.pages[rec.PageID] = pv
+			// A fresh page, or a new version of an existing one (a root
+			// raised in place): older snapshots keep reading the old.
+			if next, err = wal.Format(rec); err != nil {
+				return 0, err
+			}
+			if !ok {
+				pv = &pageVersions{}
+				sl.pages[rec.PageID] = pv
+			}
 		} else {
-			pv, ok := sl.pages[rec.PageID]
 			if !ok {
 				return 0, fmt.Errorf("pagestore %s: log for unknown page %d", s.name, rec.PageID)
 			}
 			// Copy-on-write: clone the latest version, apply, push.
-			next := pv.latest().Clone()
+			next = pv.latest().Clone()
 			if err := wal.Apply(next, rec); err != nil {
 				return 0, err
 			}
-			pv.push(next, pinFloor)
 		}
+		pv.push(next, pinFloor)
 		sl.appliedLSN = rec.LSN
 		s.stats.mu.Lock()
 		s.stats.LogRecordsApplied++

@@ -40,7 +40,7 @@ import (
 
 const (
 	sliceMagic = 0x54434b31 // "TCK1": slice checkpoint header
-	metaMagic  = 0x544d4b31 // "TMK1": meta checkpoint header
+	metaMagic  = 0x544d4b32 // "TMK2": meta checkpoint header
 
 	ckptSuffix = ".ckpt"
 	tmpSuffix  = ".tmp"
@@ -129,13 +129,6 @@ type SliceCheckpoint struct {
 	Pages      []PageImage
 }
 
-// Root records one B+ tree's current root page for the meta checkpoint.
-type Root struct {
-	IndexID uint64
-	PageID  uint64
-	Level   uint16
-}
-
 // Meta is the frontend's checkpoint: everything recovery needs that is
 // not a page image.
 type Meta struct {
@@ -150,10 +143,9 @@ type Meta struct {
 	MaxTrxID   uint64
 	MaxPageID  uint64
 	MaxIndexID uint64
-	// Roots holds each index's current root page and its B+ tree level.
-	Roots []Root
-	// Catalog holds the encoded wal.CatalogEntry payloads in creation
-	// order (tables before their secondary indexes).
+	// Catalog holds the encoded wal.CatalogEntry payloads, each with its
+	// index's root page, in creation order (tables before their
+	// secondary indexes).
 	Catalog [][]byte
 }
 
@@ -327,12 +319,6 @@ func (s *Store) WriteMeta(m *Meta) error {
 	p = binary.LittleEndian.AppendUint64(p, m.MaxTrxID)
 	p = binary.LittleEndian.AppendUint64(p, m.MaxPageID)
 	p = binary.LittleEndian.AppendUint64(p, m.MaxIndexID)
-	p = binary.AppendUvarint(p, uint64(len(m.Roots)))
-	for _, r := range m.Roots {
-		p = binary.LittleEndian.AppendUint64(p, r.IndexID)
-		p = binary.LittleEndian.AppendUint64(p, r.PageID)
-		p = binary.LittleEndian.AppendUint16(p, r.Level)
-	}
 	p = binary.AppendUvarint(p, uint64(len(m.Catalog)))
 	for _, c := range m.Catalog {
 		p = binary.AppendUvarint(p, uint64(len(c)))
@@ -363,22 +349,6 @@ func (s *Store) LoadMeta() (*Meta, error) {
 		MaxIndexID: binary.LittleEndian.Uint64(p[36:]),
 	}
 	r := p[44:]
-	nRoots, n := binary.Uvarint(r)
-	if n <= 0 {
-		return nil, nil
-	}
-	r = r[n:]
-	for i := uint64(0); i < nRoots; i++ {
-		if len(r) < 18 {
-			return nil, nil
-		}
-		m.Roots = append(m.Roots, Root{
-			IndexID: binary.LittleEndian.Uint64(r),
-			PageID:  binary.LittleEndian.Uint64(r[8:]),
-			Level:   binary.LittleEndian.Uint16(r[16:]),
-		})
-		r = r[18:]
-	}
 	nCat, n := binary.Uvarint(r)
 	if n <= 0 {
 		return nil, nil

@@ -125,7 +125,6 @@ func TestMetaRoundTrip(t *testing.T) {
 	s := testStore(t)
 	want := &Meta{
 		AppliedLSN: 1000, MaxLSN: 1024, MaxTrxID: 55, MaxPageID: 900, MaxIndexID: 3,
-		Roots:   []Root{{IndexID: 1, PageID: 17, Level: 2}, {IndexID: 2, PageID: 30, Level: 0}},
 		Catalog: [][]byte{[]byte("table-entry"), []byte("index-entry")},
 	}
 	if err := s.WriteMeta(want); err != nil {
@@ -142,9 +141,6 @@ func TestMetaRoundTrip(t *testing.T) {
 		got.MaxTrxID != want.MaxTrxID || got.MaxPageID != want.MaxPageID ||
 		got.MaxIndexID != want.MaxIndexID {
 		t.Fatalf("meta = %+v", got)
-	}
-	if len(got.Roots) != 2 || got.Roots[0] != want.Roots[0] || got.Roots[1] != want.Roots[1] {
-		t.Fatalf("roots = %+v", got.Roots)
 	}
 	if len(got.Catalog) != 2 || string(got.Catalog[0]) != "table-entry" || string(got.Catalog[1]) != "index-entry" {
 		t.Fatalf("catalog = %q", got.Catalog)

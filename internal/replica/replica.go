@@ -14,14 +14,15 @@
 // so a SELECT on a replica sees a consistent snapshot that trails the
 // master by the replication lag, never a torn or non-durable state.
 //
-// The replica learns three things from the log stream:
+// The replica learns two things from the log stream:
 //
 //   - which pages changed (cached copies older than the new visible LSN
 //     are evicted, so the next read refetches the fresh image);
 //   - catalog records — DDL the master ran after the replica opened —
-//     which attach new tables/indexes to the replica's engine;
-//   - FormatPage records at a higher B+ tree level, which announce root
-//     splits and re-bind the replica's tree to the new root.
+//     which attach new tables/indexes to the replica's engine at the
+//     root page each record names. A B+ tree root never moves (a full
+//     root is raised in place), so the replica never re-binds a tree:
+//     a raised root is just another changed page.
 //
 // The hubs reach the replica on a cluster node of its own (Config.Node)
 // — embedded next to its master on the in-proc transport, or a
@@ -108,12 +109,12 @@ type Stats struct {
 	Refreshes     uint64
 	RecordsTailed uint64
 	// PagesInvalidated counts cached pages evicted because records
-	// covering them became visible; TablesAttached and RootAdvances
-	// count DDL tailed from the master; Resyncs counts hard tail resets
-	// (page cache dropped) after the master's log GC overran the tail.
+	// covering them became visible; TablesAttached counts tables and
+	// indexes attached from DDL tailed from the master; Resyncs counts
+	// hard tail resets (page cache dropped) after the master's log GC
+	// overran the tail.
 	PagesInvalidated uint64
 	TablesAttached   uint64
-	RootAdvances     uint64
 	Resyncs          uint64
 	// StreamBatches counts pushed stream frames received; CkptResyncs
 	// counts checkpoint rebases after log GC overran a detached tail;
@@ -139,8 +140,8 @@ type tailRec struct {
 // Replica is one read-replica frontend's storage view. It implements
 // engine.ReadView (reads at the visible LSN) and cluster.Handler (the
 // stream frames a Log Store hub pushes). The background loop (and Start,
-// before it launches the loop) is the only writer of the visible LSN,
-// the engine's catalog and its B+ tree roots; readers only wait on it.
+// before it launches the loop) is the only writer of the visible LSN
+// and the engine's catalog; readers only wait on it.
 type Replica struct {
 	cfg Config
 
@@ -159,12 +160,11 @@ type Replica struct {
 
 	// mu guards the tail state.
 	mu           sync.Mutex
-	tailed       uint64                // contiguous consumed log prefix
-	buf          map[uint64]tailRec    // out-of-order tailed records
-	slicePending map[uint32][]uint64   // slice → sorted pending LSNs
-	pagePending  map[uint64][]uint64   // page → sorted pending LSNs
-	ddlQ         []wal.Record          // catalog and FormatPage records awaiting visibility
-	pendingDDL   map[uint64]wal.Record // index id → catalog record awaiting root
+	tailed       uint64              // contiguous consumed log prefix
+	buf          map[uint64]tailRec  // out-of-order tailed records
+	slicePending map[uint32][]uint64 // slice → sorted pending LSNs
+	pagePending  map[uint64][]uint64 // page → sorted pending LSNs
+	ddlQ         []wal.Record        // catalog records awaiting visibility
 	byteQ        []lsnSize
 	pendingBytes uint64
 	maxTrx       uint64
@@ -198,7 +198,6 @@ type Replica struct {
 		recordsTailed    atomic.Uint64
 		pagesInvalidated atomic.Uint64
 		tablesAttached   atomic.Uint64
-		rootAdvances     atomic.Uint64
 		resyncs          atomic.Uint64
 		lagBytes         atomic.Uint64
 		streamBatches    atomic.Uint64
@@ -242,7 +241,6 @@ func New(cfg Config) (*Replica, error) {
 		buf:          make(map[uint64]tailRec),
 		slicePending: make(map[uint32][]uint64),
 		pagePending:  make(map[uint64][]uint64),
-		pendingDDL:   make(map[uint64]wal.Record),
 		frontier:     make(map[uint32]uint64),
 		kick:         make(chan struct{}, 1),
 		stop:         make(chan struct{}),
@@ -606,11 +604,11 @@ func (r *Replica) pinAll(lsn uint64) {
 // checkpointResync rebases the replica after log GC overran its
 // detached tail: records in (tailed, truncated] are gone from the Log
 // Store, but everything they did is applied and checkpointed on the
-// Page Stores. The checkpoint's catalog and roots (DDL the replica
-// missed, roots that split while it was detached) are merged into the
-// engine; reads resume at its applied LSN immediately, and the stream
-// resumes above it. A reader that meets a merged root before the raise
-// misses its snapshot and restarts above it.
+// Page Stores. The checkpoint's catalog (DDL the replica missed while
+// detached) is merged into the engine; reads resume at its applied LSN
+// immediately, and the stream resumes above it. A reader that meets a
+// merged table before the raise, or one whose root is newer than the
+// checkpoint, misses its snapshot and restarts above it.
 func (r *Replica) checkpointResync(truncated uint64) {
 	var ckpt uint64
 	var tables []string
@@ -743,12 +741,13 @@ func (r *Replica) advanceCycle() ([]string, error) {
 	r.eng.Txm().Advance(maxTrx)
 	r.visible.Store(newVisible)
 	r.maybeRepin(newVisible)
-	attached, done, derr := r.applyDDL(ddl)
+	attached, derr := r.applyDDL(ddl)
 	if derr != nil {
-		// Re-queue everything not fully applied so a transient failure
-		// cannot permanently lose a table: the next cycle retries.
+		// Re-queue the batch so a transient failure cannot permanently
+		// lose a table: the next cycle retries, and the merge skips
+		// what this one registered.
 		r.mu.Lock()
-		r.ddlQ = append(append([]wal.Record(nil), ddl[done:]...), r.ddlQ...)
+		r.ddlQ = append(ddl, r.ddlQ...)
 		r.mu.Unlock()
 	}
 	return attached, derr
@@ -847,9 +846,6 @@ func (r *Replica) consume(rec wal.Record) {
 	r.slicePending[sliceID] = append(r.slicePending[sliceID], rec.LSN)
 	// Records are consumed in LSN order, so appends keep both sorted.
 	r.pagePending[rec.PageID] = append(r.pagePending[rec.PageID], rec.LSN)
-	if rec.Type == wal.TypeFormatPage {
-		r.ddlQ = append(r.ddlQ, rec)
-	}
 }
 
 // purgeVoid drops pending state inside a dead epoch [from, to). Caller
@@ -891,44 +887,20 @@ func (r *Replica) purgeVoid(from, to uint64) {
 	r.ddlQ = kept
 }
 
-// applyDDL merges newly visible DDL into the engine: a catalog entry
-// waits for its root's FormatPage and then goes to RecoverFrom with it
-// as a two-record tail; a FormatPage of a known index goes alone, and
-// moves its root only if it is higher (a root split on the master).
-// Returns tables attached (their stats callbacks run later) and how
-// many events were fully applied — on error the caller re-queues the
-// rest.
-func (r *Replica) applyDDL(events []wal.Record) ([]string, int, error) {
-	var attached []string
-	for i, rec := range events {
-		if rec.Type == wal.TypeCatalog {
-			entry, err := wal.DecodeCatalog(rec.Payload)
-			if err != nil {
-				return attached, i, fmt.Errorf("replica: tailed catalog record: %w", err)
-			}
-			r.mu.Lock()
-			r.pendingDDL[entry.IndexID] = rec
-			r.mu.Unlock()
-			continue
-		}
-		tail := []wal.Record{rec}
-		r.mu.Lock()
-		if cat, ok := r.pendingDDL[rec.IndexID]; ok {
-			tail = []wal.Record{cat, rec}
-		}
-		r.mu.Unlock()
-		st, err := r.eng.RecoverFrom(nil, tail)
-		if err != nil {
-			return attached, i, err
-		}
-		r.mu.Lock()
-		delete(r.pendingDDL, rec.IndexID)
-		r.mu.Unlock()
-		attached = append(attached, st.Tables...)
-		r.stats.tablesAttached.Add(uint64(len(st.Tables) + st.Indexes))
-		r.stats.rootAdvances.Add(uint64(st.RootsAdvanced))
+// applyDDL merges newly visible catalog records into the engine; each
+// attaches its table or index at the root page it names, which was
+// formatted before it and so is visible too. Returns the tables
+// attached (their stats callbacks run later), also on error.
+func (r *Replica) applyDDL(catalog []wal.Record) ([]string, error) {
+	if len(catalog) == 0 {
+		return nil, nil
 	}
-	return attached, len(events), nil
+	st, err := r.eng.RecoverFrom(nil, catalog)
+	r.stats.tablesAttached.Add(uint64(len(st.Tables) + st.Indexes))
+	if err != nil {
+		err = fmt.Errorf("replica: tailed catalog: %w", err)
+	}
+	return st.Tables, err
 }
 
 // Stats snapshots the replica's counters.
@@ -945,7 +917,6 @@ func (r *Replica) Stats() Stats {
 		RecordsTailed:    r.stats.recordsTailed.Load(),
 		PagesInvalidated: r.stats.pagesInvalidated.Load(),
 		TablesAttached:   r.stats.tablesAttached.Load(),
-		RootAdvances:     r.stats.rootAdvances.Load(),
 		Resyncs:          r.stats.resyncs.Load(),
 		StreamBatches:    r.stats.streamBatches.Load(),
 		CkptResyncs:      r.stats.ckptResyncs.Load(),

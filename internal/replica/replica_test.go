@@ -488,15 +488,15 @@ func TestStatementRestartsOnceOnASnapshotMiss(t *testing.T) {
 	}
 }
 
-// TestReadMissUnderTreeLockDoesNotBlockRootRebind (ROADMAP 4e): an NDP
-// scan's CollectBatch holds the B+ tree's read lock across its read of
-// a height-2 root. While that read is parked, the master splits the root
-// to height 3 and the replica's loop, publishing the split, waits for
-// the tree's write lock to re-bind the root. Then the read fails. The
-// scan must return a SnapshotMissError at once — nothing on the reader's
-// side advances the replica or waits on the loop under the lock — so
-// the re-bind goes through and a re-scan counts every row.
-func TestReadMissUnderTreeLockDoesNotBlockRootRebind(t *testing.T) {
+// TestReadMissUnderTreeLockReturnsSnapshotMiss: an NDP scan's
+// CollectBatch holds the B+ tree's read lock across its read of a
+// height-2 root. While that read is parked, the master raises the root
+// to height 3 and the replica's loop makes the raise visible. Then the
+// read fails. The scan must return a SnapshotMissError at once —
+// nothing on the reader's side advances the replica or waits on the
+// loop under the lock — and a re-scan reads the raised root at the same
+// page ID and counts every row.
+func TestReadMissUnderTreeLockReturnsSnapshotMiss(t *testing.T) {
 	c := newFleet(t)
 	schema := types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindString, NotNull: true},
@@ -549,19 +549,19 @@ func TestReadMissUnderTreeLockDoesNotBlockRootRebind(t *testing.T) {
 	}()
 	<-tr.parked
 
-	// The master splits the root again; the replica's loop makes the
-	// split visible and goes on to re-bind the tree.
+	// The master raises the root again; the replica's loop makes the
+	// raise visible.
 	growTo(3)
-	var split uint64 // the height-3 root's FormatPage
+	var raise uint64 // the FormatPage that rewrites the root at level 2
 	for _, rec := range c.LogStores[0].ReadFrom(0) {
-		if rec.Type == wal.TypeFormatPage && rec.IndexID == mt.Primary.ID && rec.Level == 2 {
-			split = rec.LSN
+		if rec.Type == wal.TypeFormatPage && rec.PageID == mt.Primary.Tree.Root() && rec.Level == 2 {
+			raise = rec.LSN
 		}
 	}
-	if split == 0 {
+	if raise == 0 {
 		t.Fatal("no height-3 root FormatPage in the log")
 	}
-	waitFor(t, "the root split to become visible", func() bool { return rep.VisibleLSN() >= split })
+	waitFor(t, "the root raise to become visible", func() bool { return rep.VisibleLSN() >= raise })
 
 	close(tr.release) // the parked read fails
 	select {
@@ -571,12 +571,16 @@ func TestReadMissUnderTreeLockDoesNotBlockRootRebind(t *testing.T) {
 			t.Fatalf("scan returned %v, want a SnapshotMissError", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("scan never returned: the failed read under the tree's read lock deadlocked against the root re-bind")
+		t.Fatal("scan never returned: the failed read under the tree's read lock blocked")
 	}
 	defer rep.Close()
-	waitFor(t, "the loop to re-bind the height-3 root", func() bool { return tbl.Primary.Tree.Height() == 3 })
-	// The split's FormatPage re-binds the root before the records that
-	// fill it; re-scan once everything the master wrote is visible.
+	if tbl.Primary.Tree.Root() != mt.Primary.Tree.Root() {
+		t.Fatalf("replica root %d != master root %d", tbl.Primary.Tree.Root(), mt.Primary.Tree.Root())
+	}
+	if h := tbl.Primary.Tree.Height(); h != 3 {
+		t.Fatalf("replica tree height %d after the raise, want 3", h)
+	}
+	// Re-scan once everything the master wrote is visible.
 	durable := c.SAL.DurableLSN()
 	waitFor(t, "the replica to catch up", func() bool { return rep.VisibleLSN() >= durable })
 	if got := countRows(t, eng, "wide"); got != rows {

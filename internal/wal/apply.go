@@ -19,7 +19,7 @@ const OffAppend = ^uint32(0)
 // what makes Taurus's "log is the database" replication converge to
 // byte-identical page images.
 //
-// TypeFormatPage is handled by the caller (it creates a page rather than
+// TypeFormatPage is handled by Format (it creates a page rather than
 // mutating one); passing it here is an error.
 func Apply(pg *page.Page, rec *Record) error {
 	if pg.ID() != rec.PageID {
@@ -68,7 +68,7 @@ func Apply(pg *page.Page, rec *Record) error {
 			return err
 		}
 	case TypeFormatPage:
-		return fmt.Errorf("wal: FormatPage must be handled by the page provider")
+		return fmt.Errorf("wal: FormatPage must be handled by Format")
 	case TypeCatalog:
 		return fmt.Errorf("wal: catalog records are frontend-only and never touch pages")
 	default:
@@ -76,4 +76,23 @@ func Apply(pg *page.Page, rec *Record) error {
 	}
 	pg.SetLSN(rec.LSN)
 	return nil
+}
+
+// Format builds the page a TypeFormatPage record creates: empty, or, for
+// a raised root, holding the one node pointer in the record's payload.
+// Every page provider (Page Store, frontend pager, test doubles) formats
+// through it; a FormatPage of an existing page replaces that page with
+// the result as a new version rather than mutating it.
+func Format(rec *Record) (*page.Page, error) {
+	if rec.Type != TypeFormatPage {
+		return nil, fmt.Errorf("wal: record type %d formats no page", rec.Type)
+	}
+	pg := page.New(rec.PageID, rec.IndexID, rec.Level)
+	if len(rec.Payload) > 0 {
+		if _, err := pg.Append(page.RecNodePtr, 0, rec.Payload); err != nil {
+			return nil, err
+		}
+	}
+	pg.SetLSN(rec.LSN)
+	return pg, nil
 }

@@ -40,11 +40,13 @@ type CatalogCol struct {
 
 // CatalogEntry is the payload of a TypeCatalog record. It carries
 // everything the frontend needs to re-register a table or secondary
-// index after a restart; current B+ tree roots are reconstructed from
-// the FormatPage records in the same log.
+// index after a restart, its B+ tree root included: the root page never
+// moves, and it is formatted before the entry is logged.
 type CatalogEntry struct {
 	Kind    CatalogKind
 	IndexID uint64
+	// Root is the index's B+ tree root page (0 for a barrier).
+	Root uint64
 	// Table is the owning table name; Index names a secondary index.
 	Table string
 	Index string
@@ -64,6 +66,7 @@ func appendCatString(dst []byte, s string) []byte {
 func (e *CatalogEntry) EncodeCatalog(dst []byte) []byte {
 	dst = append(dst, byte(e.Kind))
 	dst = binary.AppendUvarint(dst, e.IndexID)
+	dst = binary.AppendUvarint(dst, e.Root)
 	dst = appendCatString(dst, e.Table)
 	dst = appendCatString(dst, e.Index)
 	dst = binary.AppendUvarint(dst, uint64(len(e.Cols)))
@@ -133,6 +136,9 @@ func DecodeCatalog(payload []byte) (*CatalogEntry, error) {
 		return nil, fmt.Errorf("wal: unknown catalog kind %d", kind)
 	}
 	if e.IndexID, err = r.uvarint(); err != nil {
+		return nil, err
+	}
+	if e.Root, err = r.uvarint(); err != nil {
 		return nil, err
 	}
 	if e.Table, err = r.str(); err != nil {

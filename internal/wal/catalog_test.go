@@ -8,7 +8,7 @@ import (
 func TestCatalogRoundtrip(t *testing.T) {
 	for _, e := range []*CatalogEntry{
 		{
-			Kind: CatalogCreateTable, IndexID: 7, Table: "worker",
+			Kind: CatalogCreateTable, IndexID: 7, Root: 1 << 40, Table: "worker",
 			Cols: []CatalogCol{
 				{Name: "id", Kind: 1, NotNull: true},
 				{Name: "name", Kind: 5, AvgLen: 12},
@@ -16,7 +16,7 @@ func TestCatalogRoundtrip(t *testing.T) {
 			},
 			Ords: []int{0},
 		},
-		{Kind: CatalogCreateIndex, IndexID: 9, Table: "worker", Index: "worker_age", Ords: []int{1, 2}},
+		{Kind: CatalogCreateIndex, IndexID: 9, Root: 12, Table: "worker", Index: "worker_age", Ords: []int{1, 2}},
 		{Kind: CatalogCreateTable, IndexID: 1, Table: "t"},
 	} {
 		got, err := DecodeCatalog(e.EncodeCatalog(nil))

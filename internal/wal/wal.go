@@ -23,7 +23,8 @@ import (
 type Type uint8
 
 const (
-	// TypeFormatPage initializes a fresh page (B+ tree node).
+	// TypeFormatPage initializes a page (B+ tree node): a fresh one, or
+	// an existing root rewritten one level up when it is raised.
 	TypeFormatPage Type = iota + 1
 	// TypeInsertRec inserts a record into a page after a given offset.
 	TypeInsertRec
@@ -51,7 +52,8 @@ const (
 
 // Record is one redo log record. Field use depends on Type:
 //
-//	FormatPage: PageID, IndexID, Level
+//	FormatPage: PageID, IndexID, Level, Payload (empty, or the one node
+//	            pointer a raised root starts with)
 //	InsertRec:  PageID, Off (prev record offset), RecType, TrxID, Payload
 //	DeleteMark: PageID, Off (record offset), Flag (1=mark, 0=clear)
 //	SetTrxID:   PageID, Off, TrxID
@@ -81,6 +83,8 @@ func (r *Record) Encode(dst []byte) []byte {
 	case TypeFormatPage:
 		dst = binary.LittleEndian.AppendUint64(dst, r.IndexID)
 		dst = binary.LittleEndian.AppendUint16(dst, r.Level)
+		dst = binary.AppendUvarint(dst, uint64(len(r.Payload)))
+		dst = append(dst, r.Payload...)
 	case TypeInsertRec:
 		dst = binary.LittleEndian.AppendUint32(dst, r.Off)
 		dst = append(dst, r.RecType)
@@ -126,6 +130,20 @@ func Decode(buf []byte) (Record, int, error) {
 		}
 		return nil
 	}
+	// payload reads a uvarint length and that many bytes into r.Payload.
+	payload := func() error {
+		l, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			return fmt.Errorf("wal: truncated payload length")
+		}
+		off += n
+		if l > uint64(len(buf)-off) {
+			return fmt.Errorf("wal: truncated record body (type %d)", r.Type)
+		}
+		r.Payload = append([]byte(nil), buf[off:off+int(l)]...)
+		off += int(l)
+		return nil
+	}
 	switch r.Type {
 	case TypeFormatPage:
 		if err := need(10); err != nil {
@@ -134,6 +152,9 @@ func Decode(buf []byte) (Record, int, error) {
 		r.IndexID = binary.LittleEndian.Uint64(buf[off:])
 		r.Level = binary.LittleEndian.Uint16(buf[off+8:])
 		off += 10
+		if err := payload(); err != nil {
+			return r, 0, err
+		}
 	case TypeInsertRec:
 		if err := need(13); err != nil {
 			return r, 0, err
@@ -142,16 +163,9 @@ func Decode(buf []byte) (Record, int, error) {
 		r.RecType = buf[off+4]
 		r.TrxID = binary.LittleEndian.Uint64(buf[off+5:])
 		off += 13
-		l, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return r, 0, fmt.Errorf("wal: truncated payload length")
-		}
-		off += n
-		if err := need(int(l)); err != nil {
+		if err := payload(); err != nil {
 			return r, 0, err
 		}
-		r.Payload = append([]byte(nil), buf[off:off+int(l)]...)
-		off += int(l)
 	case TypeDeleteMark:
 		if err := need(5); err != nil {
 			return r, 0, err
@@ -181,27 +195,13 @@ func Decode(buf []byte) (Record, int, error) {
 		r.Off = binary.LittleEndian.Uint32(buf[off:])
 		r.TrxID = binary.LittleEndian.Uint64(buf[off+4:])
 		off += 12
-		l, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return r, 0, fmt.Errorf("wal: truncated payload length")
-		}
-		off += n
-		if err := need(int(l)); err != nil {
+		if err := payload(); err != nil {
 			return r, 0, err
 		}
-		r.Payload = append([]byte(nil), buf[off:off+int(l)]...)
-		off += int(l)
 	case TypeCatalog:
-		l, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return r, 0, fmt.Errorf("wal: truncated payload length")
-		}
-		off += n
-		if err := need(int(l)); err != nil {
+		if err := payload(); err != nil {
 			return r, 0, err
 		}
-		r.Payload = append([]byte(nil), buf[off:off+int(l)]...)
-		off += int(l)
 	default:
 		return r, 0, fmt.Errorf("wal: unknown record type %d", r.Type)
 	}

@@ -91,6 +91,10 @@ func TestRecordRoundTripQuick(t *testing.T) {
 		switch r.Type {
 		case TypeFormatPage:
 			r.IndexID, r.Level = rng.Uint64(), uint16(rng.Intn(8))
+			if rng.Intn(2) == 0 {
+				r.Payload = make([]byte, 1+rng.Intn(40))
+				rng.Read(r.Payload)
+			}
 		case TypeInsertRec:
 			r.Off = rng.Uint32()
 			r.RecType = uint8(rng.Intn(6))

@@ -86,10 +86,10 @@ type Config struct {
 	// CheckpointInterval starts the background checkpointer (requires
 	// DataDir): on every tick — and once more on Close — the Page
 	// Stores checkpoint their slices, the frontend checkpoints its
-	// catalog and B+ tree roots, and the durable log is garbage-
-	// collected up to the cluster watermark (the minimum LSN every
-	// slice replica has durably persisted), so a long-lived node's log
-	// stops growing without bound. 0 disables automatic checkpoints;
+	// catalog (each index with its root page), and the durable log is
+	// garbage-collected up to the cluster watermark (the minimum LSN
+	// every slice replica has durably persisted), so a long-lived
+	// node's log stops growing without bound. 0 disables automatic checkpoints;
 	// DB.Checkpoint and DB.TruncateLogs remain available.
 	CheckpointInterval time.Duration
 	// LogFlushInterval is the Log Stores' group-commit window (default
@@ -180,8 +180,8 @@ type DB struct {
 	master  *DB
 	repSeq  atomic.Uint64
 
-	// meta is the frontend's checkpoint store (catalog, roots,
-	// allocators); nil without DataDir.
+	// meta is the frontend's checkpoint store (catalog, allocators);
+	// nil without DataDir.
 	meta *pstore.Store
 	// ckMu serializes checkpoints; lastCkptLSN is the watermark of the
 	// last durably written meta checkpoint — the highest LSN log GC may
@@ -433,11 +433,11 @@ func (db *DB) checkpointerProbe() health.Probe {
 }
 
 // OpenReplica attaches a read-only frontend to a running master's
-// storage cluster (cfg.Master): the replica bootstraps its catalog and
-// B+ tree roots from the master's latest checkpoint meta (or, without
-// one, from the full log), then subscribes to a Log Store's push stream
-// to advance a replica-visible LSN and serves SELECTs from the shared
-// Page Stores at that snapshot. DML and DDL are rejected; writes go to
+// storage cluster (cfg.Master): the replica bootstraps its catalog
+// (each index with its root page) from the master's latest checkpoint
+// meta (or, without one, from the full log), then subscribes to a Log
+// Store's push stream to advance a replica-visible LSN and serves
+// SELECTs from the shared Page Stores at that snapshot. DML and DDL are rejected; writes go to
 // the master and become visible on the replica after catch-up (bounded
 // lag): the master's SAL relays its durable and applied frontier to the
 // Log Stores, whose hubs push it with the records, so the replica trails
@@ -583,9 +583,9 @@ func (db *DB) ReplicaStats() replica.Stats {
 // recover rebuilds the deployment from DataDir. With a valid checkpoint
 // set, recovery is O(log tail): the Page Stores already restored their
 // slice checkpoints, the frontend's meta checkpoint supplies the
-// catalog, B+ tree roots, and allocator marks, and only log records
-// above the checkpoint watermark are replayed through the Page Store
-// apply path. Without one (or when any slice checkpoint failed
+// catalog (with each index's root page) and allocator marks, and only
+// log records above the checkpoint watermark are replayed through the
+// Page Store apply path. Without one (or when any slice checkpoint failed
 // validation), the whole surviving log is replayed as in PR 1 —
 // restored slices skip their prefix idempotently.
 func (db *DB) recover(s *sal.SAL, eng *engine.Engine) error {
@@ -679,9 +679,8 @@ func (db *DB) recover(s *sal.SAL, eng *engine.Engine) error {
 	if len(recs) == 0 && meta == nil && newVoidFrom == 0 && maxDurable == 0 {
 		return nil
 	}
-	// Resume the LSN allocator first: recovery may itself log records
-	// (a catalog entry whose root page never made it to disk gets a
-	// fresh, empty root).
+	// Resume the LSN allocator first: recovery may itself log a record
+	// (the barrier below).
 	resume := maxDurable
 	if meta != nil && meta.MaxLSN > resume {
 		resume = meta.MaxLSN
@@ -829,7 +828,7 @@ type CheckpointResult struct {
 // Checkpoint persists the deployment's state so recovery no longer
 // needs the full log: every Page Store writes its dirty slices (page
 // images + applied LSN, atomically per slice), then the frontend writes
-// its meta checkpoint (catalog entries, B+ tree roots, allocator
+// its meta checkpoint (catalog entries with their root pages, allocator
 // high-water marks, and the cluster watermark aggregated by the SAL).
 // It does not truncate the log — TruncateLogs (or the background
 // checkpointer) does that against the durable watermark.

@@ -57,6 +57,8 @@ func buildCatalog(t *testing.T, db *DB) map[uint64]indexFacts {
 	if _, err := db.Engine().CreateSecondaryIndex("a", "a_name", []int{2}); err != nil {
 		t.Fatal(err)
 	}
+	// The roots a's catalog records name: the trees are one page high.
+	created := catalogOf(t, db)
 	pad := strings.Repeat("n", 400)
 	for b := 0; b < 4; b++ {
 		var sb strings.Builder
@@ -80,9 +82,12 @@ func buildCatalog(t *testing.T, db *DB) map[uint64]indexFacts {
 	if len(want) != 3 {
 		t.Fatalf("master has %d indexes, want 3", len(want))
 	}
-	for _, f := range want {
+	for id, f := range want {
 		if f.Table == "a" && f.Height < 2 {
 			t.Fatalf("%s has height %d; the scenario needs >= 2", f.Name, f.Height)
+		}
+		if c, ok := created[id]; ok && c.Root != f.Root {
+			t.Fatalf("%s moved its root from %d to %d", f.Name, c.Root, f.Root)
 		}
 	}
 	return want
@@ -97,7 +102,7 @@ func sameCatalog(t *testing.T, how string, got, want map[uint64]indexFacts) {
 }
 
 // waitCatalog polls a replica until its dictionary equals want: DDL and
-// root splits reach a replica as its visible LSN passes them.
+// root raises reach a replica as its visible LSN passes them.
 func waitCatalog(t *testing.T, how string, rep *DB, want map[uint64]indexFacts) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -111,7 +116,8 @@ func waitCatalog(t *testing.T, how string, rep *DB, want map[uint64]indexFacts) 
 // way the system knows — full-log recovery, checkpoint plus tail, a
 // replica bootstrapped from the checkpoint meta, and a replica that
 // only ever streamed the DDL — and requires each to match the live
-// master index by index, roots and heights included.
+// master index by index, roots and heights included. The master's roots
+// are the ones its catalog records named at CREATE.
 func TestOneCatalogFourWaysIn(t *testing.T) {
 	dir := t.TempDir()
 	master, err := Open(durableConfig(dir))
@@ -160,7 +166,8 @@ func TestOneCatalogFourWaysIn(t *testing.T) {
 	}
 
 	// (d) A replica of an in-memory master, opened before any DDL: it
-	// learns every table, index and root split from the stream.
+	// learns every table and index from the stream, and reads each root
+	// raise at the root page the catalog named.
 	mem, err := Open(Config{PagesPerSlice: 4})
 	if err != nil {
 		t.Fatal(err)

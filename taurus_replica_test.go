@@ -140,8 +140,8 @@ func TestReplicaSeesDDLAfterOpen(t *testing.T) {
 	if rep.ReplicaStats().TablesAttached == 0 {
 		t.Fatal("no tables attached from the tail")
 	}
-	// Enough rows to split the master's root; the replica must have
-	// followed the new root from the tailed FormatPage records.
+	// Enough rows to raise the master's root; the replica reads the
+	// raised root at the page ID the catalog record named.
 	mt, err := master.Engine().Table("late")
 	if err != nil {
 		t.Fatal(err)
@@ -149,15 +149,18 @@ func TestReplicaSeesDDLAfterOpen(t *testing.T) {
 	if mt.Primary.Tree.Height() < 2 {
 		t.Fatalf("master tree never split (height %d); test needs more rows", mt.Primary.Tree.Height())
 	}
-	if rep.ReplicaStats().RootAdvances == 0 {
-		t.Fatal("no root advances tailed (master trees split)")
-	}
 	rt, err := rep.Engine().Table("late")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rt.Primary.Tree.Root() != mt.Primary.Tree.Root() {
 		t.Fatalf("replica root %d != master root %d", rt.Primary.Tree.Root(), mt.Primary.Tree.Root())
+	}
+	if h := rt.Primary.Tree.Height(); h < 2 {
+		t.Fatalf("replica tree height %d, want >= 2", h)
+	}
+	if got := waitReplicaCount(t, rep, "SELECT COUNT(*) FROM late", rows, 10*time.Second); got != rows {
+		t.Fatalf("late table count after the raise = %d, want %d", got, rows)
 	}
 }
 
