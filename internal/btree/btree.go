@@ -163,6 +163,16 @@ func (t *Tree) Insert(key, row []byte, trxID uint64) (uint64, error) {
 		return 0, err
 	}
 	payload := page.EncodeLeafPayload(nil, key, row)
+	if !leaf.HasRoomFor(len(payload)) && len(path) == 1 {
+		// A raise leaves delete-marked records behind, so the new child
+		// may already have room.
+		if path, err = t.raiseRootLocked(); err != nil {
+			return 0, err
+		}
+		if leaf, err = t.pager.Read(path[1]); err != nil {
+			return 0, err
+		}
+	}
 	if !leaf.HasRoomFor(len(payload)) {
 		leaf, err = t.splitLocked(path, key)
 		if err != nil {
@@ -209,16 +219,10 @@ func lastPos(pg *page.Page) int {
 	return last
 }
 
-// splitLocked splits the leaf at the end of path (splitting ancestors as
-// needed; a leaf root is raised first) and returns the leaf that should
-// now receive key.
+// splitLocked splits the leaf at the end of path, below the root
+// (splitting ancestors as needed), and returns the leaf that should now
+// receive key.
 func (t *Tree) splitLocked(path []uint64, key []byte) (*page.Page, error) {
-	if len(path) == 1 {
-		var err error
-		if path, err = t.raiseRootLocked(); err != nil {
-			return nil, err
-		}
-	}
 	leafID := path[len(path)-1]
 	leaf, err := t.pager.Read(leafID)
 	if err != nil {
@@ -418,13 +422,16 @@ func (t *Tree) insertNodePtr(path []uint64, sepKey []byte, child uint64) error {
 	if err != nil {
 		return err
 	}
-	if !parent.HasRoomFor(len(payload)) {
-		if len(path) == 1 {
-			if path, err = t.raiseRootLocked(); err != nil {
-				return err
-			}
-			parentID = path[1]
+	if !parent.HasRoomFor(len(payload)) && len(path) == 1 {
+		if path, err = t.raiseRootLocked(); err != nil {
+			return err
 		}
+		parentID = path[1]
+		if parent, err = t.pager.Read(parentID); err != nil {
+			return err
+		}
+	}
+	if !parent.HasRoomFor(len(payload)) {
 		newID, parentSep, err := t.splitPage(parentID)
 		if err != nil {
 			return err
@@ -478,7 +485,9 @@ func lastKeyOf(pg *page.Page) ([]byte, error) {
 
 // SeekLeaf returns the page ID of the leaf that may contain key; a nil
 // key returns the leftmost leaf, the head of the leaf chain. The leaf
-// itself is not read, unless it is the root.
+// itself is not read, unless it is the root. Once the tree lock is
+// released a leaf root may be raised, so callers that read the leaf use
+// ReadLeaf.
 func (t *Tree) SeekLeaf(key []byte) (uint64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -487,6 +496,24 @@ func (t *Tree) SeekLeaf(key []byte) (uint64, error) {
 		return 0, err
 	}
 	return path[len(path)-1], nil
+}
+
+// ReadLeaf reads, outside the tree lock, the leaf SeekLeaf(key) returns.
+// Only the root ever changes level, so a page read that is not a leaf is
+// a leaf root raised between the descent and the read (on a replica: a
+// visible LSN that passed the raise); the descent is repeated and lands
+// in the raised root's child.
+func (t *Tree) ReadLeaf(key []byte) (*page.Page, error) {
+	for {
+		id, err := t.SeekLeaf(key)
+		if err != nil {
+			return nil, err
+		}
+		pg, err := t.pager.Read(id)
+		if err != nil || pg.Level() == 0 {
+			return pg, err
+		}
+	}
 }
 
 // Batch is the result of a batch-read collection (§IV-C4): every leaf

@@ -542,6 +542,103 @@ func findable(pgr Pager, tree *Tree, keys [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
+// raisingPager runs hook once, on the first read made outside the tree
+// lock: the read ReadLeaf makes after SeekLeaf has released it.
+type raisingPager struct {
+	*memPager
+	tree *Tree
+	hook func()
+}
+
+func (p *raisingPager) Read(pageID uint64) (*page.Page, error) {
+	if p.hook != nil && p.tree.mu.TryLock() {
+		p.tree.mu.Unlock()
+		hook := p.hook
+		p.hook = nil
+		hook()
+	}
+	return p.memPager.Read(pageID)
+}
+
+// TestReadLeafFollowsRootRaise: a leaf root raised (twice) between
+// SeekLeaf's descent and the leaf read is an interior page by the time
+// it is read; ReadLeaf still returns the leaf that holds the key.
+func TestReadLeafFollowsRootRaise(t *testing.T) {
+	p := &raisingPager{memPager: newMemPager()}
+	tree, err := Create(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.tree = tree
+	for i := int64(0); i < 10; i++ {
+		if _, err := tree.Insert(intKey(i), []byte("r"), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	row := bytes.Repeat([]byte{'r'}, 2000)
+	p.hook = func() {
+		for i := int64(100); tree.Height() < 3; i++ {
+			if _, err := tree.Insert(intKey(i), row, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	leaf, err := tree.ReadLeaf(intKey(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.hook != nil || tree.Height() != 3 {
+		t.Fatalf("hook did not raise the root: height %d", tree.Height())
+	}
+	if leaf.Level() != 0 {
+		t.Fatalf("ReadLeaf returned page %d at level %d", leaf.ID(), leaf.Level())
+	}
+	if !slices.ContainsFunc(leaf.Records(), func(r page.Record) bool {
+		k, _, _ := page.SplitLeafPayload(r.Payload)
+		return bytes.Equal(k, intKey(5))
+	}) {
+		t.Fatalf("leaf %d does not hold key 5", leaf.ID())
+	}
+}
+
+// TestInsertAfterDeletingEveryRowOfLeafRoot: a raise leaves
+// delete-marked records behind, so when a leaf root full of them is
+// raised, the child has room and must take the insert without a split
+// (there is nothing in it to split).
+func TestInsertAfterDeletingEveryRowOfLeafRoot(t *testing.T) {
+	m := newMemPager()
+	tree, err := Create(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := bytes.Repeat([]byte{'r'}, 200)
+	for i := int64(0); ; i++ {
+		root, err := m.Read(tree.Root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !root.HasRoomFor(len(page.EncodeLeafPayload(nil, intKey(i), row))) {
+			break
+		}
+		if _, err := tree.Insert(intKey(i), row, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, _ := m.Read(tree.Root())
+	for _, r := range root.Records() {
+		if _, err := m.Apply(&wal.Record{Type: wal.TypeDeleteMark, PageID: root.ID(), Off: uint32(r.Off), Flag: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tree.Insert(intKey(1_000_000), row, 2); err != nil {
+		t.Fatalf("insert into a leaf root of deleted rows: %v", err)
+	}
+	keys, _ := collectAll(t, m, tree)
+	if tree.Height() != 2 || len(keys) != 1 || !bytes.Equal(keys[0], intKey(1_000_000)) {
+		t.Fatalf("height %d, %d live keys; want height 2 and only the new key", tree.Height(), len(keys))
+	}
+}
+
 func TestCollectBatchRangeBoundaries(t *testing.T) {
 	m := newMemPager()
 	tree, _ := Create(m, 1)

@@ -85,14 +85,11 @@ func (e *Engine) UpdateByPK(t *Table, tx *txn.Txn, pk types.Row, newRow types.Ro
 			return fmt.Errorf("engine: update must not change the primary key")
 		}
 	}
-	leafID, err := t.Primary.Tree.SeekLeaf(key)
+	leaf, err := t.Primary.Tree.ReadLeaf(key)
 	if err != nil {
 		return err
 	}
-	leaf, err := pager{e}.Read(leafID)
-	if err != nil {
-		return err
-	}
+	leafID := leaf.ID()
 	off := findInLeaf(leaf, key)
 	if off == 0 {
 		return fmt.Errorf("engine: update target not found")
@@ -146,14 +143,11 @@ func (e *Engine) DeleteByPK(t *Table, tx *txn.Txn, pk types.Row) error {
 		return ErrReadOnly
 	}
 	key := types.EncodeKey(nil, pk)
-	leafID, err := t.Primary.Tree.SeekLeaf(key)
+	leaf, err := t.Primary.Tree.ReadLeaf(key)
 	if err != nil {
 		return err
 	}
-	leaf, err := pager{e}.Read(leafID)
-	if err != nil {
-		return err
-	}
+	leafID := leaf.ID()
 	off := findInLeaf(leaf, key)
 	if off == 0 {
 		return fmt.Errorf("engine: delete target not found")
@@ -185,11 +179,7 @@ func (e *Engine) DeleteByPK(t *Table, tx *txn.Txn, pk types.Row) error {
 
 // readRowByPK fetches the current (latest) version of a row.
 func (e *Engine) readRowByPK(t *Table, key []byte) (types.Row, error) {
-	leafID, err := t.Primary.Tree.SeekLeaf(key)
-	if err != nil {
-		return nil, err
-	}
-	leaf, err := pager{e}.Read(leafID)
+	leaf, err := t.Primary.Tree.ReadLeaf(key)
 	if err != nil {
 		return nil, err
 	}

@@ -6,10 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"taurus/internal/btree"
 	"taurus/internal/cluster"
 	"taurus/internal/core"
 	"taurus/internal/expr"
 	"taurus/internal/logstore"
+	"taurus/internal/page"
 	"taurus/internal/pagestore"
 	"taurus/internal/sal"
 	"taurus/internal/txn"
@@ -680,6 +682,120 @@ func TestSplitDoesNotResurrectDeletedRows(t *testing.T) {
 			t.Errorf("scan (ndp=%v) counts %d rows, want 2900", ndp != nil, n)
 		}
 	}
+}
+
+// raisingPager is the engine's pager with a hook that runs once, on the
+// second read of page `at`: in ReadLeaf on a one-leaf tree, the first
+// read is SeekLeaf's descent under the tree lock, the second is the
+// leaf read after the lock is released.
+type raisingPager struct {
+	pager
+	at    uint64
+	reads int
+	hook  func()
+}
+
+func (p *raisingPager) Read(pageID uint64) (*page.Page, error) {
+	if pageID == p.at && p.hook != nil {
+		if p.reads++; p.reads == 2 {
+			hook := p.hook
+			p.hook = nil
+			hook()
+		}
+	}
+	return p.pager.Read(pageID)
+}
+
+// TestLeafReadsSurviveRootRaise: on a one-leaf table, an INSERT that
+// raises the root between a reader's descent and its leaf read turns the
+// page the reader is about to read into an interior page. The regular
+// scan, DeleteByPK and an NDP scan whose buffer-pool copy of that page
+// is taken after the raise must all still find their rows. The leaf is
+// nearly full, so the raise comes within a few records and the NDP
+// scan's stamped version of the page is still retained.
+func TestLeafReadsSurviveRootRaise(t *testing.T) {
+	setup := func(t *testing.T) (*testCluster, *Table, int64, func()) {
+		tc := newTestCluster(t, 4096)
+		schema := types.NewSchema(
+			types.Column{Name: "id", Kind: types.KindInt, NotNull: true},
+			types.Column{Name: "pad", Kind: types.KindString, NotNull: true},
+		)
+		tbl, err := tc.eng.CreateTable("t", schema, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pad := strings.Repeat("p", 100)
+		insert := func(from int64, until func() bool) {
+			tx := tc.eng.Txm().Begin()
+			for i := from; !until(); i++ {
+				if err := tc.eng.Insert(tbl, tx, types.Row{types.NewInt(i), types.NewString(pad)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tx.Commit()
+		}
+		n := int64(-1)
+		insert(0, func() bool {
+			n++
+			root, err := (pager{tc.eng}).Read(tbl.Primary.Tree.Root())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return !root.HasRoomFor(3 * 150)
+		})
+		raise := func() { insert(n, func() bool { return tbl.Primary.Tree.Height() >= 2 }) }
+		return tc, tbl, n, raise
+	}
+	hook := func(tc *testCluster, tbl *Table, raise func()) *raisingPager {
+		tree := tbl.Primary.Tree
+		p := &raisingPager{pager: pager{tc.eng}, at: tree.Root(), hook: raise}
+		tbl.Primary.Tree = btree.Attach(p, tbl.Primary.ID, tree.Root())
+		return p
+	}
+	t.Run("regular scan", func(t *testing.T) {
+		tc, tbl, n, raise := setup(t)
+		p := hook(tc, tbl, raise)
+		rows, _ := collectScan(t, tc.eng, ScanOptions{Index: tbl.Primary, Start: types.EncodeKey(nil, types.Row{types.NewInt(3)})})
+		if p.hook != nil {
+			t.Fatal("the root was not raised during the scan")
+		}
+		if int64(len(rows)) != n-3 {
+			t.Fatalf("scan from key 3 returned %d rows, want %d", len(rows), n-3)
+		}
+	})
+	t.Run("DeleteByPK", func(t *testing.T) {
+		tc, tbl, _, raise := setup(t)
+		p := hook(tc, tbl, raise)
+		tx := tc.eng.Txm().Begin()
+		if err := tc.eng.DeleteByPK(tbl, tx, types.Row{types.NewInt(5)}); err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+		if p.hook != nil {
+			t.Fatal("the root was not raised during the delete")
+		}
+		key := types.EncodeKey(nil, types.Row{types.NewInt(5)})
+		if rows, _ := collectScan(t, tc.eng, ScanOptions{Index: tbl.Primary, Start: key, End: key}); len(rows) != 0 {
+			t.Fatalf("deleted row still scanned: %v", rows)
+		}
+	})
+	t.Run("NDP scan", func(t *testing.T) {
+		tc, tbl, n, raise := setup(t)
+		ps, err := tc.eng.PrepareNDPScan(ScanOptions{Index: tbl.Primary, NDP: &NDPPush{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raise()
+		got := int64(0)
+		if err := ps.Run(func(int) EmitFunc {
+			return func(types.Row, []core.AggState) error { got++; return nil }
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got != n {
+			t.Fatalf("NDP scan collected before the raise returned %d rows, want %d", got, n)
+		}
+	})
 }
 
 // Property-style check: random predicates, NDP on/off, partial skips —

@@ -178,15 +178,11 @@ func (e *Engine) processFullRecord(s *scanState, rec page.Record, key, rowBytes 
 // experiment, §VII-D).
 func (e *Engine) regularScan(opts ScanOptions, emit EmitFunc) error {
 	s := newScanState(opts, emit)
-	leafID, err := opts.Index.Tree.SeekLeaf(opts.Start)
+	pg, err := opts.Index.Tree.ReadLeaf(opts.Start)
 	if err != nil {
 		return err
 	}
-	for leafID != page.InvalidPageID {
-		pg, err := (pager{e}).Read(leafID)
-		if err != nil {
-			return err
-		}
+	for {
 		e.Metrics.RegularPageReads.Add(1)
 		var pageErr error
 		done := false
@@ -212,12 +208,13 @@ func (e *Engine) regularScan(opts ScanOptions, emit EmitFunc) error {
 		if pageErr != nil {
 			return pageErr
 		}
-		if done {
+		if done || pg.NextPage() == page.InvalidPageID {
 			return nil
 		}
-		leafID = pg.NextPage()
+		if pg, err = (pager{e}).Read(pg.NextPage()); err != nil {
+			return err
+		}
 	}
-	return nil
 }
 
 // batchRead routes an NDP batch read through the SAL (read-write
@@ -319,7 +316,10 @@ func (e *Engine) scanChunks(s *scanState, leafIDs []uint64, lsn uint64, descByte
 		cached := make(map[uint64]*page.Page)
 		missing := make([]uint64, 0, len(chunk))
 		for _, id := range chunk {
-			if pg, ok := e.pool.Lookup(id); ok {
+			// A cached page that is no longer a leaf is a leaf root
+			// raised since collection; the stamped LSN still reads
+			// the leaf.
+			if pg, ok := e.pool.Lookup(id); ok && pg.Level() == 0 {
 				cached[id] = pg.Clone()
 				e.Metrics.LocalCopies.Add(1)
 			} else {
@@ -610,6 +610,11 @@ func (e *Engine) consumeNDPPage(s *scanState, pg *page.Page) error {
 // consumeRegularAsNDP runs the full frontend pipeline over a regular page
 // image (skipped page or buffer-pool copy).
 func (e *Engine) consumeRegularAsNDP(s *scanState, pg *page.Page) error {
+	if pg.Level() != 0 {
+		// Only a read past the stamped LSN (the retry at latest) can
+		// meet a leaf root raised since collection.
+		return fmt.Errorf("engine: page %d is no longer a leaf", pg.ID())
+	}
 	var iterErr error
 	pg.Iter(func(rec page.Record) bool {
 		key, rowBytes, err := page.SplitLeafPayload(rec.Payload)
