@@ -6,9 +6,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"taurus/internal/cluster"
 	"taurus/internal/core"
 	"taurus/internal/engine"
 	"taurus/internal/logstore"
@@ -569,5 +571,84 @@ func TestSiblingZombieAboveBestReplica(t *testing.T) {
 	defer db3.Close()
 	if got := countWorkers(t, db3); got != 50 {
 		t.Fatalf("count after second recovery = %d, want 50", got)
+	}
+}
+
+// stageGhosts inserts n rows through the engine in a transaction that
+// never commits: their records are staged in the write pipeline but
+// nothing waits for them, so below the pinned flush threshold they are
+// never sealed.
+func stageGhosts(t *testing.T, db *DB, from, n int) {
+	t.Helper()
+	eng := db.Engine()
+	tbl, err := eng.Table("worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := eng.Txm().Begin()
+	for i := 0; i < n; i++ {
+		id := int64(from + i)
+		row := types.Row{
+			types.NewInt(id), types.NewInt(30),
+			types.DateFromYMD(2012, 1, 15),
+			types.NewDecimal(310000),
+			types.NewString(fmt.Sprintf("ghost%d", id)),
+		}
+		if err := eng.Insert(tbl, tx, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointRacingWritersKeepsLaterCommits checkpoints while a
+// writer stages uncommitted records, crashes, commits on the recovered
+// database, and crashes again: every acknowledged row must survive the
+// second recovery. The staged records get LSNs the Log Stores never
+// see, so a recovery that resumed the LSN allocator above the logs'
+// durable LSN would leave a gap below the next commits.
+func TestCheckpointRacingWritersKeepsLaterCommits(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE worker (id BIGINT, age INT, join_date DATE,
+		salary DECIMAL(15,2), name VARCHAR, PRIMARY KEY(id))`)
+	insertWorkers(t, db, 0, 20)
+	// The writer stages its records after the checkpoint's barrier: the
+	// checkpoint's watermark query to a Page Store runs it first.
+	ps := db.stores[0]
+	var once sync.Once
+	db.tr.Register(db.psNames[0], cluster.HandlerFunc(func(req any) (any, error) {
+		if _, ok := req.(*cluster.PageLSNReq); ok {
+			once.Do(func() { stageGhosts(t, db, 1000, 5) })
+		}
+		return ps.Handle(req)
+	}))
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.WritePathStats().PendingRecords; got == 0 {
+		t.Fatal("expected the uncommitted records still staged at crash time")
+	}
+	db = nil // crash
+
+	db2, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertWorkers(t, db2, 20, 10)
+	if got := countWorkers(t, db2); got != 30 {
+		t.Fatalf("count before the second crash = %d, want 30", got)
+	}
+	db2 = nil // crash
+
+	db3, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db3.Close()
+	if got := countWorkers(t, db3); got != 30 {
+		t.Fatalf("count after the second recovery = %d, want 30 acknowledged rows", got)
 	}
 }

@@ -262,3 +262,35 @@ func TestKillAndReopenWithHotLaneWindow(t *testing.T) {
 		t.Fatalf("post-recovery count = %d", got)
 	}
 }
+
+// TestUncommittedDurableRecordsNotRecovered crashes with an uncommitted
+// transaction's records durable on the Log Stores (a window sealed
+// before the crash, as any later commit's window would seal it): the
+// transaction was never acknowledged, so recovery must not bring its
+// rows back.
+func TestUncommittedDurableRecordsNotRecovered(t *testing.T) {
+	t.Skip("10b: recovery replays a never-committed transaction's durable records; nothing aborts them")
+	dir := t.TempDir()
+	db, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE worker (id BIGINT, age INT, join_date DATE,
+		salary DECIMAL(15,2), name VARCHAR, PRIMARY KEY(id))`)
+	const acked = 160
+	insertWorkers(t, db, 0, acked)
+	stageGhosts(t, db, acked, 5)
+	if err := db.Engine().SAL().Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	db = nil // crash
+
+	db2, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := countWorkers(t, db2); got != acked {
+		t.Fatalf("recovered %d rows, want %d acked", got, acked)
+	}
+}
