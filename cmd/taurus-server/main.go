@@ -39,16 +39,15 @@
 //
 // A third role, frontend, runs an embedded full deployment and serves
 // SQL over HTTP (POST /query) plus the frontend-side stats — the SAL's
-// slice-partitioned write pipeline (per-lane windows sealed and seal
-// reasons, adaptive flush thresholds, hot-slice promotions/demotions,
-// apply lag per slice, backpressure stalls, commit/apply waits,
-// frontier watchers) and per-shard buffer pool counters
-// (including StaleRefetches). -write-lanes sizes the dedicated-lane
-// pool; -replicas attaches embedded read replicas, each serving
-// read-only SQL at /replica/<n>/query and its stream stats (visible
-// LSN, lag records/bytes, pushed frames) at /replica/<n>/stats:
+// write pipeline (windows sealed and seal reasons, the adaptive flush
+// threshold, apply lag and backlog per slice, backpressure stalls,
+// commit/apply waits, frontier watchers) and per-shard buffer pool
+// counters (including StaleRefetches). -replicas attaches embedded read
+// replicas, each serving read-only SQL at /replica/<n>/query and its
+// stream stats (visible LSN, lag records/bytes, pushed frames) at
+// /replica/<n>/stats:
 //
-//	taurus-server -role frontend -listen :7200 -stats-addr :7201 -data-dir /var/lib/taurus/fe -write-lanes 2 -replicas 2
+//	taurus-server -role frontend -listen :7200 -stats-addr :7201 -data-dir /var/lib/taurus/fe -replicas 2
 //
 // A fourth role, replica, is the distributed form of the same read
 // tier: it attaches to storage servers over TCP (-log-stores and
@@ -103,7 +102,6 @@ func main() {
 	segmentBytes := flag.Int64("segment-bytes", 0, "log segment rotation size (logstore; 0 = default 16MB)")
 	ckptInterval := flag.Duration("checkpoint-interval", time.Minute, "slice checkpoint cadence (pagestore with -data-dir)")
 	statsAddr := flag.String("stats-addr", "", "HTTP address for GET /stats (empty = disabled)")
-	writeLanes := flag.Int("write-lanes", 0, "dedicated per-slice write lanes (frontend; 0 = default, negative disables promotion)")
 	replicas := flag.Int("replicas", 0, "embedded read replicas served at /replica/<n>/query (frontend)")
 	logStores := flag.String("log-stores", "", "comma-separated Log Store addresses (replica)")
 	pageStores := flag.String("page-stores", "", "comma-separated Page Store addresses, master order (replica)")
@@ -224,8 +222,7 @@ func main() {
 	case "frontend":
 		runFrontend(*listen, *statsAddr, frontendOptions{
 			dataDir: *dataDir, ckptInterval: *ckptInterval,
-			writeLanes: *writeLanes, replicas: *replicas,
-			slowOp: *slowOp, traceSample: *traceSample, scanPar: *scanPar,
+			replicas: *replicas, slowOp: *slowOp, traceSample: *traceSample, scanPar: *scanPar,
 			peers: parsePeers(*peers), heartbeat: *heartbeatInterval, suspect: *suspectThreshold,
 		})
 		return
@@ -421,7 +418,6 @@ func jsonHandler(payload func() any) http.HandlerFunc {
 type frontendOptions struct {
 	dataDir      string
 	ckptInterval time.Duration
-	writeLanes   int
 	replicas     int
 	slowOp       time.Duration
 	traceSample  float64
@@ -442,7 +438,7 @@ type frontendOptions struct {
 // -replicas n, n embedded read replicas attach to the same storage
 // cluster and serve /replica/<i>/query and /replica/<i>/stats.
 func runFrontend(listen, statsAddr string, opts frontendOptions) {
-	cfg := taurus.Config{DataDir: opts.dataDir, WriteLanes: opts.writeLanes, SlowOpThreshold: opts.slowOp,
+	cfg := taurus.Config{DataDir: opts.dataDir, SlowOpThreshold: opts.slowOp,
 		TraceSampleRate: opts.traceSample, ScanParallelism: opts.scanPar,
 		HeartbeatInterval: opts.heartbeat, SuspectThreshold: opts.suspect}
 	if opts.dataDir != "" && opts.ckptInterval > 0 {

@@ -256,8 +256,8 @@ func (e *Engine) Txm() *txn.Manager { return e.txm }
 // committer never waits for LSNs handed out to unrelated concurrent
 // writers after its last write. Page Store application continues
 // asynchronously; readers of the touched pages wait on applied LSNs,
-// not on this commit. Concurrent committers of one lane still share a
-// group-commit window (and one fsync).
+// not on this commit. Concurrent committers still share a group-commit
+// window (and one fsync).
 func (e *Engine) Commit(tx *txn.Txn) error {
 	tx.Commit()
 	if e.salc == nil {

@@ -130,9 +130,7 @@ type RecoveryStats struct {
 	Indexes int
 	// Records is the total log records scanned.
 	Records int
-	// MaxLSN, MaxTrxID are the highest sequence numbers observed; the
-	// caller resumes the SAL's LSN allocator above MaxLSN.
-	MaxLSN   uint64
+	// MaxTrxID is the highest transaction ID observed.
 	MaxTrxID uint64
 }
 
@@ -141,8 +139,8 @@ type RecoveryStats struct {
 // meta checkpoint RecoverFrom merges back. Catalog entries come in
 // creation order: tables by primary index ID, each followed by its
 // secondaries.
-// AppliedLSN and MaxLSN are left to the caller, because the SAL owns
-// the LSN allocator and the cluster watermark.
+// AppliedLSN is left to the caller, because the SAL owns the cluster
+// watermark.
 func (e *Engine) CheckpointBase() *pstore.Meta {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -203,16 +201,12 @@ func (e *Engine) RecoverFrom(base *pstore.Meta, recs []wal.Record) (RecoveryStat
 		if err != nil {
 			return fmt.Errorf("engine: recovering catalog: %w", err)
 		}
-		// Recovery barriers carry a void-from LSN in IndexID, not an
-		// index id; they define nothing.
-		if entry.Kind != wal.CatalogBarrier {
-			entries = append(entries, entry)
-			maxIndex = max(maxIndex, entry.IndexID)
-		}
+		entries = append(entries, entry)
+		maxIndex = max(maxIndex, entry.IndexID)
 		return nil
 	}
 	if base != nil {
-		st.MaxLSN, st.MaxTrxID = base.MaxLSN, base.MaxTrxID
+		st.MaxTrxID = base.MaxTrxID
 		maxPage, maxIndex = base.MaxPageID, base.MaxIndexID
 		for _, payload := range base.Catalog {
 			if err := addEntry(payload); err != nil {
@@ -222,7 +216,6 @@ func (e *Engine) RecoverFrom(base *pstore.Meta, recs []wal.Record) (RecoveryStat
 	}
 	for i := range recs {
 		rec := &recs[i]
-		st.MaxLSN = max(st.MaxLSN, rec.LSN)
 		st.MaxTrxID = max(st.MaxTrxID, rec.TrxID)
 		maxPage = max(maxPage, rec.PageID)
 		// A root formatted by a DDL that crashed before its catalog

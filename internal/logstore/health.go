@@ -41,10 +41,6 @@ const (
 //     slowest subscriber's lag must not grow monotonically while the
 //     durable LSN also advances — that shape means the push stream is
 //     not draining, not merely that writes are bursty.
-//   - logstore.holes (RB-LOG-HOLES): LSNs below the durable watermark
-//     waiting for another lane's batch must not persist while durable
-//     progress has stopped — after a crash that is a torn multi-lane
-//     write needing peer catch-up.
 func (s *Store) RegisterHealth(m *health.Monitor) {
 	// growSince marks when the stream lag was first observed growing
 	// under an advancing durable LSN; any non-growing sample resets it.
@@ -81,37 +77,5 @@ func (s *Store) RegisterHealth(m *health.Monitor) {
 		}
 		return health.Checkf(name, rb, health.StatusOK, ev,
 			"%d subscriber(s), lag %d (growing %s)", st.Subscribers, st.StreamLag, held.Round(time.Millisecond))
-	})
-
-	var holeDurable uint64
-	var holeSince time.Time
-	m.AddProbe(func() health.Check {
-		st := s.NodeStats()
-		const name, rb = "logstore.holes", "RB-LOG-HOLES"
-		ev := map[string]string{
-			"pending_holes": fmt.Sprintf("%d", st.PendingHoles),
-			"durable_lsn":   fmt.Sprintf("%d", st.DurableLSN),
-		}
-		stuck := st.PendingHoles > 0 && st.DurableLSN == holeDurable
-		holeDurable = st.DurableLSN
-		if !stuck {
-			holeSince = time.Time{}
-			return health.Checkf(name, rb, health.StatusOK, ev, "no stuck holes")
-		}
-		if holeSince.IsZero() {
-			holeSince = time.Now()
-		}
-		held := time.Since(holeSince)
-		ev["stuck_for"] = held.Round(time.Millisecond).String()
-		switch {
-		case held >= degradeCriticalAfter:
-			return health.Checkf(name, rb, health.StatusCritical, ev,
-				"%d hole(s) below the durable watermark with no durable progress for %s; run peer catch-up", st.PendingHoles, held.Round(time.Second))
-		case held >= degradeWarnAfter:
-			return health.Checkf(name, rb, health.StatusWarn, ev,
-				"%d pending hole(s) while durable LSN is stalled (%s)", st.PendingHoles, held.Round(time.Second))
-		}
-		return health.Checkf(name, rb, health.StatusOK, ev,
-			"%d pending hole(s), watching (%s)", st.PendingHoles, held.Round(time.Millisecond))
 	})
 }

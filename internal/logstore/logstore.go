@@ -44,17 +44,6 @@ type Store struct {
 	// truncatedLSN is the GC watermark: records at or below it have
 	// been dropped from memory (and their sealed segments reclaimed).
 	truncatedLSN uint64
-	// holes tracks LSNs below durableLSN that no accepted batch has
-	// carried yet. The SAL's per-slice write lanes append their windows
-	// concurrently, so batches from different lanes interleave in LSN
-	// space and can arrive out of order: accepting [6,8] before [5,7]
-	// must not make the [5,7] batch look like an idempotent duplicate.
-	// LSNs are allocated densely, so every LSN between the old and the
-	// new watermark that the advancing batch did not carry is a pending
-	// hole; a record is a duplicate only if it is at or below the
-	// watermark AND not a pending hole. The set is bounded by the
-	// lanes' in-flight windows.
-	holes map[uint64]struct{}
 	// failed is the sticky disk-failure state: once a persist fails,
 	// the in-memory watermark may overstate what is on disk, so the
 	// store stops acknowledging anything rather than let a retried
@@ -92,9 +81,8 @@ type Store struct {
 
 // gcMarkFile persists the truncation watermark: plog GC deletes only
 // whole segments, so records below the watermark can survive on disk in
-// mixed segments, and without the marker a reopened store would
-// misread the gaps GC left (acknowledged, collected records) as pending
-// lane holes that no peer can ever fill.
+// mixed segments; a reopen uses the marker to tell the gaps GC left
+// from a torn log, and resumes at it when no record above it survives.
 const gcMarkFile = "gcmark"
 
 // Option configures a disk-backed Store.
@@ -122,7 +110,9 @@ func New(name string) *Store {
 
 // Open creates or recovers a disk-backed Log Store in dir. Batches
 // previously acknowledged are replayed into memory; a torn final entry
-// (interrupted append) is detected by CRC and discarded.
+// (interrupted append) is detected by CRC and discarded. The log is an
+// LSN prefix: above the GC watermark the surviving records must run
+// without a gap, and Open fails naming the first missing LSN otherwise.
 func Open(name, dir string, opts ...Option) (*Store, error) {
 	po := plog.Options{Dir: dir}
 	for _, o := range opts {
@@ -138,52 +128,31 @@ func Open(name, dir string, opts ...Option) (*Store, error) {
 			s.truncatedLSN = mark
 		}
 	}
-	var all []wal.Record
 	err = disk.Replay(func(mark uint64, payload []byte) error {
 		recs, err := wal.DecodeAll(payload)
 		if err != nil {
 			return fmt.Errorf("logstore %s: replaying durable batch: %w", name, err)
 		}
-		all = append(all, recs...)
+		for _, r := range recs {
+			// Records at or below the GC watermark survive in mixed
+			// segments with gaps GC left; above it the log must be a
+			// prefix.
+			if r.LSN > s.durableLSN+1 && r.LSN > s.truncatedLSN+1 {
+				return fmt.Errorf("logstore %s: log has a gap: LSN %d missing (next record is %d)",
+					name, max(s.durableLSN, s.truncatedLSN)+1, r.LSN)
+			}
+			if r.LSN > s.durableLSN {
+				s.log = append(s.log, r)
+				s.durableLSN = r.LSN
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		disk.Close()
 		return nil, err
 	}
-	// Entries land on disk in append order — per-lane FIFO streams, so
-	// NOT necessarily LSN order; sort + dedupe so recovery never
-	// depends on it.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].LSN < all[j].LSN })
-	for _, r := range all {
-		if r.LSN <= s.durableLSN {
-			continue
-		}
-		// LSNs are dense (allocated from 1), so a gap in the surviving
-		// records is a pending hole another lane's batch (or a peer's
-		// CatchUp) may still fill — rebuild the hole set the crash wiped
-		// out, or a retried batch would be misfiled as a duplicate. Gaps
-		// at or below the persisted GC watermark are not holes — segment
-		// GC collected those acknowledged records on purpose — so the
-		// scan skips that prefix wholesale (never iterating the
-		// potentially huge collected range) but otherwise starts at
-		// LSN 1 rather than the first surviving record: a hole at the
-		// very FRONT of the retained log — above the GC watermark but
-		// below everything that survived — is detected too, and CatchUp
-		// can backfill it from a peer.
-		from := s.durableLSN + 1
-		if from <= s.truncatedLSN {
-			from = s.truncatedLSN + 1
-		}
-		for lsn := from; lsn < r.LSN; lsn++ {
-			if s.holes == nil {
-				s.holes = make(map[uint64]struct{})
-			}
-			s.holes[lsn] = struct{}{}
-		}
-		s.log = append(s.log, r)
-		s.durableLSN = r.LSN
-	}
+	s.durableLSN = max(s.durableLSN, s.truncatedLSN)
 	return s, nil
 }
 
@@ -278,11 +247,13 @@ func (s *Store) Handle(req any) (any, error) {
 	}
 }
 
-// Append decodes and durably stores a batch of encoded records, returning
-// the highest LSN made durable. In disk mode it does not return until the
-// surviving records are persisted and fsynced (group commit); re-delivered
-// records (SAL retries) are filtered before hitting the disk, so
-// redelivery is idempotent in both modes.
+// Append decodes and durably stores a batch of encoded records,
+// returning the highest LSN made durable. The log is an LSN prefix:
+// records at or below the durable LSN are dropped as redeliveries (SAL
+// retries, peer catch-up), and the rest must start at durable + 1 and
+// carry every LSN, or the batch is rejected whole. In disk mode Append
+// does not return until the fresh records are persisted and fsynced
+// (group commit).
 func (s *Store) Append(encoded []byte) (uint64, error) {
 	done := s.observeAppend()
 	freshN := 0
@@ -297,29 +268,15 @@ func (s *Store) Append(encoded []byte) (uint64, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	// Filter records already durable (idempotent re-delivery) and keep
-	// only the fresh ones. A record at or below the watermark is fresh
-	// when it fills a pending hole left by an out-of-order lane batch;
-	// anything else below the watermark is a duplicate.
-	var fresh []wal.Record
-	var freshEnc []byte
-	batchLSNs := make(map[uint64]struct{}, len(recs))
-	maxLSN := s.durableLSN
-	for i := range recs {
-		r := &recs[i]
-		if r.LSN <= s.durableLSN {
-			if _, pending := s.holes[r.LSN]; !pending {
-				continue
-			}
-			delete(s.holes, r.LSN)
-		}
-		fresh = append(fresh, *r)
-		batchLSNs[r.LSN] = struct{}{}
-		if s.disk != nil {
-			freshEnc = r.Encode(freshEnc)
-		}
-		if r.LSN > maxLSN {
-			maxLSN = r.LSN
+	i := 0
+	for i < len(recs) && recs[i].LSN <= s.durableLSN {
+		i++
+	}
+	fresh := recs[i:]
+	for j := range fresh {
+		if want := s.durableLSN + 1 + uint64(j); fresh[j].LSN != want {
+			s.mu.Unlock()
+			return 0, fmt.Errorf("logstore %s: batch skips LSN %d (got %d)", s.name, want, fresh[j].LSN)
 		}
 	}
 	if len(fresh) == 0 {
@@ -328,20 +285,9 @@ func (s *Store) Append(encoded []byte) (uint64, error) {
 		return lsn, nil
 	}
 	freshN = len(fresh)
-	// Advancing the watermark past LSNs this batch did not carry leaves
-	// them as pending holes other lanes' batches will fill.
-	if maxLSN > s.durableLSN {
-		if s.holes == nil {
-			s.holes = make(map[uint64]struct{})
-		}
-		for lsn := s.durableLSN + 1; lsn < maxLSN; lsn++ {
-			if _, ok := batchLSNs[lsn]; !ok {
-				s.holes[lsn] = struct{}{}
-			}
-		}
-	}
+	maxLSN := fresh[len(fresh)-1].LSN
 	if s.disk == nil {
-		s.insertSortedLocked(fresh)
+		s.log = append(s.log, fresh...)
 		s.durableLSN = maxLSN
 		s.mu.Unlock()
 		s.kickHub()
@@ -351,12 +297,19 @@ func (s *Store) Append(encoded []byte) (uint64, error) {
 	// the lock, so the on-disk order matches LSN order and a concurrent
 	// redelivery is filtered; then wait for the fsync outside the lock,
 	// letting concurrent appenders share one group commit.
+	freshEnc := encoded
+	if i > 0 {
+		freshEnc = nil
+		for j := range fresh {
+			freshEnc = fresh[j].Encode(freshEnc)
+		}
+	}
 	_, token, err := s.disk.AppendAsync(maxLSN, freshEnc)
 	if err != nil {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("logstore %s: %w", s.name, err)
 	}
-	s.insertSortedLocked(fresh)
+	s.log = append(s.log, fresh...)
 	s.durableLSN = maxLSN
 	disk := s.disk
 	s.mu.Unlock()
@@ -377,44 +330,11 @@ func (s *Store) Append(encoded []byte) (uint64, error) {
 	return maxLSN, nil
 }
 
-// insertSortedLocked splices a batch (itself in LSN order) into the
-// in-memory log, keeping it sorted so ReadFrom serves recovery in LSN
-// order even when lane batches were accepted out of order. The common
-// case — the batch extends the tail — stays a plain append; a
-// hole-filling batch merges into the short suffix it overlaps.
-func (s *Store) insertSortedLocked(fresh []wal.Record) {
-	if len(s.log) == 0 || fresh[0].LSN > s.log[len(s.log)-1].LSN {
-		s.log = append(s.log, fresh...)
-		return
-	}
-	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].LSN > fresh[0].LSN })
-	suffix := append([]wal.Record(nil), s.log[i:]...)
-	s.log = s.log[:i]
-	for len(suffix) > 0 && len(fresh) > 0 {
-		if suffix[0].LSN < fresh[0].LSN {
-			s.log = append(s.log, suffix[0])
-			suffix = suffix[1:]
-		} else {
-			s.log = append(s.log, fresh[0])
-			fresh = fresh[1:]
-		}
-	}
-	s.log = append(append(s.log, suffix...), fresh...)
-}
-
 // DurableLSN returns the highest durable LSN.
 func (s *Store) DurableLSN() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.durableLSN
-}
-
-// PendingHoles reports LSNs below the durable watermark still awaiting
-// another write lane's batch (0 at rest).
-func (s *Store) PendingHoles() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.holes)
 }
 
 // TruncatedLSN returns the GC watermark (0 = nothing truncated).
@@ -441,9 +361,7 @@ func (s *Store) ReadFrom(after uint64) []wal.Record {
 // wire encoding (LSN order), feeding the push stream's frames. max <= 0
 // means unbounded. Only the record headers are copied under the store
 // lock; the encoding happens outside it, so stream reads do not stall
-// concurrent Appends (record payloads are immutable once
-// stored, and hole-filling merges rebuild the slice rather than
-// mutating payload bytes).
+// concurrent Appends (record payloads are immutable once stored).
 func (s *Store) ReadEncodedFrom(after uint64, max int) ([]byte, int) {
 	s.mu.Lock()
 	// The log is sorted by LSN; binary-search the tail start.
@@ -493,11 +411,6 @@ func (s *Store) TruncateBelow(watermark uint64) (int, uint64, error) {
 	}
 	dropped := len(s.log) - len(kept)
 	s.log = append([]wal.Record(nil), kept...)
-	for lsn := range s.holes {
-		if lsn < watermark {
-			delete(s.holes, lsn)
-		}
-	}
 	if watermark > 0 && watermark-1 > s.truncatedLSN {
 		s.truncatedLSN = watermark - 1
 	}
@@ -513,7 +426,7 @@ func (s *Store) TruncateBelow(watermark uint64) (int, uint64, error) {
 		return 0, 0, nil
 	}
 	// Persist the (monotone) watermark before deleting segments: a
-	// reopen must be able to tell GC'd gaps from pending lane holes.
+	// reopen must be able to tell GC'd gaps from a torn log.
 	if mark > 0 {
 		tmp := filepath.Join(dir, gcMarkFile+".tmp")
 		if err := os.WriteFile(tmp, []byte(strconv.FormatUint(mark, 10)), 0o644); err != nil {
@@ -548,13 +461,10 @@ func (s *Store) Segments() int {
 
 // CatchUp is the Log Store replica repair skeleton: a lagging replica
 // pulls the batches it is missing straight out of a peer's persistent
-// log (plog.Replay streams them in append order) instead of waiting for
-// the SAL's triplicate writes to be retried. The durable tail is
-// repaired (batches whose highest LSN exceeds this store's durable
-// LSN), and so are tracked pending holes below the watermark — LSN
-// gaps left by interleaved lane batches, rebuilt from gaps at Open. A
-// torn middle the peer ALSO lacks still needs full replica rebuild,
-// tracked in ROADMAP. Returns the number of records appended.
+// log (plog.Replay streams them in append order = LSN order) instead of
+// waiting for the SAL's triplicate writes to be retried. Batches at or
+// below this store's durable LSN are skipped; the rest extend its
+// prefix. Returns the number of records appended.
 func (s *Store) CatchUp(peer *Store) (int, error) {
 	if peer == nil || !peer.Durable() {
 		return 0, fmt.Errorf("logstore %s: catch-up needs a disk-backed peer", s.name)
@@ -562,15 +472,8 @@ func (s *Store) CatchUp(peer *Store) (int, error) {
 	appended := 0
 	err := peer.disk.Replay(func(mark uint64, payload []byte) error {
 		// mark is the batch's highest LSN; skip batches we already have
-		// without decoding them — unless this store has pending holes
-		// below its watermark (interleaved lane batches lost in a
-		// crash), in which case a below-watermark peer batch may be
-		// exactly the filler and Append's hole-aware filter must see
-		// it.
-		s.mu.Lock()
-		pendingHoles := len(s.holes)
-		s.mu.Unlock()
-		if mark <= s.DurableLSN() && pendingHoles == 0 {
+		// without decoding them.
+		if mark <= s.DurableLSN() {
 			return nil
 		}
 		before := s.Len()
@@ -594,8 +497,8 @@ type NodeStats struct {
 	DurableLSN   uint64
 	TruncatedLSN uint64
 	Records      int
-	// PendingHoles counts LSNs below the durable watermark still
-	// awaiting another write lane's batch (normally 0 at rest).
+	// PendingHoles is always 0: the log is an LSN prefix. Kept for
+	// readers of earlier stats.
 	PendingHoles int
 	// Subscribers and StreamLag describe the push stream: attached
 	// consumers and the record distance to the slowest one.
@@ -610,16 +513,12 @@ type NodeStats struct {
 
 // NodeStats snapshots the store's observable state.
 func (s *Store) NodeStats() NodeStats {
-	s.mu.Lock()
-	pendingHoles := len(s.holes)
-	s.mu.Unlock()
 	return NodeStats{
 		Name:         s.name,
 		Durable:      s.Durable(),
 		DurableLSN:   s.DurableLSN(),
 		TruncatedLSN: s.TruncatedLSN(),
 		Records:      s.Len(),
-		PendingHoles: pendingHoles,
 		Subscribers:  s.Subscribers(),
 		StreamLag:    s.StreamLag(),
 		Segments:     s.Segments(),

@@ -1,11 +1,13 @@
 package logstore
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"taurus/internal/cluster"
+	"taurus/internal/plog"
 	"taurus/internal/wal"
 )
 
@@ -59,9 +61,9 @@ func TestReadFromServesReplicas(t *testing.T) {
 func TestHandleDispatch(t *testing.T) {
 	s := New("log1")
 	resp, err := s.Handle(&cluster.LogAppendReq{
-		Recs: encodeRecs(wal.Record{LSN: 5, Type: wal.TypeCompact, PageID: 9}),
+		Recs: encodeRecs(wal.Record{LSN: 1, Type: wal.TypeCompact, PageID: 9}),
 	})
-	if err != nil || resp.(*cluster.Ack).LSN != 5 {
+	if err != nil || resp.(*cluster.Ack).LSN != 1 {
 		t.Fatalf("handle: %v %v", resp, err)
 	}
 	if _, err := s.Handle("bogus"); err == nil {
@@ -69,74 +71,72 @@ func TestHandleDispatch(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderLSNBatches pins the prefix rule: a batch that skips an
+// LSN is rejected whole and leaves the durable LSN where it was, while
+// redeliveries and batches straddling the durable LSN are accepted.
 func TestOutOfOrderLSNBatches(t *testing.T) {
+	compact := func(lsns ...uint64) []byte {
+		var recs []wal.Record
+		for _, lsn := range lsns {
+			recs = append(recs, wal.Record{LSN: lsn, Type: wal.TypeCompact, PageID: 1})
+		}
+		return encodeRecs(recs...)
+	}
 	for _, durable := range []bool{false, true} {
 		name := "memory"
 		if durable {
 			name = "disk"
 		}
 		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
 			var s *Store
 			if durable {
 				var err error
-				s, err = Open("log1", t.TempDir(), WithNoSync())
-				if err != nil {
+				if s, err = Open("log1", dir, WithNoSync()); err != nil {
 					t.Fatal(err)
 				}
-				defer s.Close()
 			} else {
 				s = New("log1")
 			}
-			// A later lane's batch arrives first: the watermark advances
-			// and the skipped LSNs become pending holes.
-			if lsn, err := s.Append(encodeRecs(
-				wal.Record{LSN: 5, Type: wal.TypeCompact, PageID: 1},
-				wal.Record{LSN: 6, Type: wal.TypeCompact, PageID: 1},
-			)); err != nil || lsn != 6 {
+			if lsn, err := s.Append(compact(1, 2)); err != nil || lsn != 2 {
 				t.Fatalf("first batch: lsn=%d err=%v", lsn, err)
 			}
-			if holes := s.NodeStats().PendingHoles; holes != 4 {
-				t.Fatalf("pending holes = %d, want 4 (LSNs 1-4)", holes)
+			// A batch that does not start at durable + 1, and one with a
+			// gap inside: both rejected, nothing stored.
+			for _, bad := range [][]byte{compact(4, 5), compact(3, 5)} {
+				_, err := s.Append(bad)
+				if err == nil || !strings.Contains(err.Error(), "LSN 3") && !strings.Contains(err.Error(), "LSN 4") {
+					t.Fatalf("gapped batch: err=%v, want a rejection naming the missing LSN", err)
+				}
+				if s.DurableLSN() != 2 || s.Len() != 2 {
+					t.Fatalf("rejected batch moved the log: durable=%d len=%d", s.DurableLSN(), s.Len())
+				}
 			}
-			// Another lane's batch below the watermark fills its holes —
-			// it must NOT be dropped as a duplicate.
-			if lsn, err := s.Append(encodeRecs(
-				wal.Record{LSN: 3, Type: wal.TypeCompact, PageID: 1},
-				wal.Record{LSN: 4, Type: wal.TypeCompact, PageID: 1},
-			)); err != nil || lsn != 6 {
-				t.Fatalf("hole-filling batch: lsn=%d err=%v", lsn, err)
+			// Re-delivering the same records is a no-op.
+			if lsn, err := s.Append(compact(1, 2)); err != nil || lsn != 2 || s.Len() != 2 {
+				t.Fatalf("redelivered batch: lsn=%d err=%v len=%d", lsn, err, s.Len())
 			}
-			if s.Len() != 4 {
-				t.Fatalf("hole-filling batch dropped: len=%d", s.Len())
-			}
-			if holes := s.NodeStats().PendingHoles; holes != 2 {
-				t.Fatalf("pending holes = %d, want 2 (LSNs 1-2)", holes)
-			}
-			// Re-delivering the same records IS a duplicate.
-			if lsn, err := s.Append(encodeRecs(
-				wal.Record{LSN: 3, Type: wal.TypeCompact, PageID: 1},
-				wal.Record{LSN: 4, Type: wal.TypeCompact, PageID: 1},
-			)); err != nil || lsn != 6 {
-				t.Fatalf("redelivered batch: lsn=%d err=%v", lsn, err)
-			}
-			if s.Len() != 4 {
-				t.Fatalf("redelivered batch stored: len=%d", s.Len())
-			}
-			// A batch straddling the watermark keeps only the fresh suffix.
-			if lsn, err := s.Append(encodeRecs(
-				wal.Record{LSN: 6, Type: wal.TypeCompact, PageID: 1},
-				wal.Record{LSN: 7, Type: wal.TypeCompact, PageID: 1},
-			)); err != nil || lsn != 7 {
+			// A batch straddling the durable LSN keeps only the fresh suffix.
+			if lsn, err := s.Append(compact(2, 3)); err != nil || lsn != 3 {
 				t.Fatalf("straddling batch: lsn=%d err=%v", lsn, err)
 			}
-			if s.Len() != 5 || s.DurableLSN() != 7 {
+			if s.Len() != 3 || s.DurableLSN() != 3 {
 				t.Fatalf("len=%d durable=%d", s.Len(), s.DurableLSN())
 			}
-			recs := s.ReadFrom(0)
-			for i := 1; i < len(recs); i++ {
-				if recs[i].LSN <= recs[i-1].LSN {
-					t.Fatalf("log not LSN-sorted: %d after %d", recs[i].LSN, recs[i-1].LSN)
-				}
+			if !durable {
+				return
+			}
+			// Nothing of the rejected batches reached the disk.
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open("log1", dir, WithNoSync())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.DurableLSN() != 3 || re.Len() != 3 {
+				t.Fatalf("reopened: durable=%d len=%d", re.DurableLSN(), re.Len())
 			}
 		})
 	}
@@ -325,81 +325,11 @@ func TestCatchUpFromPeer(t *testing.T) {
 	}
 }
 
-// TestCatchUpFillsHoles verifies replica repair across interleaved lane
-// batches: a replica that missed an earlier lane's batch (a pending
-// hole below its durable watermark) pulls it from a peer — including
-// after a restart, when the hole set is rebuilt from the LSN gaps.
-func TestCatchUpFillsHoles(t *testing.T) {
-	peerDir, replicaDir := t.TempDir(), t.TempDir()
-	peer, err := Open("peer", peerDir, WithNoSync())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	replica, err := Open("replica", replicaDir, WithNoSync())
-	if err != nil {
-		t.Fatal(err)
-	}
-	laneA := encodeRecs(
-		wal.Record{LSN: 1, Type: wal.TypeCompact, PageID: 1},
-		wal.Record{LSN: 2, Type: wal.TypeCompact, PageID: 1},
-	)
-	laneB := encodeRecs(
-		wal.Record{LSN: 3, Type: wal.TypeCompact, PageID: 9},
-		wal.Record{LSN: 4, Type: wal.TypeCompact, PageID: 9},
-	)
-	laneC := encodeRecs(
-		wal.Record{LSN: 5, Type: wal.TypeCompact, PageID: 1},
-		wal.Record{LSN: 6, Type: wal.TypeCompact, PageID: 1},
-	)
-	for _, batch := range [][]byte{laneA, laneB, laneC} {
-		if _, err := peer.Append(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The replica got lanes A and C but lost lane B's batch in between.
-	for _, batch := range [][]byte{laneA, laneC} {
-		if _, err := replica.Append(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if replica.PendingHoles() != 2 || replica.DurableLSN() != 6 {
-		t.Fatalf("replica holes=%d durable=%d", replica.PendingHoles(), replica.DurableLSN())
-	}
-	// Restart the replica: the hole set must be rebuilt from the gap.
-	if err := replica.Close(); err != nil {
-		t.Fatal(err)
-	}
-	replica, err = Open("replica", replicaDir, WithNoSync())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replica.Close()
-	if replica.PendingHoles() != 2 {
-		t.Fatalf("holes not rebuilt on open: %d", replica.PendingHoles())
-	}
-	// CatchUp must not skip the below-watermark hole-filling batch.
-	appended, err := replica.CatchUp(peer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if appended != 2 || replica.PendingHoles() != 0 || replica.Len() != 6 {
-		t.Fatalf("after catch-up: appended=%d holes=%d len=%d",
-			appended, replica.PendingHoles(), replica.Len())
-	}
-	recs := replica.ReadFrom(0)
-	for i := 1; i < len(recs); i++ {
-		if recs[i].LSN <= recs[i-1].LSN {
-			t.Fatalf("log not LSN-sorted after repair: %v", recs[i].LSN)
-		}
-	}
-}
-
 // TestGCMarkSurvivesReopen pins the persisted GC watermark: segment GC
 // deletes whole segments, so collected records can leave gaps between
-// surviving mixed segments — a reopened store must not reconstruct
-// those gaps as pending lane holes (no peer can ever fill them), and
-// the truncation watermark itself must survive the restart.
+// surviving mixed segments — a reopened store must accept those gaps
+// (they lie at or below the watermark) rather than fail as a torn log,
+// and the truncation watermark itself must survive the restart.
 func TestGCMarkSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open("log1", dir, WithNoSync(), WithSegmentBytes(128))
@@ -425,101 +355,76 @@ func TestGCMarkSurvivesReopen(t *testing.T) {
 	if s2.TruncatedLSN() != 29 {
 		t.Fatalf("truncation watermark lost on reopen: %d", s2.TruncatedLSN())
 	}
-	// Surviving mixed segments may still start below the watermark; any
-	// gap at or below it is a GC artifact, not a pending hole.
-	if s2.PendingHoles() != 0 {
-		t.Fatalf("GC'd prefix reconstructed as %d pending holes", s2.PendingHoles())
-	}
 	if s2.DurableLSN() != 40 {
 		t.Fatalf("durable = %d", s2.DurableLSN())
 	}
 }
 
-// TestFrontHoleDetectedOnReopen pins the last piece of hole repair: a
-// hole at the very FRONT of the retained log. Segment GC deleted the
-// prefix below the persisted watermark, the batch just above the
-// watermark was lost in a crash (its holes map died with the process),
-// and the surviving records start later. With the GC watermark on disk
-// the gap between it and the first surviving record is provably loss —
-// Open must rebuild those pending holes so CatchUp can backfill them
-// from a peer.
+// TestFrontHoleDetectedOnReopen writes logs with a gap straight to
+// disk (Append refuses to make one) and checks that Open fails naming
+// the missing LSN: a gap between the GC watermark and the first
+// surviving record, and a gap in the middle of the log.
 func TestFrontHoleDetectedOnReopen(t *testing.T) {
-	dir := t.TempDir()
-	// Peer holds the full log.
-	peer, err := Open("peer", dir+"/peer", WithSegmentBytes(64), WithNoSync())
-	if err != nil {
-		t.Fatal(err)
+	compact := func(from, to uint64) []byte {
+		var recs []wal.Record
+		for lsn := from; lsn <= to; lsn++ {
+			recs = append(recs, wal.Record{LSN: lsn, Type: wal.TypeCompact, PageID: 1})
+		}
+		return encodeRecs(recs...)
 	}
-	defer peer.Close()
-	batchA := []wal.Record{}
-	for lsn := uint64(1); lsn <= 5; lsn++ {
-		batchA = append(batchA, wal.Record{LSN: lsn, Type: wal.TypeCompact, PageID: 1})
-	}
-	batchB := []wal.Record{}
-	for lsn := uint64(6); lsn <= 10; lsn++ {
-		batchB = append(batchB, wal.Record{LSN: lsn, Type: wal.TypeCompact, PageID: 1})
-	}
-	batchC := []wal.Record{}
-	for lsn := uint64(11); lsn <= 15; lsn++ {
-		batchC = append(batchC, wal.Record{LSN: lsn, Type: wal.TypeCompact, PageID: 1})
-	}
-	for _, b := range [][]wal.Record{batchA, batchB, batchC} {
-		if _, err := peer.Append(encodeRecs(b...)); err != nil {
+	// writeRaw appends batches to the segmented log under the store.
+	writeRaw := func(dir string, batches ...[]byte) {
+		t.Helper()
+		l, err := plog.Open(plog.Options{Dir: dir, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches {
+			recs, err := wal.DecodeAll(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(recs[len(recs)-1].LSN, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The lagging replica got batches A and C; B (an interleaved lane
-	// batch) never arrived before the crash. Tiny segments make every
-	// batch its own sealed segment, so GC below 6 fully deletes A.
-	lag, err := Open("lag", dir+"/lag", WithSegmentBytes(64), WithNoSync())
+	openFails := func(dir, missing string) {
+		t.Helper()
+		s, err := Open("lag", dir, WithNoSync())
+		if err == nil {
+			s.Close()
+			t.Fatalf("Open accepted a log missing LSN %s", missing)
+		}
+		if !strings.Contains(err.Error(), "LSN "+missing+" missing") {
+			t.Fatalf("Open error %q does not name LSN %s", err, missing)
+		}
+	}
+
+	// Front hole: GC collected 1..5 (watermark 5), and the surviving
+	// records start at 11.
+	front := t.TempDir()
+	s, err := Open("lag", front, WithSegmentBytes(64), WithNoSync())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lag.Append(encodeRecs(batchA...)); err != nil {
+	if _, err := s.Append(compact(1, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lag.Append(encodeRecs(batchC...)); err != nil {
+	if _, _, err := s.TruncateBelow(6); err != nil {
 		t.Fatal(err)
 	}
-	if lag.PendingHoles() != 5 {
-		t.Fatalf("runtime holes = %d, want 5", lag.PendingHoles())
-	}
-	if _, _, err := lag.TruncateBelow(6); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := lag.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Crash + reopen: the in-memory holes map is gone; the retained log
-	// now STARTS at LSN 11 with the GC watermark at 5. LSNs 6..10 are a
-	// front hole — above the watermark, below everything surviving.
-	lag, err = Open("lag", dir+"/lag", WithSegmentBytes(64), WithNoSync())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lag.Close()
-	if lag.TruncatedLSN() != 5 {
-		t.Fatalf("truncated = %d, want 5", lag.TruncatedLSN())
-	}
-	if first := lag.ReadFrom(0); len(first) == 0 || first[0].LSN != 11 {
-		t.Fatalf("retained log should start at 11, got %v", first)
-	}
-	if lag.PendingHoles() != 5 {
-		t.Fatalf("front hole not rebuilt: PendingHoles = %d, want 5", lag.PendingHoles())
-	}
-	// And the hole is repairable from the peer.
-	appended, err := lag.CatchUp(peer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if appended != 5 {
-		t.Fatalf("CatchUp appended %d records, want 5", appended)
-	}
-	if lag.PendingHoles() != 0 {
-		t.Fatalf("holes remain after catch-up: %d", lag.PendingHoles())
-	}
-	recs := lag.ReadFrom(5)
-	if len(recs) != 10 || recs[0].LSN != 6 || recs[9].LSN != 15 {
-		t.Fatalf("log not contiguous after repair: %d records, first %d", len(recs), recs[0].LSN)
-	}
+	writeRaw(front, compact(11, 15))
+	openFails(front, "6")
+
+	// Middle gap: 1..5, then 8..9.
+	mid := t.TempDir()
+	writeRaw(mid, compact(1, 5), compact(8, 9))
+	openFails(mid, "6")
 }

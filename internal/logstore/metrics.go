@@ -24,14 +24,12 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(s.TruncatedLSN()) }, labels...)
 	reg.GaugeFunc("taurus_logstore_records", "Records held in memory.",
 		func() float64 { return float64(s.Len()) }, labels...)
-	reg.GaugeFunc("taurus_logstore_pending_holes", "LSNs below the watermark awaiting another lane's batch.",
-		func() float64 { return float64(s.PendingHoles()) }, labels...)
 	reg.GaugeFunc("taurus_logstore_segments", "On-disk segment files.",
 		func() float64 { return float64(s.Segments()) }, labels...)
 	// Subscription-stream families (push-based replica distribution).
 	reg.GaugeFunc("taurus_logstore_stream_subscribers", "Active push-stream subscribers.",
 		func() float64 { return float64(s.Subscribers()) }, labels...)
-	reg.GaugeFunc("taurus_logstore_stream_lag_records", "Records between the contiguous durable prefix and the slowest subscriber.",
+	reg.GaugeFunc("taurus_logstore_stream_lag_records", "Records between the durable LSN and the slowest subscriber.",
 		func() float64 { return float64(s.StreamLag()) }, labels...)
 	s.mSubscribes = reg.Counter("taurus_logstore_stream_subscribes_total",
 		"Subscriptions accepted (attaches and resubscribes).", labels...)

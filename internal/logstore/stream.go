@@ -52,7 +52,7 @@ type subscriber struct {
 }
 
 // hub is the store's stream multicaster: one goroutine watches the
-// contiguous durable frontier and frontier relays, encodes new records
+// durable LSN and frontier relays, encodes new records
 // once, and fans the frame out to every subscriber's queue.
 type hub struct {
 	s  *Store
@@ -132,26 +132,6 @@ func (s *Store) stashStreamTrace(tc obs.TraceContext) {
 	h.mu.Unlock()
 }
 
-// contiguousLocked returns the hole-free durable prefix: the largest
-// LSN such that every record at or below it is present. Caller holds
-// s.mu.
-func (s *Store) contiguousLocked() uint64 {
-	c := s.durableLSN
-	for lsn := range s.holes {
-		if lsn-1 < c {
-			c = lsn - 1
-		}
-	}
-	return c
-}
-
-// ContiguousLSN is the exported hole-free durable prefix.
-func (s *Store) ContiguousLSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.contiguousLocked()
-}
-
 // subscribe attaches a node to the stream. If log GC already collected
 // records above FromLSN the subscription is refused (TruncatedLSN in
 // the response tells the replica to checkpoint-resync first).
@@ -191,7 +171,7 @@ func (s *Store) subscribe(m *cluster.LogSubscribeReq) (*cluster.LogSubscribeResp
 	if h.cursor == 0 {
 		// First subscriber on an idle hub: the multicast starts at the
 		// live edge; anything older is this subscriber's catch-up read.
-		h.cursor = s.ContiguousLSN()
+		h.cursor = s.DurableLSN()
 	}
 	// Seed the fresh queue with a sync frame so the sender gap-fills up
 	// to the cursor even if the store stays quiet after the attach.
@@ -290,14 +270,14 @@ func (s *Store) Subscribers() int {
 	return len(h.subs)
 }
 
-// StreamLag is the record distance between the store's contiguous
-// durable prefix and the slowest subscriber (0 with no subscribers).
+// StreamLag is the record distance between the store's durable LSN and
+// the slowest subscriber (0 with no subscribers).
 func (s *Store) StreamLag() uint64 {
 	floor := s.subscriberFloor()
 	if floor == 0 {
 		return 0
 	}
-	if c := s.ContiguousLSN(); c+1 > floor {
+	if c := s.DurableLSN(); c+1 > floor {
 		return c + 1 - floor
 	}
 	return 0
@@ -324,7 +304,7 @@ func (s *Store) closeHub() {
 }
 
 // run is the multicast loop: on every kick, frame the records between
-// the cursor and the contiguous durable prefix (encoded once, shared by
+// the cursor and the durable LSN (encoded once, shared by
 // all subscribers) and offer the frame to every queue; a subscriber the
 // newest relayed frontier has not been framed for is poked for a
 // records-less frame, so it advances its visible LSN without records.
@@ -337,16 +317,16 @@ func (h *hub) run() {
 		case <-h.kick:
 		}
 		for {
-			contiguous := h.s.ContiguousLSN()
+			durable := h.s.DurableLSN()
 			h.mu.Lock()
 			synced := false
-			if h.cursor == 0 && len(h.subs) > 0 && contiguous > 0 {
+			if h.cursor == 0 && len(h.subs) > 0 && durable > 0 {
 				// First frame: the multicast starts at the live edge;
 				// anything older is each subscriber's catch-up read. The
 				// empty sync frame below announces the jump so senders
 				// whose subscriber attached before these records existed
 				// gap-fill up to the new cursor.
-				h.cursor = contiguous
+				h.cursor = durable
 				synced = true
 			}
 			cursor := h.cursor
@@ -354,17 +334,17 @@ func (h *hub) run() {
 			if synced {
 				h.multicast(cursor, nil, 0)
 			}
-			if cursor >= contiguous {
+			if cursor >= durable {
 				break
 			}
-			n := contiguous - cursor
+			n := durable - cursor
 			if n > maxStreamBatch {
 				n = maxStreamBatch
 			}
 			enc, count := h.s.ReadEncodedFrom(cursor, int(n))
 			if count == 0 {
 				// The range is durable but not yet readable (shouldn't
-				// happen — contiguous is derived from the log); bail
+				// happen — durable is derived from the log); bail
 				// rather than spin.
 				break
 			}

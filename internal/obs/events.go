@@ -11,23 +11,19 @@ import (
 )
 
 // EventRing is a flight recorder: a fixed-size ring of structural
-// events (lane promotions, window seals, checkpoints, GC truncations,
-// replica resyncs, sticky-error poisoning, catalog barriers). It costs
-// one short critical section per event and bounded memory forever, so
-// it stays on in production; when something goes wrong the last N
-// structural transitions are retrievable from /events or dumped to the
-// log. All methods are safe for concurrent use and on a nil receiver.
+// events (window seals, checkpoints, GC truncations, replica resyncs,
+// sticky-error poisoning). It costs one short critical section per
+// event and bounded memory forever, so it stays on in production; when
+// something goes wrong the last N structural transitions are
+// retrievable from /events or dumped to the log. All methods are safe for concurrent use and on a nil receiver.
 
 // Event kinds recorded by the stack. Free-form kinds are allowed; these
 // constants keep producers and dashboards in agreement.
 const (
-	EventLanePromote    = "lane.promote"
-	EventLaneDemote     = "lane.demote"
-	EventWindowSeal     = "window.seal"
-	EventCheckpoint     = "checkpoint"
-	EventLogGC          = "log.gc"
-	EventPoison         = "sal.poison"
-	EventCatalogBarrier = "catalog.barrier"
+	EventWindowSeal = "window.seal"
+	EventCheckpoint = "checkpoint"
+	EventLogGC      = "log.gc"
+	EventPoison     = "sal.poison"
 	// Push-stream lifecycle: a replica subscribed to a Log Store's
 	// stream, detached cleanly, or was disconnected (flow control or
 	// push failure); EventCheckpointResync marks a replica rebasing on

@@ -40,7 +40,7 @@ func TestEventRingConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				r.Record(EventLanePromote, "w%d-%d", w, i)
+				r.Record(EventWindowSeal, "w%d-%d", w, i)
 			}
 		}(w)
 	}

@@ -480,9 +480,9 @@ func (s *Store) LSNInfo(tenant uint32) (slices int, appliedMin, persistedMin uin
 }
 
 // SliceLSN is one slice's LSN frontier on this node, for stats
-// endpoints and the bench harness (confirming per-slice write lanes
-// advance independently: one slice's applied LSN keeps moving while a
-// slow sibling's lags).
+// endpoints and the bench harness (confirming slices apply
+// independently: one slice's applied LSN keeps moving while a slow
+// sibling's lags).
 type SliceLSN struct {
 	Tenant       uint32
 	SliceID      uint32

@@ -40,7 +40,11 @@ import (
 
 const (
 	sliceMagic = 0x54434b31 // "TCK1": slice checkpoint header
-	metaMagic  = 0x544d4b32 // "TMK2": meta checkpoint header
+	metaMagic  = 0x544d4b33 // "TMK3": meta checkpoint header
+	// metaMagicTMK2 is the previous meta format, which carried an LSN
+	// allocator mark; LoadMeta refuses it rather than fall back to a
+	// full replay of a log GC may already have collected.
+	metaMagicTMK2 = 0x544d4b32
 
 	ckptSuffix = ".ckpt"
 	tmpSuffix  = ".tmp"
@@ -138,8 +142,8 @@ type Meta struct {
 	// before the meta was written. Recovery replays only records above
 	// it; the Log Stores may truncate at or below it.
 	AppliedLSN uint64
-	// Allocator high-water marks at checkpoint time.
-	MaxLSN     uint64
+	// Allocator high-water marks at checkpoint time. The LSN allocator
+	// resumes at the Log Stores' durable LSN instead, so it has none.
 	MaxTrxID   uint64
 	MaxPageID  uint64
 	MaxIndexID uint64
@@ -315,7 +319,6 @@ func (s *Store) LoadSlices() (valid []*SliceCheckpoint, corrupt []string, err er
 func (s *Store) WriteMeta(m *Meta) error {
 	p := binary.LittleEndian.AppendUint32(nil, metaMagic)
 	p = binary.LittleEndian.AppendUint64(p, m.AppliedLSN)
-	p = binary.LittleEndian.AppendUint64(p, m.MaxLSN)
 	p = binary.LittleEndian.AppendUint64(p, m.MaxTrxID)
 	p = binary.LittleEndian.AppendUint64(p, m.MaxPageID)
 	p = binary.LittleEndian.AppendUint64(p, m.MaxIndexID)
@@ -338,17 +341,20 @@ func (s *Store) LoadMeta() (*Meta, error) {
 		return nil, fmt.Errorf("pstore: %w", err)
 	}
 	p, n, ferr := nextFrame(data)
-	if ferr != nil || n != len(data) || len(p) < 4+5*8 || binary.LittleEndian.Uint32(p) != metaMagic {
+	if ferr == nil && n == len(data) && len(p) >= 4 && binary.LittleEndian.Uint32(p) == metaMagicTMK2 {
+		return nil, fmt.Errorf("pstore: meta checkpoint %s has the TMK2 format, which this version does not read",
+			filepath.Join(s.opts.Dir, metaName))
+	}
+	if ferr != nil || n != len(data) || len(p) < 4+4*8 || binary.LittleEndian.Uint32(p) != metaMagic {
 		return nil, nil // damaged meta: recover by full replay
 	}
 	m := &Meta{
 		AppliedLSN: binary.LittleEndian.Uint64(p[4:]),
-		MaxLSN:     binary.LittleEndian.Uint64(p[12:]),
-		MaxTrxID:   binary.LittleEndian.Uint64(p[20:]),
-		MaxPageID:  binary.LittleEndian.Uint64(p[28:]),
-		MaxIndexID: binary.LittleEndian.Uint64(p[36:]),
+		MaxTrxID:   binary.LittleEndian.Uint64(p[12:]),
+		MaxPageID:  binary.LittleEndian.Uint64(p[20:]),
+		MaxIndexID: binary.LittleEndian.Uint64(p[28:]),
 	}
-	r := p[44:]
+	r := p[36:]
 	nCat, n := binary.Uvarint(r)
 	if n <= 0 {
 		return nil, nil

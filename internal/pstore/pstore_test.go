@@ -1,6 +1,7 @@
 package pstore
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -124,7 +125,7 @@ func TestTruncatedSliceSkipped(t *testing.T) {
 func TestMetaRoundTrip(t *testing.T) {
 	s := testStore(t)
 	want := &Meta{
-		AppliedLSN: 1000, MaxLSN: 1024, MaxTrxID: 55, MaxPageID: 900, MaxIndexID: 3,
+		AppliedLSN: 1000, MaxTrxID: 55, MaxPageID: 900, MaxIndexID: 3,
 		Catalog: [][]byte{[]byte("table-entry"), []byte("index-entry")},
 	}
 	if err := s.WriteMeta(want); err != nil {
@@ -137,7 +138,7 @@ func TestMetaRoundTrip(t *testing.T) {
 	if got == nil {
 		t.Fatal("meta did not load")
 	}
-	if got.AppliedLSN != want.AppliedLSN || got.MaxLSN != want.MaxLSN ||
+	if got.AppliedLSN != want.AppliedLSN ||
 		got.MaxTrxID != want.MaxTrxID || got.MaxPageID != want.MaxPageID ||
 		got.MaxIndexID != want.MaxIndexID {
 		t.Fatalf("meta = %+v", got)
@@ -172,6 +173,21 @@ func TestCorruptMetaIsNil(t *testing.T) {
 	m, err := s.LoadMeta()
 	if err != nil || m != nil {
 		t.Fatalf("corrupt meta must read as absent: %v %v", m, err)
+	}
+}
+
+// TestTMK2MetaRefused writes a meta checkpoint in the previous format:
+// LoadMeta must fail rather than read it as absent (which would fall
+// back to a full replay of a possibly collected log).
+func TestTMK2MetaRefused(t *testing.T) {
+	s := testStore(t)
+	p := binary.LittleEndian.AppendUint32(nil, metaMagicTMK2)
+	p = append(p, make([]byte, 5*8+1)...) // five marks, empty catalog
+	if err := os.WriteFile(filepath.Join(s.Dir(), metaName), appendFrame(nil, p), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := s.LoadMeta(); err == nil {
+		t.Fatalf("TMK2 meta loaded as %+v", m)
 	}
 }
 

@@ -829,16 +829,6 @@ func (r *Replica) consume(rec wal.Record) {
 		r.maxTrx = rec.TrxID
 	}
 	if rec.Type == wal.TypeCatalog {
-		if entry, err := wal.DecodeCatalog(rec.Payload); err == nil && entry.Kind == wal.CatalogBarrier {
-			// A recovery barrier declares [VoidFrom, barrierLSN) a dead
-			// epoch: records in it were never acknowledged and no Page
-			// Store will ever apply them. Purge them from the pending
-			// state or the visible LSN would stall below the void.
-			r.cfg.Events.Record(obs.EventCatalogBarrier, "%s: tailed barrier at %d voids [%d,%d)",
-				r.cfg.Name, rec.LSN, entry.IndexID, rec.LSN)
-			r.purgeVoid(entry.IndexID, rec.LSN)
-			return
-		}
 		r.ddlQ = append(r.ddlQ, rec)
 		return
 	}
@@ -846,45 +836,6 @@ func (r *Replica) consume(rec wal.Record) {
 	r.slicePending[sliceID] = append(r.slicePending[sliceID], rec.LSN)
 	// Records are consumed in LSN order, so appends keep both sorted.
 	r.pagePending[rec.PageID] = append(r.pagePending[rec.PageID], rec.LSN)
-}
-
-// purgeVoid drops pending state inside a dead epoch [from, to). Caller
-// holds r.mu.
-func (r *Replica) purgeVoid(from, to uint64) {
-	dead := func(lsn uint64) bool { return lsn >= from && lsn < to }
-	for sliceID, lsns := range r.slicePending {
-		kept := lsns[:0]
-		for _, lsn := range lsns {
-			if !dead(lsn) {
-				kept = append(kept, lsn)
-			}
-		}
-		if len(kept) == 0 {
-			delete(r.slicePending, sliceID)
-		} else {
-			r.slicePending[sliceID] = kept
-		}
-	}
-	for pageID, lsns := range r.pagePending {
-		keptLSNs := lsns[:0]
-		for _, lsn := range lsns {
-			if !dead(lsn) {
-				keptLSNs = append(keptLSNs, lsn)
-			}
-		}
-		if len(keptLSNs) == 0 {
-			delete(r.pagePending, pageID)
-		} else {
-			r.pagePending[pageID] = keptLSNs
-		}
-	}
-	kept := r.ddlQ[:0]
-	for _, ev := range r.ddlQ {
-		if !dead(ev.LSN) {
-			kept = append(kept, ev)
-		}
-	}
-	r.ddlQ = kept
 }
 
 // applyDDL merges newly visible catalog records into the engine; each

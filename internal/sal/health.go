@@ -2,7 +2,6 @@ package sal
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"taurus/internal/health"
@@ -33,14 +32,14 @@ const (
 //     flight the durable LSN must advance. Verdicts are time-based (no
 //     progress for stuckWarnAfter / stuckCriticalAfter), so a single
 //     slow fsync never trips it but a wedged Log Store quorum does.
-//   - pipeline.poisoned (RB-PIPELINE-POISONED): a lane poisoned by a
-//     sticky storage error is critical immediately — writes on it fail
-//     until the storage fault is repaired.
-//   - pipeline.apply_backlog (RB-APPLY-BACKLOG): per-lane apply backlog
-//     vs the ApplyBacklogWindows bound. Sitting at the bound is
-//     backpressure by design; the check fires only when a saturated
-//     lane's slice apply frontier also stopped moving — durable windows
-//     exist that no Page Store is absorbing.
+//   - pipeline.poisoned (RB-PIPELINE-POISONED): a pipeline poisoned by a
+//     sticky storage error is critical immediately — writes fail until
+//     the storage fault is repaired.
+//   - pipeline.apply_backlog (RB-APPLY-BACKLOG): the largest per-slice
+//     apply backlog vs the ApplyBacklogWindows bound. Sitting at the
+//     bound is backpressure by design; the check fires only when a
+//     saturated slice's apply frontier also stopped moving — durable
+//     batches exist that no Page Store is absorbing.
 func (s *SAL) RegisterHealth(m *health.Monitor) {
 	var stuckSince time.Time
 	var lastDurable uint64
@@ -77,47 +76,30 @@ func (s *SAL) RegisterHealth(m *health.Monitor) {
 	})
 
 	m.AddProbe(func() health.Check {
-		st := s.Stats()
 		const name, rb = "pipeline.poisoned", "RB-PIPELINE-POISONED"
-		var poisoned []string
-		for _, ln := range st.Lanes {
-			if ln.Poisoned {
-				poisoned = append(poisoned, fmt.Sprintf("%d", ln.Lane))
-			}
+		if err := s.sticky(); err != nil {
+			return health.Checkf(name, rb, health.StatusCritical, map[string]string{"error": err.Error()},
+				"pipeline poisoned by a sticky storage error: %v", err)
 		}
-		ev := map[string]string{"lanes": fmt.Sprintf("%d", len(st.Lanes))}
-		if len(poisoned) > 0 {
-			ev["poisoned_lanes"] = strings.Join(poisoned, ",")
-			return health.Checkf(name, rb, health.StatusCritical, ev,
-				"%d lane(s) poisoned by a sticky storage error: %s", len(poisoned), strings.Join(poisoned, ","))
-		}
-		return health.Checkf(name, rb, health.StatusOK, ev, "no poisoned lanes")
+		return health.Checkf(name, rb, health.StatusOK, nil, "pipeline not poisoned")
 	})
 
 	limit := int64(s.cfg.ApplyBacklogWindows)
-	// lastApplied tracks each lane's minimum applied LSN so "saturated
-	// and not draining" is distinguishable from plain backpressure.
-	lastApplied := make(map[int]uint64)
+	// lastApplied tracks each slice's applied LSN so "saturated and not
+	// draining" is distinguishable from plain backpressure.
+	lastApplied := make(map[uint32]uint64)
 	var satSince time.Time
 	m.AddProbe(func() health.Check {
 		st := s.Stats()
 		const name, rb = "pipeline.apply_backlog", "RB-APPLY-BACKLOG"
 		var maxBacklog int64
 		saturatedStalled := false
-		for _, ln := range st.Lanes {
-			if ln.ApplyBacklog > maxBacklog {
-				maxBacklog = ln.ApplyBacklog
-			}
-			var minApplied uint64
-			for _, sl := range ln.Slices {
-				if minApplied == 0 || sl.AppliedLSN < minApplied {
-					minApplied = sl.AppliedLSN
-				}
-			}
-			if ln.ApplyBacklog >= limit && minApplied == lastApplied[ln.Lane] {
+		for _, sl := range st.Slices {
+			maxBacklog = max(maxBacklog, sl.ApplyBacklog)
+			if sl.ApplyBacklog >= limit && sl.AppliedLSN == lastApplied[sl.Slice] {
 				saturatedStalled = true
 			}
-			lastApplied[ln.Lane] = minApplied
+			lastApplied[sl.Slice] = sl.AppliedLSN
 		}
 		ev := map[string]string{
 			"max_backlog": fmt.Sprintf("%d", maxBacklog),
@@ -136,7 +118,7 @@ func (s *SAL) RegisterHealth(m *health.Monitor) {
 		switch {
 		case held >= backlogCriticalAfter:
 			return health.Checkf(name, rb, health.StatusCritical, ev,
-				"apply backlog pinned at the %d-window bound with a frozen apply frontier for %s; Page Stores are not absorbing", limit, held.Round(time.Second))
+				"apply backlog pinned at the %d-batch bound with a frozen apply frontier for %s; Page Stores are not absorbing", limit, held.Round(time.Second))
 		case held >= backlogWarnAfter:
 			return health.Checkf(name, rb, health.StatusWarn, ev,
 				"apply backlog saturated and not draining for %s", held.Round(time.Second))

@@ -63,15 +63,9 @@ func (s *SAL) initMetrics(reg *obs.Registry) {
 		func() float64 { return float64(s.lsn.Load()) })
 	reg.GaugeFunc("taurus_sal_pending_records", "Records staged or in flight, not yet applied.",
 		func() float64 { return float64(s.pending.Load()) })
-	reg.CounterFunc("taurus_sal_windows_flushed_total", "Sealed group-commit windows across all lanes.",
-		func() float64 {
-			var n uint64
-			for _, ln := range s.lanes {
-				n += ln.windows.Load()
-			}
-			return float64(n)
-		})
-	reg.CounterFunc("taurus_sal_backpressure_stalls_total", "Writer/flusher stalls on staging or in-flight budgets.",
+	reg.CounterFunc("taurus_sal_windows_flushed_total", "Sealed group-commit windows.",
+		func() float64 { return float64(s.counters.windows.Load()) })
+	reg.CounterFunc("taurus_sal_backpressure_stalls_total", "Writer/flusher stalls on staging, in-flight or slice apply-backlog budgets.",
 		func() float64 { return float64(s.counters.backpressureStalls.Load()) })
 	reg.CounterFunc("taurus_sal_commit_waits_total", "WaitDurable calls that actually blocked.",
 		func() float64 { return float64(s.counters.commitWaits.Load()) })

@@ -6,12 +6,11 @@
 // responsible for creating, managing, and destroying slices in Page
 // Stores; and routing page read requests to Page Stores" (§II).
 //
-// The write path is a slice-partitioned, pipelined group-commit engine
-// (see pipeline.go): writers stage records into per-slice lanes without
-// blocking on I/O (hot slices get dedicated lanes, cold ones share the
-// default lane), each lane's flusher ships sealed windows to the Log
-// Stores (durability, in triplicate) and then to the Page Store
-// replicas (application, asynchronous), and commit waiters block only
+// The write path is a pipelined group-commit engine (see pipeline.go):
+// writers stage records into one buffer without blocking on I/O, the
+// flusher ships sealed windows to the Log Stores in LSN order
+// (durability, in triplicate) and then to the Page Store replicas
+// (application, asynchronous, per slice), and commit waiters block only
 // until the durable-LSN watermark covers their transaction's own max
 // LSN. Readers wait per page, not per slice.
 //
@@ -59,10 +58,10 @@ type Config struct {
 	// Plugin names the NDP plugin Page Stores should use for this
 	// frontend's descriptors.
 	Plugin string
-	// FlushThreshold pins every lane's group-commit window size (min =
-	// max = value). 0 enables the adaptive threshold: each lane sizes
-	// its window from EWMAs of arrival rate × fsync latency — batch
-	// roughly what arrives during one fsync — clamped to
+	// FlushThreshold pins the group-commit window size (min = max =
+	// value). 0 enables the adaptive threshold: the flusher sizes the
+	// window from EWMAs of arrival rate × fsync latency — batch roughly
+	// what arrives during one fsync — clamped to
 	// [FlushThresholdMin, FlushThresholdMax]. Commit and read waiters
 	// seal early, so the threshold is purely a batching optimization.
 	FlushThreshold int
@@ -71,25 +70,19 @@ type Config struct {
 	// it.
 	FlushThresholdMin int
 	FlushThresholdMax int
-	// MaxInFlightWindows bounds each lane's LOG-stage depth: how many
-	// of the lane's sealed windows may be waiting for Log Store
-	// acknowledgement at once (default 8). Beyond it, the lane's
-	// flusher — and eventually its writers — stall (backpressure),
-	// without touching other lanes.
+	// MaxInFlightWindows bounds the LOG-stage depth: how many sealed
+	// windows may be waiting for Log Store acknowledgement at once
+	// (default 8). Beyond it the flusher — and eventually the writers —
+	// stall (backpressure).
 	MaxInFlightWindows int
-	// ApplyBacklogWindows bounds each lane's APPLY-stage backlog: how
-	// many durable windows may be queued or in flight toward the Page
-	// Stores (default 256). Beyond it the lane's writers stall BEFORE
-	// staging — deliberately before, because an unstaged record cannot
-	// pin the durable watermark, so one slice's slow replica throttles
-	// only its own lane's writers and never delays other lanes'
-	// commits.
+	// ApplyBacklogWindows bounds each slice's APPLY-stage backlog: how
+	// many of the slice's durable batches may be queued or in flight
+	// toward its Page Stores (default 256). Beyond it the slice's
+	// writers stall BEFORE staging — deliberately before, because an
+	// unstaged record cannot pin the durable watermark, so one slice's
+	// slow replica throttles only that slice's writers and never delays
+	// other slices' commits.
 	ApplyBacklogWindows int
-	// MaxSliceLanes is how many dedicated write lanes hot slices can be
-	// promoted into, besides the shared lane (default 2). Negative
-	// disables promotion entirely: every slice shares one lane and one
-	// group-commit window.
-	MaxSliceLanes int
 	// Metrics, when non-nil, receives write-path stage histograms,
 	// fetch-latency histograms, and pipeline gauges. nil disables
 	// instrumentation at near-zero cost.
@@ -100,8 +93,8 @@ type Config struct {
 	// disables tracing at near-zero cost.
 	Tracer *obs.Tracer
 	// Events, when non-nil, is the flight recorder for structural
-	// transitions: lane promotions/demotions, window seals by reason,
-	// sticky-error poisoning. nil is inert.
+	// transitions: window seals by reason, sticky-error poisoning. nil
+	// is inert.
 	Events *obs.EventRing
 	// NotifyFrontier forces frontier relays (cluster.FrontierReq — the
 	// durable watermark plus per-slice applied LSNs) to the Log Stores
@@ -127,30 +120,15 @@ type SAL struct {
 	router *ReadRouter
 	fanOut *FanOut
 
-	// Write lanes: lanes[0] is the shared lane, the rest are dedicated
-	// lanes hot slices get promoted into. The slice→lane assignment
-	// lives in each sliceProgress.
-	lanes   []*lane
-	pending atomic.Int64 // records staged or in flight, not yet applied
+	// pipeline is the write path's staging, sealing and append state.
+	pipeline
 
-	// Hot-slice promotion/demotion state, owned by the shared lane's
-	// flusher goroutine: laneHeat tracks shared-lane slices approaching
-	// promotion, dedHeat tracks promoted slices cooling toward
-	// demotion, freeLanes is the dedicated-lane pool, and
-	// lastLaneRecords remembers each lane's record counter at the last
-	// policy round (deltas feed the cooling EWMAs).
-	laneHeat        map[uint32]float64
-	dedHeat         map[uint32]float64
-	heatObserved    int
-	freeLanes       []*lane
-	lastLaneRecords []uint64
-
-	// Per-slice replica sets, lane assignments, and LSN frontiers.
+	// Per-slice replica sets and LSN frontiers.
 	slMu      sync.Mutex
 	sliceProg map[uint32]*sliceProgress
 
 	// Durable (commit) watermark. durFloor freezes it below the first
-	// failed window; durMu also guards every lane's pendingQ so sealing
+	// failed window; durMu also guards pendingQ so sealing
 	// and watermark recomputation are atomic. repGen (also under
 	// durMu) bumps when a frontier watch is added, so the notifier
 	// re-relays the current frontier for a late subscriber.
@@ -165,17 +143,15 @@ type SAL struct {
 	flushMu   sync.Mutex
 	flushCond *sync.Cond
 
-	// Shared apply plumbing: per-slice FIFO workers fed by every lane's
-	// dispatcher. Worker queues are unbounded lists (backpressure is
-	// the per-lane apply backlog bound, applied to writers before they
+	// Apply plumbing: per-slice FIFO workers fed as windows turn
+	// durable. Worker queues are unbounded lists (backpressure is the
+	// per-slice apply backlog bound, applied to writers before they
 	// stage) so handing a durable window to the apply stage never
 	// blocks the durability pipeline.
 	quit         chan struct{}
 	applyMu      sync.Mutex
 	applyWorkers map[uint32]*sliceQueue
-	dispatchWG   sync.WaitGroup
 	sliceWG      sync.WaitGroup
-	applyDone    chan struct{}
 
 	notifierDone chan struct{}
 	// Frontier relays to the Log Stores (push-stream distribution):
@@ -240,11 +216,6 @@ func New(cfg Config) (*SAL, error) {
 	}
 	if cfg.ApplyBacklogWindows <= 0 {
 		cfg.ApplyBacklogWindows = DefaultApplyBacklogWindows
-	}
-	if cfg.MaxSliceLanes == 0 {
-		cfg.MaxSliceLanes = DefaultMaxSliceLanes
-	} else if cfg.MaxSliceLanes < 0 {
-		cfg.MaxSliceLanes = 0
 	}
 	s := &SAL{
 		cfg:       cfg,

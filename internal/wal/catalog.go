@@ -15,17 +15,6 @@ const (
 	// CatalogCreateIndex records a secondary index: the indexed table
 	// ordinals (primary key ordinals are appended by the engine).
 	CatalogCreateIndex
-	// CatalogBarrier is a recovery barrier: it declares that every
-	// record with LSN in [IndexID, barrier's own LSN) belongs to a dead
-	// write epoch and must be ignored by replay. Recovery logs one
-	// after discarding a torn multi-lane tail — per-slice write lanes
-	// interleave in LSN space, so a crash can leave a later lane's
-	// window durable while an earlier lane's window was lost; none of
-	// those records were ever acknowledged (the commit watermark cannot
-	// pass a hole), but they remain in the logs and must not be
-	// replayed once fresh records exist above them. The IndexID field
-	// carries the void-from LSN.
-	CatalogBarrier
 )
 
 // CatalogCol mirrors types.Column without importing it (wal sits below
@@ -132,7 +121,7 @@ func DecodeCatalog(payload []byte) (*CatalogEntry, error) {
 		return nil, err
 	}
 	e := &CatalogEntry{Kind: CatalogKind(kind)}
-	if e.Kind != CatalogCreateTable && e.Kind != CatalogCreateIndex && e.Kind != CatalogBarrier {
+	if e.Kind != CatalogCreateTable && e.Kind != CatalogCreateIndex {
 		return nil, fmt.Errorf("wal: unknown catalog kind %d", kind)
 	}
 	if e.IndexID, err = r.uvarint(); err != nil {

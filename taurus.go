@@ -62,14 +62,9 @@ type Config struct {
 	// the least-loaded Page Store replica of its slice (0 = GOMAXPROCS,
 	// 1 = serial).
 	ScanParallelism int
-	// WriteLanes is the number of dedicated per-slice write lanes hot
-	// slices can be promoted into, besides the shared lane (0 = SAL
-	// default; negative disables promotion: every slice shares one
-	// group-commit window).
-	WriteLanes int
-	// WriteFlushThreshold pins every lane's group-commit window size.
-	// 0 (default) keeps the adaptive threshold: lanes size their
-	// windows from observed arrival rate and fsync latency. Pinning is
+	// WriteFlushThreshold pins the group-commit window size. 0
+	// (default) keeps the adaptive threshold: the SAL sizes its windows
+	// from observed arrival rate and fsync latency. Pinning is
 	// useful when deterministic statement→log-entry batching matters
 	// (tests, torn-tail forensics).
 	WriteFlushThreshold int
@@ -209,12 +204,6 @@ type RecoverySummary struct {
 	// TailRecords is how many log records were replayed on top of the
 	// checkpoints (the whole log when CheckpointLSN is 0).
 	TailRecords int
-	// VoidedRecords counts records discarded as dead-epoch tails: with
-	// per-slice write lanes a crash can leave a later lane's window
-	// durable while an earlier lane's window was lost, and none of
-	// those records were ever acknowledged (the commit watermark cannot
-	// pass an LSN hole).
-	VoidedRecords int
 }
 
 // Result is a statement result.
@@ -341,8 +330,7 @@ func Open(cfg Config) (_ *DB, err error) {
 	s, err = sal.New(sal.Config{
 		Tenant: 1, Transport: tr, LogStores: logNames, PageStores: psNames,
 		ReplicationFactor: cfg.ReplicationFactor, PagesPerSlice: cfg.PagesPerSlice,
-		Plugin: pagestore.PluginInnoDB, MaxSliceLanes: cfg.WriteLanes,
-		FlushThreshold: cfg.WriteFlushThreshold, Metrics: reg,
+		Plugin: pagestore.PluginInnoDB, FlushThreshold: cfg.WriteFlushThreshold, Metrics: reg,
 		Tracer: db.tracer, Events: db.events,
 	})
 	if err != nil {
@@ -609,24 +597,21 @@ func (db *DB) recover(s *sal.SAL, eng *engine.Engine) error {
 		db.summary.CheckpointLSN = meta.AppliedLSN
 	}
 	// The Log Stores are written in triplicate and acknowledged
-	// synchronously, so they normally agree; after a crash the most
-	// complete replica wins: most records first (a replica that tore a
-	// mid-log batch in an earlier crash has fewer, even if later writes
-	// advanced its LSN), then highest durable LSN (Taurus: "the master
-	// finds the Log Store with the highest LSN"). Lagging replicas then
-	// catch up from the winner's persistent log so the triplicate set
-	// converges again; hole repair below a replica's durable watermark
-	// is tracked in ROADMAP.
-	best := db.logs[0]
-	for _, ls := range db.logs[1:] {
-		if ls.Len() > best.Len() ||
-			(ls.Len() == best.Len() && ls.DurableLSN() > best.DurableLSN()) {
-			best = ls
+	// synchronously, so they normally agree; after a crash the one with
+	// the highest durable LSN wins (Taurus: "the master finds the Log
+	// Store with the highest LSN"). Every Log Store holds an LSN prefix,
+	// so the winner holds every other store's records, and the lagging
+	// stores catch up from its persistent log so the triplicate set
+	// converges again.
+	bi := 0
+	for i, ls := range db.logs {
+		if ls.DurableLSN() > db.logs[bi].DurableLSN() {
+			bi = i
 		}
 	}
+	best := db.logs[bi]
 	for _, ls := range db.logs {
-		if ls == best || !ls.Durable() ||
-			(ls.DurableLSN() >= best.DurableLSN() && ls.PendingHoles() == 0) {
+		if ls == best || !ls.Durable() || ls.DurableLSN() >= best.DurableLSN() {
 			continue
 		}
 		if _, err := ls.CatchUp(best); err != nil {
@@ -634,35 +619,21 @@ func (db *DB) recover(s *sal.SAL, eng *engine.Engine) error {
 		}
 	}
 	recs := best.ReadFrom(after)
-	// Per-slice lanes can leave the log non-prefix across a crash: drop
-	// dead-epoch zombies and any freshly-torn multi-lane tail (none of
-	// it was ever acknowledged). Without a checkpoint meta no GC can
-	// ever have run, so the scan is anchored at LSN 0 and a missing
-	// leading window is detected too.
-	anchored := after > 0 || meta == nil
-	recs, newVoidFrom, voided := voidTornLanes(recs, after, anchored)
 	db.summary.TailRecords = len(recs)
-	db.summary.VoidedRecords = voided
-	// A sibling Log Store may hold unacknowledged lane windows ABOVE
-	// the best replica's durable LSN (best has the most records, not
-	// necessarily the highest LSN). The allocator must resume above
-	// every replica's content — a fresh record reusing a zombie's LSN
-	// would be silently dropped by that store's duplicate filter while
-	// still being acknowledged — and the zombie range joins the dead
-	// epoch the recovery barrier declares. Acknowledged records are on
-	// every store, so everything above best's durable LSN is provably
-	// unacknowledged.
-	maxDurable := uint64(0)
-	for _, ls := range db.logs {
-		if d := ls.DurableLSN(); d > maxDurable {
-			maxDurable = d
-		}
+	// The replayed tail must be an LSN prefix above the checkpoint.
+	// Without a checkpoint meta no GC can have run, so it starts at LSN
+	// 1; with a damaged slice checkpoint (after == 0 under a meta) a
+	// collected prefix is handled below.
+	prev := after
+	if after == 0 && meta != nil && len(recs) > 0 {
+		prev = recs[0].LSN - 1
 	}
-	if maxDurable > best.DurableLSN() {
-		zombieFrom := best.DurableLSN() + 1
-		if newVoidFrom == 0 || zombieFrom < newVoidFrom {
-			newVoidFrom = zombieFrom
+	for _, rec := range recs {
+		if rec.LSN != prev+1 {
+			return fmt.Errorf("taurus: log %s has a gap: LSN %d missing (next record is %d)",
+				db.logNames[bi], prev+1, rec.LSN)
 		}
+		prev = rec.LSN
 	}
 	if db.summary.CorruptCheckpoints > 0 {
 		// The damaged slice can only be rebuilt from the full log. If
@@ -676,35 +647,13 @@ func (db *DB) recover(s *sal.SAL, eng *engine.Engine) error {
 				db.summary.CorruptCheckpoints, firstLSN(recs))
 		}
 	}
-	if len(recs) == 0 && meta == nil && newVoidFrom == 0 && maxDurable == 0 {
+	if len(recs) == 0 && meta == nil && best.DurableLSN() == 0 {
 		return nil
 	}
-	// Resume the LSN allocator first: recovery may itself log a record
-	// (the barrier below).
-	resume := maxDurable
-	if meta != nil && meta.MaxLSN > resume {
-		resume = meta.MaxLSN
-	}
-	s.ResumeLSN(resume)
-	if newVoidFrom > 0 {
-		// A freshly-torn tail was discarded: log a recovery barrier
-		// declaring [newVoidFrom, barrierLSN) dead, BEFORE anything
-		// else is logged. Every future commit's prefix wait covers the
-		// barrier, so by the time any new record is acknowledged the
-		// next recovery is guaranteed to see the explanation and keep
-		// the new records while still dropping the zombies.
-		db.events.Record(obs.EventCatalogBarrier,
-			"recovery: torn tail, barrier voids LSNs from %d (%d records dropped)",
-			newVoidFrom, voided)
-		if _, err := s.Write(&wal.Record{
-			Type: wal.TypeCatalog,
-			Payload: (&wal.CatalogEntry{
-				Kind: wal.CatalogBarrier, IndexID: newVoidFrom,
-			}).EncodeCatalog(nil),
-		}); err != nil {
-			return fmt.Errorf("taurus: logging recovery barrier: %w", err)
-		}
-	}
+	// Resume the LSN allocator at the log's end: LSNs handed out but
+	// never made durable before the crash are reissued, so the log
+	// stays a prefix.
+	s.ResumeLSN(best.DurableLSN())
 	if err := s.Replay(recs); err != nil {
 		return fmt.Errorf("taurus: replaying %d records: %w", len(recs), err)
 	}
@@ -729,85 +678,6 @@ func firstLSN(recs []wal.Record) uint64 {
 		return 0
 	}
 	return recs[0].LSN
-}
-
-// voidRange is one dead write epoch: [from, to) in LSN space.
-type voidRange struct{ from, to uint64 }
-
-func (v voidRange) contains(lsn uint64) bool { return lsn >= v.from && lsn < v.to }
-
-// voidTornLanes filters a recovered log for replay. Per-slice write
-// lanes append their windows to the Log Stores in independent streams
-// that interleave in LSN space, so a crash can leave the log non-prefix:
-// a later lane's window durable, an earlier lane's window lost. Records
-// above such a hole were never acknowledged — the commit watermark is an
-// LSN prefix and cannot pass a missing record — but replaying them
-// without their lost siblings could half-apply a multi-page operation.
-//
-// Two mechanisms cooperate:
-//   - CatalogBarrier records, logged by an earlier recovery, declare
-//     [VoidFrom, barrierLSN) a dead epoch; records inside (except other
-//     barriers, which must keep explaining their own gaps) are dropped.
-//   - Any remaining gap not fully explained by a dead epoch marks a
-//     fresh torn tail: everything from the gap on is dropped, and the
-//     caller must log a new barrier at voidFrom before acknowledging
-//     anything, so the next recovery can tell the surviving zombies
-//     from live records.
-//
-// LSNs are allocated densely and every record is logged, so within the
-// retained log (GC trims only a prefix) a gap always means loss. With
-// anchored set, records are expected to resume exactly at after+1 —
-// recovery passes after > 0 when starting from a checkpoint, and
-// after == 0 with anchored when no checkpoint meta exists (GC cannot
-// have run, so a leading gap is loss too). Unanchored (corrupt-meta
-// fallback), a leading gap is indistinguishable from a GC'd prefix and
-// the scan starts at the first record.
-func voidTornLanes(recs []wal.Record, after uint64, anchored bool) (kept []wal.Record, voidFrom uint64, voided int) {
-	var epochs []voidRange
-	for i := range recs {
-		rec := &recs[i]
-		if rec.Type != wal.TypeCatalog {
-			continue
-		}
-		if entry, err := wal.DecodeCatalog(rec.Payload); err == nil && entry.Kind == wal.CatalogBarrier {
-			epochs = append(epochs, voidRange{from: entry.IndexID, to: rec.LSN})
-		}
-	}
-	dead := func(lsn uint64) bool {
-		for _, e := range epochs {
-			if e.contains(lsn) {
-				return true
-			}
-		}
-		return false
-	}
-	kept = recs[:0:0]
-	prev := after
-	for i := range recs {
-		rec := &recs[i]
-		if prev != 0 || anchored {
-			for missing := prev + 1; missing < rec.LSN; missing++ {
-				if !dead(missing) {
-					// Unexplained hole: everything from here on is a
-					// freshly-torn multi-lane tail.
-					return kept, missing, len(recs) - len(kept)
-				}
-			}
-		}
-		prev = rec.LSN
-		isBarrier := false
-		if rec.Type == wal.TypeCatalog {
-			if entry, err := wal.DecodeCatalog(rec.Payload); err == nil && entry.Kind == wal.CatalogBarrier {
-				isBarrier = true
-			}
-		}
-		if !isBarrier && dead(rec.LSN) {
-			voided++
-			continue // zombie from a dead epoch
-		}
-		kept = append(kept, *rec)
-	}
-	return kept, 0, voided
 }
 
 // CheckpointResult reports one Checkpoint call.
@@ -867,7 +737,6 @@ func (db *DB) Checkpoint() (*CheckpointResult, error) {
 	res.Watermark = w
 	meta := db.eng.CheckpointBase()
 	meta.AppliedLSN = w
-	meta.MaxLSN = db.eng.SAL().CurrentLSN()
 	if err := db.meta.WriteMeta(meta); err != nil {
 		return nil, err
 	}
@@ -1073,9 +942,9 @@ func (db *DB) TraceSpans(id uint64) []obs.Span {
 func (db *DB) RecentTraces(n int) []uint64 { return db.tracer.RecentTraces(n) }
 
 // Events returns this node's flight-recorder contents, oldest first:
-// lane promotions and demotions, window seals by reason, checkpoints, log
-// GC truncations, replica resyncs, sticky-error poisoning, and catalog
-// barriers. The ring is bounded; old events are overwritten.
+// window seals by reason, checkpoints, log GC truncations, replica
+// resyncs and sticky-error poisoning. The ring is bounded; old events
+// are overwritten.
 func (db *DB) Events() []obs.Event { return db.events.Events() }
 
 // EventRing returns the flight recorder itself (for HTTP exposure:
@@ -1139,11 +1008,10 @@ func (db *DB) NetworkStats() cluster.CountersSnapshot { return db.tr.Stats.Snaps
 func (db *DB) EngineStats() engine.MetricsSnapshot { return db.eng.Metrics.Snapshot() }
 
 // WritePathStats returns the SAL's group-commit pipeline counters:
-// windows flushed, backpressure stalls, commit/apply waits, current
-// in-flight depth, the durable watermark, hot-slice promotions, and the
-// per-lane breakdown (windows sealed by reason, adaptive flush
-// threshold, and each assigned slice's apply lag) — enough to confirm
-// from the stats endpoint that lanes operate independently.
+// windows flushed and sealed by reason, the adaptive flush threshold,
+// backpressure stalls, commit/apply waits, current in-flight depth, the
+// durable watermark, and each slice's apply lag and backlog — enough to
+// confirm from the stats endpoint that slices apply independently.
 func (db *DB) WritePathStats() sal.PipelineStats {
 	if db.eng.SAL() == nil {
 		return sal.PipelineStats{} // replica: no write path

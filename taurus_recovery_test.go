@@ -354,162 +354,12 @@ func TestInMemoryModeUnchanged(t *testing.T) {
 	}
 }
 
-// catRec builds a TypeCatalog record (barrier or otherwise) for the
-// torn-lane filter tests.
-func barrierRec(lsn, voidFrom uint64) wal.Record {
-	return wal.Record{
-		Type: wal.TypeCatalog, LSN: lsn,
-		Payload: (&wal.CatalogEntry{Kind: wal.CatalogBarrier, IndexID: voidFrom}).EncodeCatalog(nil),
-	}
-}
-
-func dataRec(lsn uint64) wal.Record {
-	return wal.Record{Type: wal.TypeCompact, LSN: lsn, PageID: 1}
-}
-
-func lsnsOf(recs []wal.Record) []uint64 {
-	out := make([]uint64, len(recs))
-	for i, r := range recs {
-		out[i] = r.LSN
-	}
-	return out
-}
-
-// TestVoidTornLanes pins the non-prefix-log recovery filter: per-slice
-// lanes can leave a later lane's window durable while an earlier lane's
-// window was lost, and replay must drop that unacknowledged tail — but
-// keep acknowledged records logged above a barrier-explained gap after
-// a previous recovery.
-func TestVoidTornLanes(t *testing.T) {
-	eq := func(got []wal.Record, want ...uint64) {
-		t.Helper()
-		gotLSNs := lsnsOf(got)
-		if len(gotLSNs) != len(want) {
-			t.Fatalf("kept %v, want %v", gotLSNs, want)
-		}
-		for i := range want {
-			if gotLSNs[i] != want[i] {
-				t.Fatalf("kept %v, want %v", gotLSNs, want)
-			}
-		}
-	}
-	// Contiguous log: nothing voided.
-	kept, from, voided := voidTornLanes([]wal.Record{dataRec(1), dataRec(2), dataRec(3)}, 0, true)
-	if from != 0 || voided != 0 {
-		t.Fatalf("contiguous log voided: from=%d n=%d", from, voided)
-	}
-	eq(kept, 1, 2, 3)
-	// Freshly-torn tail: LSN 10 lost (other lane), 11 durable — drop 11.
-	kept, from, voided = voidTornLanes([]wal.Record{dataRec(8), dataRec(9), dataRec(11)}, 7, true)
-	if from != 10 || voided != 1 {
-		t.Fatalf("torn tail: from=%d n=%d", from, voided)
-	}
-	eq(kept, 8, 9)
-	// Next boot: a barrier at 12 explains [10,12); zombie 11 dropped,
-	// new records 12.. (the barrier itself) and 13.. kept.
-	kept, from, voided = voidTornLanes([]wal.Record{
-		dataRec(8), dataRec(9), dataRec(11), barrierRec(12, 10), dataRec(13),
-	}, 7, true)
-	if from != 0 || voided != 1 {
-		t.Fatalf("barrier epoch: from=%d n=%d", from, voided)
-	}
-	eq(kept, 8, 9, 12, 13)
-	// A second tear above the explained epoch: 14 lost, 15 durable.
-	kept, from, voided = voidTornLanes([]wal.Record{
-		dataRec(9), dataRec(11), barrierRec(12, 10), dataRec(13), dataRec(15),
-	}, 0, false)
-	if from != 14 || voided != 2 {
-		t.Fatalf("second tear: from=%d n=%d", from, voided)
-	}
-	eq(kept, 9, 12, 13)
-	// Anchored with no checkpoint (fresh DB, GC impossible): a missing
-	// LEADING window is a torn tail too.
-	kept, from, voided = voidTornLanes([]wal.Record{dataRec(3), dataRec(4)}, 0, true)
-	if from != 1 || voided != 2 {
-		t.Fatalf("anchored leading gap: from=%d n=%d", from, voided)
-	}
-	eq(kept)
-	// Unanchored (corrupt-meta fallback over a GC'd log): the same
-	// leading gap is a collected prefix, not loss.
-	kept, from, voided = voidTornLanes([]wal.Record{dataRec(3), dataRec(4)}, 0, false)
-	if from != 0 || voided != 0 {
-		t.Fatalf("unanchored leading prefix voided: from=%d n=%d", from, voided)
-	}
-	eq(kept, 3, 4)
-}
-
-// TestTornMultiLaneTailRecovery drives the whole loop at the DB level:
-// a crash leaves the logs with a hole (an earlier lane's window lost)
-// below durable later-lane records; reopen must void the unacknowledged
-// tail, log a barrier, and a THIRD open must keep post-recovery commits
-// while still dropping the zombies.
-func TestTornMultiLaneTailRecovery(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, `CREATE TABLE worker (id BIGINT, age INT, join_date DATE,
-		salary DECIMAL(15,2), name VARCHAR, PRIMARY KEY(id))`)
-	insertWorkers(t, db, 0, 50)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Forge the torn multi-lane state on every replica: append two
-	// more windows whose LSNs skip a "lost" window in between. The
-	// records above the hole were never acknowledged.
-	for _, log := range []string{"log1", "log2", "log3"} {
-		ls, err := logstore.Open(log, filepath.Join(dir, log))
-		if err != nil {
-			t.Fatal(err)
-		}
-		top := ls.DurableLSN()
-		ghost := wal.Record{Type: wal.TypeCompact, LSN: top + 3, PageID: 1}
-		if _, err := ls.Append(ghost.Encode(nil)); err != nil {
-			t.Fatal(err)
-		}
-		if ls.PendingHoles() != 2 {
-			t.Fatalf("%s pending holes = %d, want 2", log, ls.PendingHoles())
-		}
-		if err := ls.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db2, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatalf("recovery must tolerate a torn multi-lane tail: %v", err)
-	}
-	if got := countWorkers(t, db2); got != 50 {
-		t.Fatalf("count after torn-lane tail = %d, want 50 (ghost tail voided)", got)
-	}
-	if v := db2.RecoverySummary().VoidedRecords; v != 1 {
-		t.Fatalf("voided records = %d, want 1", v)
-	}
-	// Post-recovery commits land above the barrier...
-	insertWorkers(t, db2, 50, 10)
-	if err := db2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// ...and survive the NEXT recovery even though the zombie gap is
-	// still in the log below them.
-	db3, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db3.Close()
-	if got := countWorkers(t, db3); got != 60 {
-		t.Fatalf("count after second recovery = %d, want 60", got)
-	}
-}
-
-// TestSiblingZombieAboveBestReplica covers the resume rule when one
-// NON-best Log Store holds an unacknowledged lane window ABOVE the best
-// replica's durable LSN: the allocator must resume above every
-// replica's content (a fresh record reusing the zombie's LSN would be
-// silently "deduplicated" by that store while still being acked), and
-// the recovery barrier must void the zombie range so a later boot that
-// picks the zombie-bearing store as best does not replay it.
-func TestSiblingZombieAboveBestReplica(t *testing.T) {
+// TestLaggingLogStoreCatchesUpOnOpen crashes with one Log Store a batch
+// behind the other two (it missed the last append). Recovery must take
+// the store with the highest durable LSN and bring the laggard up to
+// it: a Log Store accepts only the next LSN prefix, so an un-repaired
+// laggard would reject the first window written after recovery.
+func TestLaggingLogStoreCatchesUpOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(durableConfig(dir))
 	if err != nil {
@@ -521,25 +371,17 @@ func TestSiblingZombieAboveBestReplica(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Forge the skewed crash state: log1 and log2 each accepted one
-	// more contiguous lane window ([top+1, top+2]); log3 instead
-	// accepted a LATER lane's window ([top+4]) and lost the others —
-	// its durable LSN tops everyone while holding fewer records.
+	// log1 and log2 took one more (never acknowledged) window; log3
+	// did not.
 	var top uint64
-	for i, log := range []string{"log1", "log2", "log3"} {
+	for _, log := range []string{"log1", "log2"} {
 		ls, err := logstore.Open(log, filepath.Join(dir, log))
 		if err != nil {
 			t.Fatal(err)
 		}
-		top = ls.DurableLSN()
-		var batch []byte
-		if i < 2 {
-			batch = (&wal.Record{Type: wal.TypeCompact, LSN: top + 1, PageID: 1}).Encode(nil)
-			batch = (&wal.Record{Type: wal.TypeCompact, LSN: top + 2, PageID: 1}).Encode(batch)
-		} else {
-			batch = (&wal.Record{Type: wal.TypeCompact, LSN: top + 4, PageID: 1}).Encode(nil)
-		}
-		if _, err := ls.Append(batch); err != nil {
+		top = ls.DurableLSN() + 1
+		rec := wal.Record{Type: wal.TypeCompact, LSN: top, PageID: 1}
+		if _, err := ls.Append(rec.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
 		if err := ls.Close(); err != nil {
@@ -550,20 +392,15 @@ func TestSiblingZombieAboveBestReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := countWorkers(t, db2); got != 40 {
-		t.Fatalf("count after skewed crash = %d, want 40", got)
+	for _, st := range db2.LogStoreStats() {
+		if st.DurableLSN != top {
+			t.Fatalf("%s durable LSN %d after recovery, want %d", st.Name, st.DurableLSN, top)
+		}
 	}
-	// New commits must allocate above the zombie (top+4), not collide
-	// with it on log3.
 	insertWorkers(t, db2, 40, 10)
-	if lsn := db2.DurableLSN(); lsn <= top+4 {
-		t.Fatalf("durable LSN %d did not resume above the sibling zombie %d", lsn, top+4)
-	}
 	if err := db2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The next boot may pick any replica as best; the barrier must keep
-	// the new rows and drop the zombie either way.
 	db3, err := Open(durableConfig(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -571,6 +408,45 @@ func TestSiblingZombieAboveBestReplica(t *testing.T) {
 	defer db3.Close()
 	if got := countWorkers(t, db3); got != 50 {
 		t.Fatalf("count after second recovery = %d, want 50", got)
+	}
+}
+
+// TestMissingMetaOverCollectedLogFailsOpen deletes the meta checkpoint
+// after log GC collected the log's prefix: without the meta, recovery
+// must replay from LSN 1, so Open fails naming it instead of replaying
+// (or dropping) a log that starts in the middle.
+func TestMissingMetaOverCollectedLogFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.LogSegmentBytes = 2048
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE worker (id BIGINT, age INT, join_date DATE,
+		salary DECIMAL(15,2), name VARCHAR, PRIMARY KEY(id))`)
+	for b := 0; b < 6; b++ {
+		insertWorkers(t, db, b*100, 100)
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if removed, err := db.TruncateLogs(); err != nil || removed == 0 {
+		t.Fatalf("GC removed %d segments (err %v)", removed, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "frontend", "meta.ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(cfg)
+	if err == nil {
+		db2.Close()
+		t.Fatal("Open replayed a log whose prefix was collected")
+	}
+	if !strings.Contains(err.Error(), "LSN 1 missing") {
+		t.Fatalf("Open error %q does not name LSN 1", err)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"taurus/internal/types"
 )
 
 // TestKillAndReopenWithInFlightWindow is the write-path crash test:
@@ -60,26 +58,7 @@ func TestKillAndReopenWithInFlightWindow(t *testing.T) {
 	// commits or flushes, so they sit below the flush threshold when
 	// the "process" dies. They were never acknowledged, so recovery may
 	// legitimately lose them — but must lose nothing else.
-	eng := db.Engine()
-	tbl, err := eng.Table("worker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := eng.Txm().Begin()
-	const unacked = 5
-	for i := 0; i < unacked; i++ {
-		id := int64(writers*perWriter + i)
-		row := types.Row{
-			types.NewInt(id),
-			types.NewInt(30),
-			types.DateFromYMD(2012, 1, 15),
-			types.NewDecimal(310000),
-			types.NewString(fmt.Sprintf("ghost%d", id)),
-		}
-		if err := eng.Insert(tbl, tx, row); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stageGhosts(t, db, writers*perWriter, 5)
 	if got := db.WritePathStats().PendingRecords; got == 0 {
 		t.Fatal("expected staged records pending in the pipeline at crash time")
 	}
@@ -183,83 +162,6 @@ func TestConcurrentCommitsVisibleAfterCleanRestart(t *testing.T) {
 	defer db2.Close()
 	if got := countWorkers(t, db2); got != 100 {
 		t.Fatalf("restart count = %d, want 100", got)
-	}
-}
-
-// TestKillAndReopenWithHotLaneWindow is the per-slice-lane variant of
-// the crash test: traffic concentrated on one slice promotes it to a
-// dedicated write lane, the process "dies" with unacknowledged records
-// staged in that hot lane, and a reopen must recover exactly the
-// acknowledged statements — promotion must not change crash semantics.
-func TestKillAndReopenWithHotLaneWindow(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableConfig(dir)
-	cfg.WriteFlushThreshold = 0 // adaptive threshold, lanes at defaults
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, `CREATE TABLE worker (id BIGINT, age INT, join_date DATE,
-		salary DECIMAL(15,2), name VARCHAR, PRIMARY KEY(id))`)
-	// Sequential inserts concentrate on the rightmost leaf's slice —
-	// exactly the hot-slice pattern the promotion policy looks for.
-	const acked = 160
-	for from := 0; from < acked; from += 20 {
-		insertWorkers(t, db, from, 20)
-	}
-	st := db.WritePathStats()
-	if st.Promotions == 0 {
-		t.Fatalf("no slice was promoted to a dedicated lane: %+v", st)
-	}
-	preLSN := db.DurableLSN()
-
-	// Stage unacknowledged records (no commit, no flush): with the
-	// table's pages hot, these sit in the promoted lane's staging
-	// buffer when the "process" dies.
-	eng := db.Engine()
-	tbl, err := eng.Table("worker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := eng.Txm().Begin()
-	for i := 0; i < 5; i++ {
-		id := int64(acked + i)
-		row := types.Row{
-			types.NewInt(id), types.NewInt(30),
-			types.DateFromYMD(2012, 1, 15),
-			types.NewDecimal(310000),
-			types.NewString(fmt.Sprintf("ghost%d", id)),
-		}
-		if err := eng.Insert(tbl, tx, row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := db.WritePathStats().PendingRecords; got == 0 {
-		t.Fatal("expected staged records pending at crash time")
-	}
-
-	// Crash: no Close, no flush.
-	db = nil
-
-	db2, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if db2.DurableLSN() < preLSN {
-		t.Fatalf("durable LSN went backwards: %d -> %d", preLSN, db2.DurableLSN())
-	}
-	if got := countWorkers(t, db2); got != acked {
-		t.Fatalf("recovered %d rows, want %d acked", got, acked)
-	}
-	res := mustExec(t, db2, "SELECT COUNT(*) FROM worker WHERE name LIKE 'ghost%'")
-	if res.Rows[0][0].I != 0 {
-		t.Fatalf("%d unacknowledged hot-lane rows resurrected", res.Rows[0][0].I)
-	}
-	// The recovered database keeps committing (and can promote again).
-	insertWorkers(t, db2, acked, 20)
-	if got := countWorkers(t, db2); got != acked+20 {
-		t.Fatalf("post-recovery count = %d", got)
 	}
 }
 
