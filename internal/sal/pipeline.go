@@ -76,11 +76,10 @@ const (
 )
 
 // sliceBatch is one slice's share of a window: the concatenated record
-// encoding, its LSN range, and the per-page max LSN (read waiters are
+// encoding, its highest LSN, and the per-page max LSN (read waiters are
 // page-granular).
 type sliceBatch struct {
 	enc     []byte
-	minLSN  uint64
 	maxLSN  uint64
 	count   int
 	pageMax map[uint64]uint64
@@ -512,9 +511,6 @@ func (s *SAL) Write(rec *wal.Record) (uint64, error) {
 			s.stg.slices[sliceID] = sb
 		}
 		sb.enc = rec.Encode(sb.enc)
-		if sb.minLSN == 0 {
-			sb.minLSN = lsn
-		}
 		sb.maxLSN = lsn
 		sb.count++
 		sb.pageMax[rec.PageID] = lsn

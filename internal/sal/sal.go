@@ -304,7 +304,6 @@ func (s *SAL) ResumeLSN(lsn uint64) {
 func (s *SAL) Replay(recs []wal.Record) error {
 	var order []uint32
 	groups := make(map[uint32]*sliceBatch)
-	maxLSN := uint64(0)
 	for i := range recs {
 		rec := &recs[i]
 		if rec.Type == wal.TypeCatalog {
@@ -318,16 +317,7 @@ func (s *SAL) Replay(recs []wal.Record) error {
 			order = append(order, sliceID)
 		}
 		g.enc = rec.Encode(g.enc)
-		if g.minLSN == 0 {
-			g.minLSN = rec.LSN
-		}
-		if rec.LSN > g.maxLSN {
-			g.maxLSN = rec.LSN
-		}
-		g.count++
-		if rec.LSN > maxLSN {
-			maxLSN = rec.LSN
-		}
+		g.maxLSN = rec.LSN
 	}
 	for _, sliceID := range order {
 		nodes, err := s.placement(sliceID)
@@ -349,7 +339,6 @@ func (s *SAL) Replay(recs []wal.Record) error {
 		}
 		sp.mu.Unlock()
 	}
-	s.ResumeLSN(maxLSN)
 	return nil
 }
 
