@@ -134,6 +134,18 @@ func TestReplicaSeesDDLAfterOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The table attaches once the replica's visible LSN passes its
+	// catalog record, which trails the master by the replication lag
+	// like the rows do.
+	for stop := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		_, err := rep.Engine().Table("late")
+		if err == nil {
+			break
+		}
+		if time.Now().After(stop) {
+			t.Fatalf("replica never attached the late table: %v (%+v)", err, rep.ReplicaStats())
+		}
+	}
 	if got := waitReplicaCount(t, rep, "SELECT COUNT(*) FROM late", rows, 10*time.Second); got != rows {
 		t.Fatalf("late table count = %d, want %d", got, rows)
 	}
@@ -185,7 +197,10 @@ func TestReplicaMonotonicAndDurableReads(t *testing.T) {
 	defer rep.Close()
 	stop := make(chan struct{})
 	var writerErr error
-	var wrote atomic.Int64
+	// started counts INSERTs handed to the master, wrote those that
+	// returned: a row turns durable, and may show on the replica,
+	// before its Exec returns, so only started bounds what is visible.
+	var started, wrote atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -196,6 +211,7 @@ func TestReplicaMonotonicAndDurableReads(t *testing.T) {
 				return
 			default:
 			}
+			started.Add(1)
 			if _, err := master.Exec(fmt.Sprintf("INSERT INTO mono VALUES (%d, %d)", i, i)); err != nil {
 				writerErr = err
 				return
@@ -215,9 +231,9 @@ func TestReplicaMonotonicAndDurableReads(t *testing.T) {
 		}
 		last = n
 		// The replica must never see rows the master has not durably
-		// committed: committed (durable) inserts are an upper bound.
-		if committed := wrote.Load(); n > committed {
-			t.Fatalf("replica count %d exceeds master committed %d", n, committed)
+		// committed: the inserts started so far are an upper bound.
+		if committed := started.Load(); n > committed {
+			t.Fatalf("replica count %d exceeds master inserts %d", n, committed)
 		}
 		if vis, dur := rep.ReplicaStats().VisibleLSN, master.DurableLSN(); vis > dur {
 			t.Fatalf("visible LSN %d beyond durable %d", vis, dur)
