@@ -16,8 +16,8 @@ import (
 // sub-batch. Every replica holds the same slice versions (the SAL
 // replicates every log record to the full replica set), so reads are
 // free to chase load: the router tracks in-flight requests and an EWMA
-// of observed latency per page per store and sends the next sub-batch
-// to the cheapest one. A router starts least-loaded; SetLeastLoaded(false)
+// of observed latency per store and sends the next sub-batch to the
+// cheapest one. A router starts least-loaded; SetLeastLoaded(false)
 // switches it to round-robin at run time. Both modes stay until a
 // trusted measurement picks one.
 type ReadRouter struct {
@@ -36,9 +36,7 @@ type nodeLoad struct {
 	inflight atomic.Int64
 	reqs     atomic.Uint64
 	errs     atomic.Uint64
-	// ewmaMicros holds math.Float64bits of the smoothed call latency
-	// per page: sub-batches range from one page to a look-ahead chunk,
-	// so a per-call average would make every large one a straggler.
+	// ewmaMicros holds math.Float64bits of the smoothed call latency.
 	ewmaMicros atomic.Uint64
 }
 
@@ -82,7 +80,7 @@ func (nl *nodeLoad) ewma() float64 { return math.Float64frombits(nl.ewmaMicros.L
 
 // score is the expected cost of sending one more request to the node:
 // queue depth (including the request being scored) times smoothed
-// per-page latency.
+// per-request latency.
 func (nl *nodeLoad) score() float64 {
 	lat := nl.ewma()
 	if lat < minLatencyMicros {
@@ -117,10 +115,9 @@ func (r *ReadRouter) Pick(nodes []string) string {
 	return best
 }
 
-// Begin marks a request for pages pages in flight on node and returns
-// the completion callback that settles the latency/error accounting.
-// Nil-safe.
-func (r *ReadRouter) Begin(node string, pages int) func(error) {
+// Begin marks a request in flight on node and returns the completion
+// callback that settles the latency/error accounting. Nil-safe.
+func (r *ReadRouter) Begin(node string) func(error) {
 	if r == nil {
 		return func(error) {}
 	}
@@ -134,7 +131,7 @@ func (r *ReadRouter) Begin(node string, pages int) func(error) {
 			nl.errs.Add(1)
 			return
 		}
-		us := float64(time.Since(t0).Microseconds()) / float64(max(pages, 1))
+		us := float64(time.Since(t0).Microseconds())
 		if us < minLatencyMicros {
 			us = minLatencyMicros
 		}
@@ -152,7 +149,7 @@ func (r *ReadRouter) Begin(node string, pages int) func(error) {
 	}
 }
 
-// EWMALatency returns the smoothed per-page latency for node (0 if the
+// EWMALatency returns the smoothed request latency for node (0 if the
 // node has no history yet).
 func (r *ReadRouter) EWMALatency(node string) time.Duration {
 	if r == nil {
@@ -176,11 +173,10 @@ func (r *ReadRouter) noteHedge() {
 
 // RouterNodeStats is one store's routing view.
 type RouterNodeStats struct {
-	Node     string `json:"node"`
-	InFlight int64  `json:"in_flight"`
-	Requests uint64 `json:"requests"`
-	Errors   uint64 `json:"errors"`
-	// EWMALatencyMicros is the smoothed latency per page.
+	Node              string  `json:"node"`
+	InFlight          int64   `json:"in_flight"`
+	Requests          uint64  `json:"requests"`
+	Errors            uint64  `json:"errors"`
 	EWMALatencyMicros float64 `json:"ewma_latency_micros"`
 }
 
@@ -260,15 +256,15 @@ type FanOut struct {
 	Events   *obs.EventRing
 	// HedgeFloor is the minimum straggler wait before a backup request
 	// launches (the effective wait is max(HedgeFloor, 4x the primary's
-	// EWMA per-page latency x the sub-batch's pages)). Zero selects
-	// defaultHedgeFloor; negative disables hedging.
+	// EWMA latency)). Zero selects defaultHedgeFloor; negative disables
+	// hedging.
 	HedgeFloor time.Duration
 }
 
 const defaultHedgeFloor = 2 * time.Millisecond
 
 // hedgeMultiple: a request this many times slower than the store's
-// smoothed latency for its page count is a straggler.
+// smoothed latency is a straggler.
 const hedgeMultiple = 4
 
 // BatchRead dispatches pageIDs and reassembles the responses. tc, when
@@ -354,7 +350,7 @@ func (f *FanOut) callSub(tc obs.TraceContext, sliceID uint32, ids []uint64, lsn 
 	ch := make(chan subResult, len(nodes))
 	launch := func(node string) {
 		go func() {
-			done := f.Router.Begin(node, len(ids))
+			done := f.Router.Begin(node)
 			resp, err := cluster.CallTraced(f.Transport, tc, node, req)
 			done(err)
 			r := subResult{err: err, node: node}
@@ -385,7 +381,7 @@ func (f *FanOut) callSub(tc obs.TraceContext, sliceID uint32, ids []uint64, lsn 
 		if delay == 0 {
 			delay = defaultHedgeFloor
 		}
-		if byEwma := hedgeMultiple * time.Duration(len(ids)) * f.Router.EWMALatency(primary); byEwma > delay {
+		if byEwma := hedgeMultiple * f.Router.EWMALatency(primary); byEwma > delay {
 			delay = byEwma
 		}
 		t := time.NewTimer(delay)

@@ -18,9 +18,9 @@ func TestRouterPicksLeastLoaded(t *testing.T) {
 	r := NewReadRouter()
 	nodes := []string{"ps1", "ps2", "ps3"}
 	// ps1 is busy and slow: two requests in flight, 10ms smoothed.
-	done1 := r.Begin("ps1", 1)
-	done2 := r.Begin("ps1", 1)
-	slow := r.Begin("ps2", 1)
+	done1 := r.Begin("ps1")
+	done2 := r.Begin("ps1")
+	slow := r.Begin("ps2")
 	time.Sleep(2 * time.Millisecond)
 	slow(nil) // gives ps2 a small but real EWMA
 	_ = done1
@@ -91,7 +91,7 @@ func TestFanOutRetriesOnFailure(t *testing.T) {
 	// Force the router to pick ps1 first: round-robin from a known
 	// state is not guaranteed, so score ps2 as busy.
 	router.SetLeastLoaded(true)
-	undo := router.Begin("ps2", 1)
+	undo := router.Begin("ps2")
 	defer undo(nil)
 	res, err := f.BatchRead(obs.TraceContext{}, []uint64{1, 2, 3}, 0, nil)
 	if err != nil {
