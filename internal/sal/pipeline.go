@@ -783,7 +783,12 @@ func (s *SAL) windowDurable(w *window) {
 	// durability (the commit path) never queues behind a slow replica.
 	s.inflight.Add(-1)
 	<-s.sem
-	if w.failed.Load() || len(w.slices) == 0 {
+	// Nothing reads the combined Log Store encoding after the last
+	// acknowledgement, nor the slice map after this dispatch: a queued
+	// apply job then pins only its own slice batch.
+	slices := w.slices
+	w.log, w.slices = nil, nil
+	if w.failed.Load() || len(slices) == 0 {
 		// Failed windows must not reach the Page Stores; catalog-only
 		// windows have nothing to apply.
 		s.windowComplete(w)
@@ -792,7 +797,7 @@ func (s *SAL) windowDurable(w *window) {
 	// The slice queues are unbounded, so this never blocks the
 	// durability path; in-order durability keeps each slice's batches
 	// in LSN order.
-	for sliceID, batch := range w.slices {
+	for sliceID, batch := range slices {
 		s.progress(sliceID).backlog.Add(1)
 		s.sliceWorker(sliceID).push(applyJob{w: w, batch: batch})
 	}

@@ -81,7 +81,11 @@ type Config struct {
 	// writers stall BEFORE staging — deliberately before, because an
 	// unstaged record cannot pin the durable watermark, so one slice's
 	// slow replica throttles only that slice's writers and never delays
-	// other slices' commits.
+	// other slices' commits. The bound is per slice, so the frontend
+	// holds up to ApplyBacklogWindows batches for every slice with
+	// writers: a Page Store that stalls all the slices it holds pins
+	// that many times their number. A queued batch pins only its own
+	// slice's records (at most one window's share).
 	ApplyBacklogWindows int
 	// Metrics, when non-nil, receives write-path stage histograms,
 	// fetch-latency histograms, and pipeline gauges. nil disables
