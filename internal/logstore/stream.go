@@ -9,7 +9,9 @@
 // Flow control is a bounded per-subscriber queue: the multicast never
 // blocks on a slow consumer — a subscriber whose queue overflows is
 // disconnected (it resubscribes and catches up from its last
-// contiguous LSN, or from a checkpoint if log GC passed it by). Active
+// contiguous LSN, or from a checkpoint if log GC passed it by). Its
+// last frame carries the master's durable LSN, so the subscriber sees
+// it is behind without waiting out a long silence. Active
 // subscriptions pin the store's GC watermark so a merely-slow
 // subscriber is never overrun mid-stream.
 package logstore
@@ -46,9 +48,12 @@ type subscriber struct {
 	poke chan struct{}
 	// gen is hub.frontierGen as of the newest frame built for this
 	// subscriber (queued or pushed). Guarded by hub.mu.
-	gen  uint64
-	stop chan struct{}
-	done chan struct{}
+	gen uint64
+	// dropped marks a subscriber flow control disconnected, so its
+	// sender pushes a last frame before it stops. Guarded by hub.mu.
+	dropped bool
+	stop    chan struct{}
+	done    chan struct{}
 }
 
 // hub is the store's stream multicaster: one goroutine watches the
@@ -400,6 +405,7 @@ func (h *hub) multicast(from uint64, enc []byte, count uint32) {
 	}
 	for _, sub := range slow {
 		delete(h.subs, sub.node)
+		sub.dropped = true
 	}
 	h.mu.Unlock()
 	for _, sub := range slow {
@@ -438,6 +444,19 @@ func (h *hub) sender(sub *subscriber) {
 	for {
 		select {
 		case <-sub.stop:
+			// A subscriber flow control dropped gets a last records-less
+			// frame with the newest master durable LSN: it now knows the
+			// master is ahead of its tail, and its watchdog's short
+			// "behind" timeout resubscribes it.
+			h.mu.Lock()
+			var last *cluster.LogBatchReq
+			if sub.dropped {
+				last = h.frameLocked(sub.tenant, nil, 0, sub.next.Load()-1)
+			}
+			h.mu.Unlock()
+			if last != nil {
+				h.push(sub, last)
+			}
 			return
 		case <-sub.poke:
 			// Frontier only: the frame ends where this subscriber already

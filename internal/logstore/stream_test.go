@@ -166,6 +166,45 @@ func TestStreamSlowSubscriberDisconnect(t *testing.T) {
 	close(sink.block) // release the stuck sender goroutine
 }
 
+// TestStreamDroppedSubscriberHearsMasterDurable: a subscriber flow
+// control dropped gets a last records-less frame carrying the master's
+// newest durable LSN, so it learns it is behind although no frame
+// follows. The relay lands after the drop, when the hub no longer pokes
+// the subscriber.
+func TestStreamDroppedSubscriberHearsMasterDurable(t *testing.T) {
+	s, sink := frontierHub(t, 1)
+	for lsn := uint64(3); s.Subscribers() > 0; lsn++ {
+		if lsn > 100 {
+			t.Fatal("stalled window-of-1 subscriber never dropped")
+		}
+		if _, err := s.Append(compactRecs(lsn, lsn)); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if _, err := s.Handle(&cluster.FrontierReq{Tenant: 1, DurableLSN: 50,
+		Slices: []cluster.SliceLSNEntry{{SliceID: 7, AppliedLSN: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	sink.next(t, "attach sync", 0, 1)
+	// The sender may still push the records frame it had queued; the
+	// last frame has none.
+	for {
+		select {
+		case f := <-sink.frames:
+			if f.Count > 0 {
+				continue
+			}
+			if f.MasterDurableLSN != 50 {
+				t.Fatalf("last frame carries master durable %d, want 50", f.MasterDurableLSN)
+			}
+			return
+		case <-time.After(5 * time.Second):
+			t.Fatal("dropped subscriber got no last frame")
+		}
+	}
+}
+
 // TestStreamSubscribeRefusedAfterGC: log GC past the requested start
 // refuses the subscription and reports the truncation watermark so the
 // replica checkpoint-resyncs first.
