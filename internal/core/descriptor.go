@@ -241,16 +241,26 @@ func DecodeDescriptor(buf []byte) (*Descriptor, error) {
 		return nil, fmt.Errorf("core: corrupt descriptor: %w", r.err)
 	}
 	// Validate embedded IR programs eagerly so a bad program is caught
-	// at decode time, not mid-scan.
+	// at decode time, not mid-scan. The predicate runs on the full row
+	// and aggregate arguments on the output row, so each program may
+	// load only the columns its row has.
 	if len(d.Predicate) > 0 {
-		if _, err := ir.Decode(d.Predicate); err != nil {
+		prog, err := ir.Decode(d.Predicate)
+		if err != nil {
 			return nil, fmt.Errorf("core: bad predicate IR: %w", err)
+		}
+		if prog.NumCols > int(nCols) {
+			return nil, fmt.Errorf("core: predicate needs %d cols, row has %d", prog.NumCols, nCols)
 		}
 	}
 	for i, a := range d.Aggs {
 		if len(a.ArgIR) > 0 {
-			if _, err := ir.Decode(a.ArgIR); err != nil {
+			prog, err := ir.Decode(a.ArgIR)
+			if err != nil {
 				return nil, fmt.Errorf("core: bad agg %d arg IR: %w", i, err)
+			}
+			if prog.NumCols > int(outCols) {
+				return nil, fmt.Errorf("core: agg %d argument needs %d cols, output row has %d", i, prog.NumCols, outCols)
 			}
 		}
 	}
@@ -318,7 +328,7 @@ func (r *descReader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.buf) {
+	if n < 0 || n > len(r.buf)-r.off {
 		r.err = fmt.Errorf("truncated bytes at %d", r.off)
 		return nil
 	}

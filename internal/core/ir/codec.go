@@ -68,12 +68,9 @@ func Decode(buf []byte) (*Program, error) {
 		return nil, fmt.Errorf("ir: implausible register/column counts %d/%d", numRegs, numCols)
 	}
 	p.NumRegs, p.NumCols = int(numRegs), int(numCols)
-	nConsts, err := r.uvarint()
+	nConsts, err := r.count("constant")
 	if err != nil {
 		return nil, err
-	}
-	if nConsts > 1<<20 {
-		return nil, fmt.Errorf("ir: implausible constant pool size %d", nConsts)
 	}
 	p.Consts = make([]types.Datum, nConsts)
 	for i := range p.Consts {
@@ -82,7 +79,7 @@ func Decode(buf []byte) (*Program, error) {
 			return nil, err
 		}
 	}
-	nLists, err := r.uvarint()
+	nLists, err := r.count("list")
 	if err != nil {
 		return nil, err
 	}
@@ -104,12 +101,9 @@ func Decode(buf []byte) (*Program, error) {
 		}
 		p.Lists[i] = [2]uint16{uint16(s), uint16(e)}
 	}
-	nInstrs, err := r.uvarint()
+	nInstrs, err := r.count("instruction")
 	if err != nil {
 		return nil, err
-	}
-	if nInstrs > 1<<20 {
-		return nil, fmt.Errorf("ir: implausible instruction count %d", nInstrs)
 	}
 	p.Instrs = make([]Instr, nInstrs)
 	for i := range p.Instrs {
@@ -193,6 +187,21 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// count reads a length or element count and bounds it by the bytes
+// left: every element takes at least one byte, so a larger count is
+// corrupt, and a short input cannot make the decoder allocate or slice
+// beyond its own size.
+func (r *reader) count(what string) (int, error) {
+	v, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if left := len(r.buf) - r.off; v > uint64(left) {
+		return 0, fmt.Errorf("ir: %s count %d exceeds the %d bytes left", what, v, left)
+	}
+	return int(v), nil
+}
+
 func (r *reader) varint() (int64, error) {
 	v, n := binary.Varint(r.buf[r.off:])
 	if n <= 0 {
@@ -223,15 +232,12 @@ func (r *reader) datum() (types.Datum, error) {
 		}
 		return types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[:]))), nil
 	case types.KindString:
-		l, err := r.uvarint()
+		l, err := r.count("string byte")
 		if err != nil {
 			return types.Null(), err
 		}
-		if r.off+int(l) > len(r.buf) {
-			return types.Null(), fmt.Errorf("ir: truncated string constant")
-		}
-		s := string(r.buf[r.off : r.off+int(l)])
-		r.off += int(l)
+		s := string(r.buf[r.off : r.off+l])
+		r.off += l
 		return types.NewString(s), nil
 	default:
 		return types.Null(), fmt.Errorf("ir: unknown datum kind %d", k)

@@ -179,10 +179,14 @@ func formatInstr(in Instr) string {
 }
 
 // Validate checks that the program is well formed: register and column
-// operands in bounds, branch targets valid, pool references valid, and the
-// program ends in (or always reaches) OpRet. Page Stores validate every
-// received program before execution — they cannot trust that the opaque
-// descriptor bytes came from a well-behaved frontend.
+// operands in bounds, pool references valid, every branch target ahead
+// of its branch, and OpRet as the last instruction. The last two make
+// every run end: execution only moves forward and cannot fall off the
+// end. The compiler emits nothing else (branches are patched to the
+// instruction after the skipped operand, and OpRet closes the program).
+// Page Stores validate every received program before execution — they
+// cannot trust that the opaque descriptor bytes came from a
+// well-behaved frontend.
 func (p *Program) Validate() error {
 	n := len(p.Instrs)
 	if n == 0 {
@@ -194,13 +198,15 @@ func (p *Program) Validate() error {
 		}
 		return nil
 	}
-	checkTarget := func(t uint16) error {
-		if int(t) >= n {
-			return fmt.Errorf("ir: branch target %d out of range (%d instrs)", t, n)
+	checkTarget := func(i int, t uint16) error {
+		if int(t) <= i || int(t) >= n {
+			return fmt.Errorf("ir: branch target %d is not ahead of it within %d instrs", t, n)
 		}
 		return nil
 	}
-	sawRet := false
+	if p.Instrs[n-1].Op != OpRet {
+		return fmt.Errorf("ir: program does not end in ret")
+	}
 	for i, in := range p.Instrs {
 		var err error
 		switch in.Op {
@@ -246,21 +252,17 @@ func (p *Program) Validate() error {
 		case OpBetween:
 			err = firstErr(checkReg(in.A), checkReg(in.B), checkReg(in.C), checkReg(in.D))
 		case OpBrFalse, OpBrTrue:
-			err = firstErr(checkReg(in.B), checkTarget(in.C))
+			err = firstErr(checkReg(in.B), checkTarget(i, in.C))
 		case OpJmp:
-			err = checkTarget(in.C)
+			err = checkTarget(i, in.C)
 		case OpRet:
 			err = checkReg(in.B)
-			sawRet = true
 		default:
 			return fmt.Errorf("ir: instr %d unknown opcode %d", i, in.Op)
 		}
 		if err != nil {
 			return fmt.Errorf("ir: instr %d: %w", i, err)
 		}
-	}
-	if !sawRet {
-		return fmt.Errorf("ir: program has no ret")
 	}
 	return nil
 }

@@ -253,6 +253,9 @@ func TestValidateCatchesBadPrograms(t *testing.T) {
 		{"col oob", Program{NumRegs: 2, NumCols: 1, Instrs: []Instr{{Op: OpLoadCol, A: 0, B: 3}, {Op: OpRet}}}},
 		{"const oob", Program{NumRegs: 2, NumCols: 1, Instrs: []Instr{{Op: OpConst, A: 0, B: 9}, {Op: OpRet}}}},
 		{"target oob", Program{NumRegs: 2, NumCols: 1, Instrs: []Instr{{Op: OpJmp, C: 99}, {Op: OpRet}}}},
+		{"backward target", Program{NumRegs: 1, Instrs: []Instr{{Op: OpJmp, C: 0}, {Op: OpRet}}}},
+		{"ret not last", Program{NumRegs: 1, Consts: []types.Datum{types.NewInt(0)},
+			Instrs: []Instr{{Op: OpJmp, C: 2}, {Op: OpRet}, {Op: OpConst}}}},
 		{"bad cmp", Program{NumRegs: 2, NumCols: 1, Instrs: []Instr{{Op: OpCmp, Sub: 99}, {Op: OpRet}}}},
 		{"bad opcode", Program{NumRegs: 2, NumCols: 1, Instrs: []Instr{{Op: Opcode(200)}, {Op: OpRet}}}},
 		{"in list oob", Program{NumRegs: 2, NumCols: 1, Instrs: []Instr{{Op: OpIn, C: 2}, {Op: OpRet}}}},

@@ -101,8 +101,16 @@ var (
 	dFalse = types.NewInt(0)
 )
 
+// incomparable reports a string against a non-string, which
+// types.Compare refuses with a panic. The compiler never emits such a
+// comparison over a well-typed row, but a crafted descriptor can (a
+// string constant against an integer column): the comparison is NULL.
+func incomparable(a, b types.Datum) bool {
+	return (a.K == types.KindString) != (b.K == types.KindString)
+}
+
 func evalCmp(k CmpKind, a, b types.Datum) types.Datum {
-	if a.IsNull() || b.IsNull() {
+	if a.IsNull() || b.IsNull() || incomparable(a, b) {
 		return types.Null()
 	}
 	c := types.Compare(a, b)
@@ -193,7 +201,7 @@ func evalIn(x types.Datum, list []types.Datum) types.Datum {
 	}
 	sawNull := false
 	for _, v := range list {
-		if v.IsNull() {
+		if v.IsNull() || incomparable(x, v) {
 			sawNull = true
 			continue
 		}
@@ -208,7 +216,7 @@ func evalIn(x types.Datum, list []types.Datum) types.Datum {
 }
 
 func evalBetween(x, lo, hi types.Datum) types.Datum {
-	if x.IsNull() || lo.IsNull() || hi.IsNull() {
+	if x.IsNull() || lo.IsNull() || hi.IsNull() || incomparable(x, lo) || incomparable(x, hi) {
 		return types.Null()
 	}
 	if types.Compare(x, lo) >= 0 && types.Compare(x, hi) <= 0 {

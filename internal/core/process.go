@@ -46,9 +46,6 @@ func NewProcessorFromDescriptor(d *Descriptor) (*Processor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: predicate IR: %w", err)
 		}
-		if prog.NumCols > len(d.Cols) {
-			return nil, fmt.Errorf("core: predicate needs %d cols, row has %d", prog.NumCols, len(d.Cols))
-		}
 		p.pred = ir.CompileProgram(prog)
 	}
 	return p, nil

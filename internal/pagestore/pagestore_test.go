@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"taurus/internal/cluster"
@@ -307,6 +308,48 @@ func TestHandleDispatch(t *testing.T) {
 		Tenant: 1, SliceID: 0, PageIDs: []uint64{1}, Desc: []byte("x"), Plugin: "no-such-db",
 	}); err == nil {
 		t.Error("unknown plugin should fail")
+	}
+}
+
+// TestHandleRejectsCraftedDescriptors sends descriptors no frontend
+// builds through Handle, as a TCP Page Store receives them. Each used to
+// panic (in the decoder, or in a BatchRead worker goroutine no caller can
+// recover) and kill the process; now each is refused or answered.
+func TestHandleRejectsCraftedDescriptors(t *testing.T) {
+	s := New("ps1")
+	seedSlice(t, s, 1, 0, 2, 10)
+	intRow := []types.Kind{types.KindInt, types.KindInt}
+	// A string constant whose uvarint length is 2^63 + 7.
+	hugeString := append([]byte("TIR1"), 1, 0, 1, byte(types.KindString))
+	hugeString = binary.AppendUvarint(hugeString, 1<<63+7)
+	// An aggregate argument loading column 3 of a 2-column output row.
+	col3 := (&ir.Program{NumRegs: 1, NumCols: 4,
+		Instrs: []ir.Instr{{Op: ir.OpLoadCol, B: 3}, {Op: ir.OpRet}}}).Encode()
+	// A string column compared with an integer constant: the rows hold
+	// integers, but the descriptor declares column 0 a string.
+	strVsInt, err := ir.Compile(expr.EQ(expr.Col(0, "id"), expr.ConstInt(5)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		desc    core.Descriptor
+		wantErr bool
+	}{
+		{"huge string length", core.Descriptor{IndexID: 1, Cols: intRow, FixedLens: []uint16{0, 0},
+			Predicate: hugeString, LowWatermark: 100}, true},
+		{"argument column beyond the row", core.Descriptor{IndexID: 1, Cols: intRow, FixedLens: []uint16{0, 0},
+			Aggs: []core.AggSpec{{Fn: core.AggSum, ArgCol: -1, ArgIR: col3}}, LowWatermark: 100}, true},
+		{"string column against an integer", core.Descriptor{IndexID: 1,
+			Cols: []types.Kind{types.KindString, types.KindInt}, FixedLens: []uint16{0, 0},
+			Predicate: strVsInt.Encode(), LowWatermark: 100}, false},
+	} {
+		_, err := s.Handle(&cluster.BatchReadReq{
+			Tenant: 1, SliceID: 0, PageIDs: []uint64{1, 2}, Desc: c.desc.Encode(), Plugin: PluginInnoDB,
+		})
+		if c.wantErr && err == nil {
+			t.Errorf("%s: BatchRead accepted the descriptor", c.name)
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func DecodeRow(buf []byte, schema *Schema, out Row) (int, error) {
 			off += 4
 		case KindString:
 			l, n2 := binary.Uvarint(buf[off:])
-			if n2 <= 0 || len(buf) < off+n2+int(l) {
+			if n2 <= 0 || l > uint64(len(buf)-off-n2) {
 				return 0, fmt.Errorf("types: row truncated in string column %d", i)
 			}
 			off += n2

@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -145,6 +146,18 @@ func TestDecodeRowTruncation(t *testing.T) {
 		if _, err := DecodeRow(buf[:cut], s, out); err == nil {
 			t.Fatalf("expected truncation error at %d bytes", cut)
 		}
+	}
+}
+
+// TestDecodeRowRejectsHugeStringLength: a string length of 2^63 or
+// more (integer bytes read under a descriptor that declares the column a
+// string) is an error, not a slice-bounds panic.
+func TestDecodeRowRejectsHugeStringLength(t *testing.T) {
+	s := NewSchema(Column{Name: "s", Kind: KindString})
+	buf := binary.AppendUvarint([]byte{0}, 1<<63+7)
+	buf = append(buf, "abc"...)
+	if _, err := DecodeRow(buf, s, make(Row, 1)); err == nil {
+		t.Fatal("DecodeRow accepted a 2^63-byte string")
 	}
 }
 
