@@ -5,96 +5,10 @@ import (
 	"taurus/internal/types"
 )
 
-// VM executes an IR program by switch dispatch. This is the "LLVM
-// interpretation" half of the paper's hybrid ("combines LLVM
-// interpretation and execution", §V-B2): correct but slower than the
-// JIT-compiled form, and used by Page Stores before a program has been
-// JITed (or in tests, to cross-check the JIT).
-type VM struct {
-	prog *Program
-	regs []types.Datum
-}
-
-// NewVM prepares a VM with a private register file for the program. A VM
-// is not safe for concurrent use; Page Store worker threads each hold
-// their own.
-func NewVM(p *Program) *VM {
-	return &VM{prog: p, regs: make([]types.Datum, p.NumRegs)}
-}
-
-// Run evaluates the program against row and returns the result datum
-// (tri-state boolean for predicates).
-func (vm *VM) Run(row types.Row) types.Datum {
-	regs := vm.regs
-	prog := vm.prog
-	pc := 0
-	for {
-		in := prog.Instrs[pc]
-		switch in.Op {
-		case OpLoadCol:
-			regs[in.A] = row[in.B]
-		case OpConst:
-			regs[in.A] = prog.Consts[in.B]
-		case OpCmp:
-			regs[in.A] = evalCmp(CmpKind(in.Sub), regs[in.B], regs[in.C])
-		case OpAnd:
-			regs[in.A] = evalAnd(regs[in.B], regs[in.C])
-		case OpOr:
-			regs[in.A] = evalOr(regs[in.B], regs[in.C])
-		case OpNot:
-			regs[in.A] = evalNot(regs[in.B])
-		case OpArith:
-			a, b := regs[in.B], regs[in.C]
-			if a.IsNull() || b.IsNull() {
-				regs[in.A] = types.Null()
-			} else {
-				regs[in.A] = expr.Arith(arithExprOp(ArithKind(in.Sub)), a, b)
-			}
-		case OpNeg:
-			regs[in.A] = evalNeg(regs[in.B])
-		case OpLike:
-			regs[in.A] = evalLike(regs[in.B], prog.Consts[in.C].S, in.Sub == 1)
-		case OpIn:
-			lr := prog.Lists[in.C]
-			regs[in.A] = evalIn(regs[in.B], prog.Consts[lr[0]:lr[1]])
-		case OpBetween:
-			regs[in.A] = evalBetween(regs[in.B], regs[in.C], regs[in.D])
-		case OpIsNull:
-			regs[in.A] = evalIsNull(regs[in.B], in.Sub == 1)
-		case OpYear:
-			regs[in.A] = evalYear(regs[in.B])
-		case OpMov:
-			regs[in.A] = regs[in.B]
-		case OpBrFalse:
-			v := regs[in.B]
-			if !v.IsNull() && v.I == 0 {
-				pc = int(in.C)
-				continue
-			}
-		case OpBrTrue:
-			v := regs[in.B]
-			if !v.IsNull() && v.I != 0 {
-				pc = int(in.C)
-				continue
-			}
-		case OpJmp:
-			pc = int(in.C)
-			continue
-		case OpRet:
-			return regs[in.B]
-		}
-		pc++
-	}
-}
-
-// RunBool evaluates the program as a WHERE predicate (NULL → false).
-func (vm *VM) RunBool(row types.Row) bool {
-	v := vm.Run(row)
-	return !v.IsNull() && v.I != 0
-}
-
-// Shared evaluation helpers used by both the VM and the JIT so the two
-// paths cannot diverge.
+// Evaluation helpers behind the JIT's fused instructions. They share
+// the frontend's kernels (types.Compare, expr.Arith, expr.LikeMatch,
+// expr.YearOfEpochDays), so storage-side evaluation cannot drift from
+// the tree walker's.
 
 var (
 	dTrue  = types.NewInt(1)

@@ -10,11 +10,15 @@
 // the encoded program travels inside the NDP descriptor; and the Page
 // Store side "JITs" the program into an array of fused Go closures
 // (direct-threaded code) before the first call, caching the result in the
-// descriptor cache. A plain switch-dispatch VM is kept as the
-// interpretation fallback, and both must agree with the frontend's
-// tree-walking evaluator on every input — the paper's correctness
-// requirement that storage-side evaluation produce exactly the result of
-// the hypothetical frontend evaluation.
+// descriptor cache. The JIT is the only storage-side evaluator, and it
+// must agree with the frontend's tree-walking evaluator on every input —
+// the paper's correctness requirement that storage-side evaluation
+// produce exactly the result of the hypothetical frontend evaluation.
+//
+// A Page Store cannot trust the descriptor bytes, so Decode bounds every
+// count by the bytes left and Validate accepts only programs whose
+// every run ends: operands in range, branch targets strictly ahead of
+// their branch, and OpRet as the last instruction.
 package ir
 
 import (

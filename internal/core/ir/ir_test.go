@@ -27,7 +27,6 @@ func TestCompileSimplePredicate(t *testing.T) {
 			expr.GT(expr.Col(1, "b"), expr.ConstInt(2))),
 		expr.GE(expr.Col(2, "c"), expr.ConstInt(3)))
 	p := mustCompile(t, e, 3)
-	vm := NewVM(p)
 	jit := CompileProgram(p)
 	cases := []struct {
 		a, b, c int64
@@ -41,9 +40,6 @@ func TestCompileSimplePredicate(t *testing.T) {
 	}
 	for _, c := range cases {
 		row := types.Row{types.NewInt(c.a), types.NewInt(c.b), types.NewInt(c.c)}
-		if got := vm.RunBool(row); got != c.want {
-			t.Errorf("VM(%v) = %v, want %v", row, got, c.want)
-		}
 		if got := jit.RunBool(row); got != c.want {
 			t.Errorf("JIT(%v) = %v, want %v", row, got, c.want)
 		}
@@ -63,13 +59,13 @@ func TestShortCircuitSkipsRightSide(t *testing.T) {
 	e := expr.And(expr.GT(expr.Col(0, "a"), expr.ConstInt(10)),
 		expr.EQ(expr.Col(1, "b"), expr.ConstInt(1)))
 	p := mustCompile(t, e, 2)
-	vm := NewVM(p)
+	jit := CompileProgram(p)
 	row := types.Row{types.NewInt(0), types.Null()}
 	// false AND NULL = false: the shortcut and the 3VL combine agree.
-	if vm.RunBool(row) {
+	if jit.RunBool(row) {
 		t.Error("false AND NULL should be false")
 	}
-	v := vm.Run(row)
+	v := jit.Run(row)
 	if v.IsNull() || v.I != 0 {
 		t.Errorf("false AND NULL = %v, want definite false", v)
 	}
@@ -159,7 +155,7 @@ func randRow(r *rand.Rand) types.Row {
 	return row
 }
 
-// Property: tree-walker ≡ IR VM ≡ JIT ≡ decode(encode) of the program,
+// Property: tree-walker ≡ JIT ≡ JIT over decode(encode) of the program,
 // for random predicates and rows — the paper's §V-B2 correctness
 // requirement ("filtering... on Page Stores produce the same result as
 // that produced by the hypothetical non-NDP evaluation on the SQL node").
@@ -177,14 +173,13 @@ func TestThreeWayEquivalenceQuick(t *testing.T) {
 			t.Logf("decode error: %v", err)
 			return false
 		}
-		vm := NewVM(p)
-		vmDec := NewVM(dec)
-		jit := CompileProgram(dec)
+		jit := CompileProgram(p)
+		jitDec := CompileProgram(dec)
 		for i := 0; i < 20; i++ {
 			row := randRow(r)
 			want := e.Eval(row)
 			for name, got := range map[string]types.Datum{
-				"vm": vm.Run(row), "vmDec": vmDec.Run(row), "jit": jit.Run(row),
+				"jit": jit.Run(row), "jitDec": jitDec.Run(row),
 			} {
 				if want.IsNull() != got.IsNull() || (!want.IsNull() && want.I != got.I) {
 					t.Logf("seed %d %s: expr=%s row=%v want=%v got=%v", seed, name, e, row, want, got)
@@ -279,9 +274,8 @@ func TestDisassemblyIsStable(t *testing.T) {
 }
 
 func BenchmarkIRVsInterpreter(b *testing.B) {
-	// The §V-B2 ablation: classical tree-walking evaluation vs the IR
-	// interpreter vs JIT-compiled threaded code, on the TPC-H Q6-shaped
-	// predicate.
+	// The §V-B2 ablation: classical tree-walking evaluation vs
+	// JIT-compiled threaded code, on the TPC-H Q6-shaped predicate.
 	e := expr.AndAll(
 		expr.GE(expr.Col(0, "l_shipdate"), expr.Const(types.DateFromYMD(1994, 1, 1))),
 		expr.LT(expr.Col(0, "l_shipdate"), expr.Const(types.DateFromYMD(1995, 1, 1))),
@@ -305,15 +299,6 @@ func BenchmarkIRVsInterpreter(b *testing.B) {
 		n := 0
 		for i := 0; i < b.N; i++ {
 			if e.EvalBool(rows[i%len(rows)]) {
-				n++
-			}
-		}
-	})
-	b.Run("IRInterp", func(b *testing.B) {
-		vm := NewVM(p)
-		n := 0
-		for i := 0; i < b.N; i++ {
-			if vm.RunBool(rows[i%len(rows)]) {
 				n++
 			}
 		}

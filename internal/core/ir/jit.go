@@ -18,9 +18,9 @@ func arithFused(op expr.Op, a, b types.Datum) types.Datum {
 // step 4). Pure-Go cannot emit machine code, so the closest equivalent is
 // direct-threaded code: each instruction becomes a fused closure with its
 // operands, constants, and branch targets pre-resolved, and execution is
-// an indirect call chain with no opcode decoding. The speedup of Compiled
-// over NewVM (interpreted) reproduces the compiled-vs-interpreted gap the
-// paper relies on, and BenchmarkIRVsInterpreter quantifies it.
+// an indirect call chain with no opcode decoding. It is the only
+// storage-side evaluator; BenchmarkIRVsInterpreter measures it against
+// the frontend's tree walker.
 
 // Compiled is a JIT-compiled program. Create per worker thread via
 // Program.Compile; not safe for concurrent use because of the register
