@@ -187,15 +187,14 @@ func BenchmarkDescriptorCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	desc := q6Descriptor(b, f)
-	plug := pagestore.InnoDBPlugin()
 	b.Run("Hit", func(b *testing.B) {
 		c := pagestore.NewDescriptorCache(16)
-		if _, err := c.Get(plug, desc); err != nil {
+		if _, err := c.Get(desc); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Get(plug, desc); err != nil {
+			if _, err := c.Get(desc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -204,7 +203,7 @@ func BenchmarkDescriptorCache(b *testing.B) {
 		c := pagestore.NewDescriptorCache(16)
 		c.Disable()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Get(plug, desc); err != nil {
+			if _, err := c.Get(desc); err != nil {
 				b.Fatal(err)
 			}
 		}

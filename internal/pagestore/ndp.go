@@ -9,51 +9,13 @@ import (
 	"taurus/internal/page"
 )
 
-// Plugin is the DBMS-specific NDP hook: "the Page Store NDP framework
-// accepts an NDP descriptor as a type-less byte stream, which an NDP
-// plugin interprets" (§IV-D). Plugins must be safe for concurrent use.
-type Plugin interface {
-	// Name identifies the frontend DBMS flavour (e.g. "innodb").
-	Name() string
-	// Compile turns descriptor bytes into a reusable page processor.
-	Compile(desc []byte) (PageProcessor, error)
-}
-
-// PageProcessor transforms regular pages into NDP pages. Implementations
-// must be safe for concurrent ProcessPage calls.
-type PageProcessor interface {
-	// ProcessPage returns the NDP page for src without modifying src.
-	ProcessPage(src *page.Page) (*page.Page, core.PageStats, error)
-	// MergeBatch performs cross-page (scalar) aggregation over the NDP
-	// pages of one batch request, in request order.
-	MergeBatch(pages []*page.Page) error
-}
-
-// PluginInnoDB is the plugin name the Taurus MySQL frontend uses.
+// PluginInnoDB names the one NDP descriptor format Page Stores read:
+// "the Page Store NDP framework accepts an NDP descriptor as a
+// type-less byte stream, which an NDP plugin interprets" (§IV-D), and
+// internal/core is that interpreter for the Taurus MySQL frontend's
+// InnoDB pages. Batch reads carry the name on the wire; an empty name
+// means this one, and any other is refused.
 const PluginInnoDB = "innodb"
-
-// innoDBPlugin adapts internal/core to the plugin interface.
-type innoDBPlugin struct{}
-
-func (innoDBPlugin) Name() string { return PluginInnoDB }
-
-func (innoDBPlugin) Compile(desc []byte) (PageProcessor, error) {
-	proc, err := core.NewProcessor(desc)
-	if err != nil {
-		return nil, err
-	}
-	return innoDBProcessor{proc}, nil
-}
-
-type innoDBProcessor struct{ proc *core.Processor }
-
-func (p innoDBProcessor) ProcessPage(src *page.Page) (*page.Page, core.PageStats, error) {
-	return p.proc.ProcessPage(src)
-}
-
-func (p innoDBProcessor) MergeBatch(pages []*page.Page) error {
-	return p.proc.MergeScalarBatch(pages)
-}
 
 // DescriptorCache caches compiled processors keyed by the descriptor
 // hash. "Instead of decoding descriptors and converting LLVM bitcode for
@@ -63,7 +25,7 @@ func (p innoDBProcessor) MergeBatch(pages []*page.Page) error {
 // difference.
 type DescriptorCache struct {
 	mu      sync.Mutex
-	entries map[uint64]PageProcessor
+	entries map[uint64]*core.Processor
 	cap     int
 	hits    uint64
 	misses  uint64
@@ -76,7 +38,7 @@ func NewDescriptorCache(cap int) *DescriptorCache {
 	if cap < 1 {
 		cap = 1
 	}
-	return &DescriptorCache{entries: make(map[uint64]PageProcessor), cap: cap}
+	return &DescriptorCache{entries: make(map[uint64]*core.Processor), cap: cap}
 }
 
 // Disable turns caching off (every request recompiles).
@@ -86,8 +48,8 @@ func (c *DescriptorCache) Disable() {
 	c.disabled = true
 }
 
-// Get returns the cached processor for (plugin, desc), compiling on miss.
-func (c *DescriptorCache) Get(p Plugin, desc []byte) (PageProcessor, error) {
+// Get returns the cached processor for desc, compiling on miss.
+func (c *DescriptorCache) Get(desc []byte) (*core.Processor, error) {
 	key := core.HashBytes(desc)
 	c.mu.Lock()
 	if !c.disabled {
@@ -101,7 +63,7 @@ func (c *DescriptorCache) Get(p Plugin, desc []byte) (PageProcessor, error) {
 	c.mu.Unlock()
 	// Compile outside the lock; duplicate compilation on a race is
 	// harmless.
-	proc, err := p.Compile(desc)
+	proc, err := core.NewProcessor(desc)
 	if err != nil {
 		return nil, err
 	}
@@ -258,17 +220,10 @@ func (s *Store) BatchRead(req *cluster.BatchReadReq) (*cluster.BatchReadResp, er
 		return resp, nil
 	}
 
-	pluginName := req.Plugin
-	if pluginName == "" {
-		pluginName = PluginInnoDB
+	if req.Plugin != "" && req.Plugin != PluginInnoDB {
+		return nil, fmt.Errorf("pagestore %s: no NDP plugin %q", s.name, req.Plugin)
 	}
-	s.mu.RLock()
-	plugin, ok := s.plugins[pluginName]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("pagestore %s: no NDP plugin %q", s.name, pluginName)
-	}
-	proc, err := s.descCache.Get(plugin, req.Desc)
+	proc, err := s.descCache.Get(req.Desc)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +272,7 @@ func (s *Store) BatchRead(req *cluster.BatchReadReq) (*cluster.BatchReadResp, er
 			mergeable = append(mergeable, pg)
 		}
 	}
-	if err := proc.MergeBatch(mergeable); err != nil {
+	if err := proc.MergeScalarBatch(mergeable); err != nil {
 		return nil, err
 	}
 	for i := range raw {
@@ -338,7 +293,3 @@ func (s *Store) BatchRead(req *cluster.BatchReadReq) (*cluster.BatchReadResp, er
 	}
 	return resp, nil
 }
-
-// InnoDBPlugin returns the built-in InnoDB NDP plugin, for benchmarks
-// and custom deployments that construct caches directly.
-func InnoDBPlugin() Plugin { return innoDBPlugin{} }

@@ -1,8 +1,9 @@
 // Package pagestore implements the Page Store service of §II and §IV-D:
 // a multi-tenant storage node that hosts slices from multiple database
 // frontends, keeps pages up to date by applying redo log records, serves
-// page reads at requested LSNs, and performs best-effort NDP processing
-// through DBMS-specific plugins.
+// page reads at requested LSNs, and performs best-effort NDP processing:
+// it decodes each batch read's NDP descriptor into a JIT-compiled
+// internal/core processor, caches it, and runs it over the pages.
 package pagestore
 
 import (
@@ -103,7 +104,6 @@ type Store struct {
 	// NDP machinery.
 	descCache *DescriptorCache
 	control   *ResourceControl
-	plugins   map[string]Plugin
 
 	// Metrics.
 	stats Stats
@@ -188,18 +188,14 @@ func WithEvents(r *obs.EventRing) Option {
 	return func(s *Store) { s.events = r }
 }
 
-// New creates a Page Store node. The InnoDB plugin is pre-registered
-// under PluginInnoDB, mirroring how "DBMS-specific shared libraries can
-// be loaded as plugins into the Page Stores".
+// New creates a Page Store node.
 func New(name string, opts ...Option) *Store {
 	s := &Store{
 		name:      name,
 		slices:    make(map[sliceKey]*slice),
 		descCache: NewDescriptorCache(256),
 		control:   NewResourceControl(4, 1024),
-		plugins:   make(map[string]Plugin),
 	}
-	s.RegisterPlugin(innoDBPlugin{})
 	for _, o := range opts {
 		o(s)
 	}
@@ -208,13 +204,6 @@ func New(name string, opts ...Option) *Store {
 
 // Name returns the node name.
 func (s *Store) Name() string { return s.name }
-
-// RegisterPlugin installs a DBMS-specific NDP plugin.
-func (s *Store) RegisterPlugin(p Plugin) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.plugins[p.Name()] = p
-}
 
 // HandleTraced implements cluster.TracedHandler: Handle wrapped in a
 // server-side child span naming the Page Store operation.

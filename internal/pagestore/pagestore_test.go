@@ -356,10 +356,9 @@ func TestHandleRejectsCraftedDescriptors(t *testing.T) {
 func TestDescriptorCacheDisable(t *testing.T) {
 	c := NewDescriptorCache(4)
 	c.Disable()
-	p := innoDBPlugin{}
 	desc := descWithPredicate(t, 1)
 	for i := 0; i < 3; i++ {
-		if _, err := c.Get(p, desc); err != nil {
+		if _, err := c.Get(desc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,12 +370,11 @@ func TestDescriptorCacheDisable(t *testing.T) {
 
 func TestDescriptorCacheEviction(t *testing.T) {
 	c := NewDescriptorCache(1)
-	p := innoDBPlugin{}
 	d1 := descWithPredicate(t, 1)
 	d2 := descWithPredicate(t, 2)
-	c.Get(p, d1)
-	c.Get(p, d2) // evicts d1
-	c.Get(p, d2) // hit
+	c.Get(d1)
+	c.Get(d2) // evicts d1
+	c.Get(d2) // hit
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 2 {
 		t.Errorf("hits=%d misses=%d", hits, misses)
