@@ -43,6 +43,7 @@ import (
 	"taurus/internal/engine"
 	"taurus/internal/health"
 	"taurus/internal/obs"
+	"taurus/internal/pagestore"
 	"taurus/internal/pstore"
 	"taurus/internal/sal"
 	"taurus/internal/wal"
@@ -60,7 +61,7 @@ type Config struct {
 	ReplicationFactor int
 	PagesPerSlice     uint64
 	// Plugin names the NDP plugin for batch-read descriptors (default
-	// "innodb", matching the master's SAL).
+	// pagestore.PluginInnoDB, matching the master's SAL).
 	Plugin string
 	// RefreshInterval is the background loop's idle tick (default 25ms)
 	// and the stream watchdog's unit: pushed frames advance the replica
@@ -228,7 +229,7 @@ func New(cfg Config) (*Replica, error) {
 		cfg.PagesPerSlice = sal.DefaultPagesPerSlice
 	}
 	if cfg.Plugin == "" {
-		cfg.Plugin = "innodb"
+		cfg.Plugin = pagestore.PluginInnoDB
 	}
 	if cfg.RefreshInterval <= 0 {
 		cfg.RefreshInterval = 25 * time.Millisecond
@@ -385,9 +386,6 @@ func (r *Replica) BatchReadTraced(pageIDs []uint64, lsn uint64, desc []byte, tc 
 	}
 	return res, err
 }
-
-// SetLeastLoadedReads toggles least-loaded scan routing at runtime.
-func (r *Replica) SetLeastLoadedReads(on bool) { r.router.SetLeastLoaded(on) }
 
 // RouterStats snapshots this replica frontend's scan read router.
 func (r *Replica) RouterStats() sal.RouterStats { return r.router.Stats() }

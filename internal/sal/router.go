@@ -17,15 +17,12 @@ import (
 // replicates every log record to the full replica set), so reads are
 // free to chase load: the router tracks in-flight requests and an EWMA
 // of observed latency per store and sends the next sub-batch to the
-// cheapest one. A router starts least-loaded; SetLeastLoaded(false)
-// switches it to round-robin at run time. Both modes stay until a
-// trusted measurement picks one.
+// cheapest one, rotating among equal scores.
 type ReadRouter struct {
-	leastLoaded atomic.Bool
-	rr          atomic.Uint64
-	routed      atomic.Uint64
-	retried     atomic.Uint64
-	hedged      atomic.Uint64
+	rr      atomic.Uint64
+	routed  atomic.Uint64
+	retried atomic.Uint64
+	hedged  atomic.Uint64
 
 	mu    sync.Mutex
 	nodes map[string]*nodeLoad
@@ -48,22 +45,10 @@ const routerEwmaAlpha = 0.2
 // history yet doesn't look infinitely fast.
 const minLatencyMicros = 1.0
 
-// NewReadRouter builds a router with least-loaded routing enabled.
+// NewReadRouter builds an empty router.
 func NewReadRouter() *ReadRouter {
-	r := &ReadRouter{nodes: make(map[string]*nodeLoad)}
-	r.leastLoaded.Store(true)
-	return r
+	return &ReadRouter{nodes: make(map[string]*nodeLoad)}
 }
-
-// SetLeastLoaded toggles between least-loaded and round-robin picks.
-func (r *ReadRouter) SetLeastLoaded(on bool) {
-	if r != nil {
-		r.leastLoaded.Store(on)
-	}
-}
-
-// LeastLoaded reports the current routing mode.
-func (r *ReadRouter) LeastLoaded() bool { return r != nil && r.leastLoaded.Load() }
 
 func (r *ReadRouter) load(node string) *nodeLoad {
 	r.mu.Lock()
@@ -100,9 +85,6 @@ func (r *ReadRouter) Pick(nodes []string) string {
 	}
 	r.routed.Add(1)
 	n := int(r.rr.Add(1))
-	if !r.leastLoaded.Load() {
-		return nodes[n%len(nodes)]
-	}
 	// Rotate the starting point so equally-scored stores share load
 	// instead of everything collapsing onto the first name.
 	best, bestScore := "", 0.0
@@ -183,7 +165,6 @@ type RouterNodeStats struct {
 // RouterStats is a snapshot of scan routing activity, surfaced through
 // DB.ScanRouting() and the server's /stats payloads.
 type RouterStats struct {
-	LeastLoaded bool `json:"least_loaded"`
 	// ScanRouted counts replica picks; ScanRetried counts sub-batches
 	// re-sent to another replica (failures plus hedges); ScanHedged is
 	// the straggler-hedge subset of ScanRetried.
@@ -199,7 +180,6 @@ func (r *ReadRouter) Stats() RouterStats {
 		return RouterStats{}
 	}
 	st := RouterStats{
-		LeastLoaded: r.leastLoaded.Load(),
 		ScanRouted:  r.routed.Load(),
 		ScanRetried: r.retried.Load(),
 		ScanHedged:  r.hedged.Load(),

@@ -5,48 +5,46 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"taurus/internal/cluster"
 	"taurus/internal/obs"
 )
 
-// TestRouterPicksLeastLoaded drives the score function: with one store
-// carrying in-flight requests and a slow EWMA, picks go to the idle
-// fast store.
+// TestRouterPicksLeastLoaded drives the score function: a fresh
+// router's equal scores rotate over every store, and a store with
+// requests in flight loses every pick to idle ones.
 func TestRouterPicksLeastLoaded(t *testing.T) {
 	r := NewReadRouter()
 	nodes := []string{"ps1", "ps2", "ps3"}
-	// ps1 is busy and slow: two requests in flight, 10ms smoothed.
-	done1 := r.Begin("ps1")
-	done2 := r.Begin("ps1")
-	slow := r.Begin("ps2")
-	time.Sleep(2 * time.Millisecond)
-	slow(nil) // gives ps2 a small but real EWMA
-	_ = done1
-	_ = done2
-	// ps3 has no history (floored EWMA) and nothing in flight: with ps1
-	// holding two in-flight requests, picks must avoid ps1.
-	for i := 0; i < 8; i++ {
-		if got := r.Pick(nodes); got == "ps1" {
-			t.Fatalf("pick %d chose the loaded store ps1", i)
-		}
-	}
-	// Round-robin mode ignores load: over 3 picks, every node shows up.
-	r.SetLeastLoaded(false)
+	// No history anywhere: equal scores, so the rotating tie-break
+	// covers every store in three picks.
 	seen := map[string]bool{}
 	for i := 0; i < 3; i++ {
 		seen[r.Pick(nodes)] = true
 	}
 	if len(seen) != 3 {
-		t.Fatalf("round-robin covered %d/3 nodes: %v", len(seen), seen)
+		t.Fatalf("equal scores covered %d/3 nodes: %v", len(seen), seen)
 	}
-	st := r.Stats()
-	if st.ScanRouted != 11 {
+	// ps1 holds two requests in flight. With every EWMA floored at
+	// 1 µs it scores 3 against the idle stores' 1, so picks avoid it
+	// and rotate between ps2 and ps3.
+	done1 := r.Begin("ps1")
+	done2 := r.Begin("ps1")
+	defer done1(nil)
+	defer done2(nil)
+	seen = map[string]bool{}
+	for i := 0; i < 8; i++ {
+		got := r.Pick(nodes)
+		if got == "ps1" {
+			t.Fatalf("pick %d chose the loaded store ps1", i)
+		}
+		seen[got] = true
+	}
+	if !seen["ps2"] || !seen["ps3"] {
+		t.Errorf("idle stores did not share the picks: %v", seen)
+	}
+	if st := r.Stats(); st.ScanRouted != 11 {
 		t.Errorf("ScanRouted = %d, want 11", st.ScanRouted)
-	}
-	if st.LeastLoaded {
-		t.Error("LeastLoaded still true after SetLeastLoaded(false)")
 	}
 }
 
@@ -88,9 +86,7 @@ func TestFanOutRetriesOnFailure(t *testing.T) {
 		Router:   router, Events: events,
 		HedgeFloor: -1, // isolate the failure-retry path
 	}
-	// Force the router to pick ps1 first: round-robin from a known
-	// state is not guaranteed, so score ps2 as busy.
-	router.SetLeastLoaded(true)
+	// Force the router to pick ps1 first: score ps2 as busy.
 	undo := router.Begin("ps2")
 	defer undo(nil)
 	res, err := f.BatchRead(obs.TraceContext{}, []uint64{1, 2, 3}, 0, nil)

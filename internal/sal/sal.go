@@ -248,10 +248,6 @@ func New(cfg Config) (*SAL, error) {
 	return s, nil
 }
 
-// SetLeastLoadedReads toggles least-loaded scan routing at runtime
-// (benchmarks flip it to measure routing on vs. off).
-func (s *SAL) SetLeastLoadedReads(on bool) { s.router.SetLeastLoaded(on) }
-
 // RouterStats snapshots the scan read router: sub-batches routed,
 // retried, hedged, and the per-store load trackers.
 func (s *SAL) RouterStats() RouterStats { return s.router.Stats() }

@@ -1051,16 +1051,6 @@ func (db *DB) PageStoreNodes() []pagestore.NodeStats {
 // runtime (0 = GOMAXPROCS, 1 = serial).
 func (db *DB) SetScanParallelism(n int) { db.eng.SetScanParallelism(n) }
 
-// SetScanRouting toggles least-loaded scan routing (false = plain
-// round-robin) on this frontend's read path.
-func (db *DB) SetScanRouting(leastLoaded bool) {
-	if db.rep != nil {
-		db.rep.SetLeastLoadedReads(leastLoaded)
-		return
-	}
-	db.eng.SAL().SetLeastLoadedReads(leastLoaded)
-}
-
 // ScanRouting snapshots this frontend's scan read router: per-slice
 // sub-batches routed (scan_routed), re-sent after a failure or
 // straggler hedge (scan_retried, scan_hedged), and the per-store

@@ -168,21 +168,8 @@ func TestParallelScanMatchesSerialOnMaster(t *testing.T) {
 			}
 		}
 	}
-	rt := master.ScanRouting()
-	if rt.ScanRouted == routed0 {
+	if master.ScanRouting().ScanRouted == routed0 {
 		t.Error("scan sweep routed no sub-batches")
-	}
-	if !rt.LeastLoaded {
-		t.Error("least-loaded routing should be the default")
-	}
-	// Routing off still returns correct results.
-	master.SetScanRouting(false)
-	master.SetScanParallelism(4)
-	if got := runTPCH(t, mdb, master.Engine(), q6); len(got) != 1 {
-		t.Fatalf("Q6 with round-robin routing returned %d rows", len(got))
-	}
-	if master.ScanRouting().LeastLoaded {
-		t.Error("SetScanRouting(false) did not stick")
 	}
 }
 
