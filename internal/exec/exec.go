@@ -5,6 +5,12 @@
 // unaware of NDP except through the scan operators, exactly as the
 // paper's design demands ("the MySQL query execution layers above the
 // storage engine are unaware of NDP processing").
+//
+// Parallel query (§VI) is engine.PrepareNDPScan's per-slice partitions:
+// NDPAggScan runs them on the engine's scan worker pool and re-merges
+// the partial groups, so one scan engages the SQL node's workers, the
+// SAL's fan-out across Page Stores, and each Page Store's NDP workers
+// (examples/parallel shows all three).
 package exec
 
 import (

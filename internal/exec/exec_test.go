@@ -424,59 +424,3 @@ func TestIndexLookupJoin(t *testing.T) {
 	}
 }
 
-func TestGatherParallelScan(t *testing.T) {
-	c, tbl := workerCluster(t, 1000)
-	ctx := NewCtx(c.Engine)
-	ranges := PartitionRanges(0, 999, 4)
-	if len(ranges) != 4 || ranges[0][0] != 0 || ranges[3][1] != 999 {
-		t.Fatalf("ranges = %v", ranges)
-	}
-	var workers []Operator
-	for _, rg := range ranges {
-		pred := expr.Between(expr.Col(0, "id"), expr.ConstInt(rg[0]), expr.ConstInt(rg[1]))
-		workers = append(workers, &TableScan{
-			Opts: engine.ScanOptions{
-				Index:     tbl.Primary,
-				Start:     types.EncodeKey(nil, types.Row{types.NewInt(rg[0])}),
-				End:       types.EncodeKey(nil, types.Row{types.NewInt(rg[1])}),
-				Predicate: pred,
-				NDP:       &engine.NDPPush{PushPredicate: true},
-			},
-			Cols: []string{"id", "age", "join_date", "salary", "name"},
-		})
-	}
-	g := &Gather{Workers: workers}
-	rows, err := Run(ctx, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1000 {
-		t.Fatalf("parallel scan saw %d rows", len(rows))
-	}
-	seen := map[int64]bool{}
-	for _, r := range rows {
-		if seen[r[0].I] {
-			t.Fatalf("duplicate id %d at partition boundary", r[0].I)
-		}
-		seen[r[0].I] = true
-	}
-}
-
-func TestPartitionRangesEdgeCases(t *testing.T) {
-	if got := PartitionRanges(1, 3, 10); len(got) != 3 {
-		t.Errorf("over-partitioning: %v", got)
-	}
-	if got := PartitionRanges(5, 5, 2); len(got) != 1 || got[0] != [2]int64{5, 5} {
-		t.Errorf("single value: %v", got)
-	}
-	got := PartitionRanges(0, 9, 3)
-	if got[0][0] != 0 || got[2][1] != 9 {
-		t.Errorf("coverage: %v", got)
-	}
-	// Contiguity.
-	for i := 1; i < len(got); i++ {
-		if got[i][0] != got[i-1][1]+1 {
-			t.Errorf("gap between %v and %v", got[i-1], got[i])
-		}
-	}
-}
