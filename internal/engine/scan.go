@@ -83,9 +83,6 @@ func (e *Engine) Scan(opts ScanOptions, emit EmitFunc) error {
 		opts.View = e.txm.View(nil)
 	}
 	if opts.NDP != nil {
-		if len(opts.NDP.Aggs) > 0 && opts.NDP.PushProjection != (len(opts.Projection) > 0) {
-			return fmt.Errorf("engine: pushed aggregation requires pushed projection to agree with the output layout")
-		}
 		err := e.ndpScan(opts, emit)
 		if errors.Is(err, ErrStopScan) {
 			return nil
@@ -272,32 +269,63 @@ func (e *Engine) buildDescriptor(opts ScanOptions) (*core.Descriptor, error) {
 	return d, nil
 }
 
-// ndpScan is the NDP scan cursor of §IV-C4: collect leaf page IDs from
-// level-1 pages under the share-locked sub-tree, stamp the LSN, release
-// the locks, then issue batch reads through the SAL; consume NDP pages,
-// complete skipped work, and resolve ambiguous records.
-func (e *Engine) ndpScan(opts ScanOptions, emit EmitFunc) error {
-	s := newScanState(opts, emit)
+// ndpSetup is what every NDP scan prepares before its first batch
+// read: the options with the read view defaulted, the compiled
+// descriptor and its encoding, and the in-range leaf list with its LSN
+// stamp.
+type ndpSetup struct {
+	opts      ScanOptions
+	proc      *core.Processor
+	descBytes []byte
+	leafIDs   []uint64
+	lsn       uint64
+}
+
+// prepareNDP is the prologue the serial NDP cursor and PrepareNDPScan
+// share. It collects the full in-range leaf list once, under the shared
+// tree lock, with one LSN stamp (§IV-C4).
+func (e *Engine) prepareNDP(opts ScanOptions) (*ndpSetup, error) {
+	if opts.Index == nil {
+		return nil, fmt.Errorf("engine: scan needs an index")
+	}
+	if opts.View == nil {
+		opts.View = e.txm.View(nil)
+	}
+	if opts.NDP == nil {
+		return nil, fmt.Errorf("engine: NDP scan requires NDP options")
+	}
+	if len(opts.NDP.Aggs) > 0 && opts.NDP.PushProjection != (len(opts.Projection) > 0) {
+		return nil, fmt.Errorf("engine: pushed aggregation requires pushed projection to agree with the output layout")
+	}
 	desc, err := e.buildDescriptor(opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	proc, err := core.NewProcessorFromDescriptor(desc)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.proc = proc
-	descBytes := desc.Encode()
-
-	// Collect the full in-range leaf list once, under the shared tree
-	// lock, with one LSN stamp. Client-side chunking into look-ahead
-	// sized batch reads bounds the NDP page area exactly as
-	// innodb_ndp_max_pages_look_ahead does.
 	batch, err := opts.Index.Tree.CollectBatch(opts.Start, opts.End)
+	if err != nil {
+		return nil, err
+	}
+	return &ndpSetup{opts: opts, proc: proc, descBytes: desc.Encode(), leafIDs: batch.LeafIDs, lsn: batch.LSN}, nil
+}
+
+// ndpScan is the NDP scan cursor of §IV-C4: collect leaf page IDs from
+// level-1 pages under the share-locked sub-tree, stamp the LSN, release
+// the locks, then issue batch reads through the SAL; consume NDP pages,
+// complete skipped work, and resolve ambiguous records. Client-side
+// chunking into look-ahead sized batch reads bounds the NDP page area
+// exactly as innodb_ndp_max_pages_look_ahead does.
+func (e *Engine) ndpScan(opts ScanOptions, emit EmitFunc) error {
+	n, err := e.prepareNDP(opts)
 	if err != nil {
 		return err
 	}
-	return e.scanChunks(s, batch.LeafIDs, batch.LSN, descBytes, e.lookAhead, opts.Trace, nil)
+	s := newScanState(n.opts, emit)
+	s.proc = n.proc
+	return e.scanChunks(s, n.leafIDs, n.lsn, n.descBytes, e.lookAhead, n.opts.Trace, nil)
 }
 
 // scanChunks runs the §IV-C4 chunked batch-read loop over one ordered
@@ -384,12 +412,9 @@ func (e *Engine) scanChunks(s *scanState, leafIDs []uint64, lsn uint64, descByte
 // partitions is the caller's job (NDPAggScan re-merges grouped partials
 // by key), which is why only order-insensitive consumers use this path.
 type PartitionedScan struct {
-	e         *Engine
-	opts      ScanOptions
-	descBytes []byte
-	proc      *core.Processor
-	lsn       uint64
-	parts     []scanPartition
+	e *Engine
+	ndpSetup
+	parts []scanPartition
 }
 
 // scanPartition is one slice's contiguous, key-ordered leaf run.
@@ -402,38 +427,12 @@ type scanPartition struct {
 // tree lock, one LSN — exactly like the serial cursor) and partitions
 // it by slice for parallel dispatch.
 func (e *Engine) PrepareNDPScan(opts ScanOptions) (*PartitionedScan, error) {
-	if opts.Index == nil {
-		return nil, fmt.Errorf("engine: scan needs an index")
-	}
-	if opts.View == nil {
-		opts.View = e.txm.View(nil)
-	}
-	if opts.NDP == nil {
-		return nil, fmt.Errorf("engine: partitioned scan requires NDP options")
-	}
-	if len(opts.NDP.Aggs) > 0 && opts.NDP.PushProjection != (len(opts.Projection) > 0) {
-		return nil, fmt.Errorf("engine: pushed aggregation requires pushed projection to agree with the output layout")
-	}
-	desc, err := e.buildDescriptor(opts)
+	setup, err := e.prepareNDP(opts)
 	if err != nil {
 		return nil, err
 	}
-	proc, err := core.NewProcessorFromDescriptor(desc)
-	if err != nil {
-		return nil, err
-	}
-	batch, err := opts.Index.Tree.CollectBatch(opts.Start, opts.End)
-	if err != nil {
-		return nil, err
-	}
-	p := &PartitionedScan{
-		e:         e,
-		opts:      opts,
-		descBytes: desc.Encode(),
-		proc:      proc,
-		lsn:       batch.LSN,
-	}
-	for _, id := range batch.LeafIDs {
+	p := &PartitionedScan{e: e, ndpSetup: *setup}
+	for _, id := range setup.leafIDs {
 		sliceID := e.sliceOf(id)
 		if n := len(p.parts); n > 0 && p.parts[n-1].slice == sliceID {
 			p.parts[n-1].leafIDs = append(p.parts[n-1].leafIDs, id)
