@@ -423,4 +423,3 @@ func TestIndexLookupJoin(t *testing.T) {
 		t.Fatalf("lookup join rows: %v", rows)
 	}
 }
-
