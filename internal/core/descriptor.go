@@ -10,7 +10,8 @@
 // the LLVM IR format, if any; the aggregation functions to call and the
 // GROUP BY columns, if any; a transaction ID that represents an MVCC
 // read-view low watermark" (§IV-C1). Page Stores receive it as an opaque
-// byte stream and decode it through a DBMS-specific plugin (§IV-D).
+// byte stream and decode it with this package, the paper's DBMS-specific
+// NDP plugin (§IV-D).
 package core
 
 import (
@@ -170,8 +171,7 @@ func (d *Descriptor) Encode() []byte {
 }
 
 // DecodeDescriptor parses and sanity-checks an encoded descriptor. This
-// is what the Page Store NDP plugin runs (and caches) on first sight of a
-// descriptor.
+// is what a Page Store runs (and caches) on first sight of a descriptor.
 func DecodeDescriptor(buf []byte) (*Descriptor, error) {
 	if len(buf) < 4 || string(buf[:4]) != descMagic {
 		return nil, fmt.Errorf("core: bad descriptor magic")
