@@ -19,7 +19,7 @@ import (
 // of observed latency per store and sends the next sub-batch to the
 // cheapest one, rotating among equal scores.
 type ReadRouter struct {
-	rr      atomic.Uint64
+	rotate  atomic.Uint64
 	routed  atomic.Uint64
 	retried atomic.Uint64
 	hedged  atomic.Uint64
@@ -84,7 +84,7 @@ func (r *ReadRouter) Pick(nodes []string) string {
 		return nodes[0]
 	}
 	r.routed.Add(1)
-	n := int(r.rr.Add(1))
+	n := int(r.rotate.Add(1))
 	// Rotate the starting point so equally-scored stores share load
 	// instead of everything collapsing onto the first name.
 	best, bestScore := "", 0.0
