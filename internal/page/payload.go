@@ -30,7 +30,7 @@ func EncodeLeafPayload(dst, key, row []byte) []byte {
 // SplitLeafPayload splits a leaf payload into its key and row parts.
 func SplitLeafPayload(payload []byte) (key, row []byte, err error) {
 	l, n := binary.Uvarint(payload)
-	if n <= 0 || len(payload) < n+int(l) {
+	if n <= 0 || l > uint64(len(payload)-n) {
 		return nil, nil, fmt.Errorf("page: corrupt leaf payload")
 	}
 	return payload[n : n+int(l)], payload[n+int(l):], nil
@@ -46,7 +46,7 @@ func EncodeNodePtr(dst, key []byte, child uint64) []byte {
 // SplitNodePtr splits a node-pointer payload into key and child page ID.
 func SplitNodePtr(payload []byte) (key []byte, child uint64, err error) {
 	l, n := binary.Uvarint(payload)
-	if n <= 0 || len(payload) < n+int(l)+8 {
+	if n <= 0 || len(payload) < n+8 || l > uint64(len(payload)-n-8) {
 		return nil, 0, fmt.Errorf("page: corrupt node pointer payload")
 	}
 	key = payload[n : n+int(l)]

@@ -3,6 +3,7 @@ package types
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -310,5 +311,18 @@ func TestRowCloneAndString(t *testing.T) {
 	}
 	if got := r.String(); got != "(1, x)" {
 		t.Errorf("Row.String() = %q", got)
+	}
+}
+
+// TestDecodeDatumRejectsBadStringLength: a string length the buffer
+// cannot hold — 2^63 or more included, which would wrap negative as an
+// int — is an error, not a slice-bounds panic.
+func TestDecodeDatumRejectsBadStringLength(t *testing.T) {
+	for _, l := range []uint64{4, 1 << 62, 1 << 63, 1<<63 + 7, math.MaxUint64} {
+		buf := binary.AppendUvarint([]byte{byte(KindString)}, l)
+		buf = append(buf, "abc"...)
+		if _, _, err := DecodeDatum(buf); err == nil {
+			t.Errorf("DecodeDatum accepted string length %d in %d bytes", l, len(buf))
+		}
 	}
 }

@@ -51,7 +51,7 @@ func DecodeDatum(buf []byte) (Datum, int, error) {
 		return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))), off + 8, nil
 	case KindString:
 		l, n := binary.Uvarint(buf[off:])
-		if n <= 0 || len(buf) < off+n+int(l) {
+		if n <= 0 || l > uint64(len(buf)-off-n) {
 			return Null(), 0, fmt.Errorf("types: truncated datum string")
 		}
 		off += n
