@@ -39,9 +39,9 @@
 //
 // A third role, frontend, runs an embedded full deployment and serves
 // SQL over HTTP (POST /query) plus the frontend-side stats — the SAL's
-// write pipeline (windows sealed and seal reasons, the adaptive flush
-// threshold, apply lag and backlog per slice, backpressure stalls,
-// commit/apply waits, frontier watchers) and per-shard buffer pool
+// write pipeline (windows sealed and seal reasons, apply lag and
+// backlog per slice, backpressure stalls, commit/apply waits, frontier
+// watchers) and per-shard buffer pool
 // counters (including StaleRefetches). -replicas attaches embedded read
 // replicas, each serving read-only SQL at /replica/<n>/query and its
 // stream stats (visible LSN, lag records/bytes, pushed frames) at

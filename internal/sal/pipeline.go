@@ -59,15 +59,14 @@ const DefaultMaxInFlightWindows = 8
 // progress (the commit path) must never wait on apply progress.
 const DefaultApplyBacklogWindows = 256
 
-// Adaptive flush threshold bounds: the flusher sizes its group-commit
-// window from EWMAs of arrival rate and fsync latency (batch what
-// arrives during one fsync), clamped to this range.
-const (
-	DefaultFlushThresholdMin = 16
-	DefaultFlushThresholdMax = 1024
-	initialFlushThreshold    = 64
-	ewmaAlpha                = 0.3
-)
+// DefaultFlushThreshold is the group-commit window size: the flusher
+// seals the staging buffer once it holds this many records, whether or
+// not anybody waits on them. Windows a waiter needs seal earlier (see
+// flusher), so the threshold sizes only the windows nobody waits on,
+// which are bulk loads. On TPC-H and kv loads, in memory and durable,
+// 256 was as fast as any other size tried (16, 64, 1024) or faster,
+// and as fast as sizing windows from arrival-rate × fsync-latency EWMAs.
+const DefaultFlushThreshold = 256
 
 // Seal reasons for PipelineStats.SealsByReason.
 const (
@@ -131,7 +130,7 @@ func newStage() *stage {
 
 // pipeline is the SAL's write-path state: the staging buffer, the
 // flusher, the window stream with its per-Log-Store append workers, and
-// the adaptive threshold behind sealing.
+// the demand rule behind sealing.
 type pipeline struct {
 	stageMu   sync.Mutex
 	stageCond *sync.Cond
@@ -151,20 +150,11 @@ type pipeline struct {
 	inflight atomic.Int64 // sealed windows not yet durable
 	pending  atomic.Int64 // records staged or in flight, not yet applied
 
-	// thresh is the current flush threshold. Adaptive unless the config
-	// pinned it.
-	thresh atomic.Int64
 	// demand is the highest LSN a waiter (commit, read, drain) needs
 	// sealed. A window below the threshold seals only when it holds a
 	// demanded record, so a statement still staging is never split by
 	// somebody else's wake-up.
 	demand atomic.Uint64
-
-	// EWMA state behind the adaptive threshold.
-	ewmaMu        sync.Mutex
-	arrivalPerSec float64
-	fsyncSeconds  float64
-	lastSeal      time.Time
 }
 
 // sliceProgress tracks one slice's replica set and LSN frontier on the
@@ -228,11 +218,6 @@ type PipelineStats struct {
 	// SealsByReason splits WindowsFlushed into threshold-full seals and
 	// demand seals (commit/read waiters, Flush).
 	SealsByReason map[string]uint64
-	// FlushThreshold is the current (adaptive) threshold; ArrivalPerSec
-	// and FsyncMicros are the EWMAs behind it.
-	FlushThreshold int
-	ArrivalPerSec  float64
-	FsyncMicros    float64
 	// BackpressureStalls counts the times a writer or the flusher had
 	// to wait because the staging buffer, the in-flight window budget
 	// or the writer's slice apply backlog was full.
@@ -283,7 +268,6 @@ func (s *SAL) startPipeline() {
 	s.notify = make(chan struct{}, 1)
 	s.flusherDone = make(chan struct{})
 	s.sem = make(chan struct{}, s.cfg.MaxInFlightWindows)
-	s.thresh.Store(int64(s.initialThreshold()))
 	s.nodeChs = make([]chan *window, len(s.cfg.LogStores))
 	for j := range s.nodeChs {
 		s.nodeChs[j] = make(chan *window, s.cfg.MaxInFlightWindows)
@@ -293,13 +277,6 @@ func (s *SAL) startPipeline() {
 	go s.flusher()
 	s.notifierDone = make(chan struct{})
 	go s.lsnNotifier()
-}
-
-func (s *SAL) initialThreshold() int {
-	if s.cfg.FlushThreshold > 0 {
-		return s.cfg.FlushThreshold
-	}
-	return min(max(initialFlushThreshold, s.cfg.FlushThresholdMin), s.cfg.FlushThresholdMax)
 }
 
 // kick nudges the flusher (non-blocking; one pending kick is enough).
@@ -481,7 +458,7 @@ func (s *SAL) Write(rec *wal.Record) (uint64, error) {
 		// record is staged: an unstaged record cannot pin the durable
 		// watermark, so a slice throttled by its slow replica never
 		// delays other slices' commits.
-		if s.stg.count < 2*int(s.thresh.Load()) &&
+		if s.stg.count < 2*s.cfg.FlushThreshold &&
 			(sp == nil || sp.backlog.Load() < int64(s.cfg.ApplyBacklogWindows)) {
 			break
 		}
@@ -490,7 +467,7 @@ func (s *SAL) Write(rec *wal.Record) (uint64, error) {
 			stallStart = time.Now()
 		}
 		// A stalled writer waits on the staged records like a commit
-		// does (the threshold may have risen past the stage since).
+		// does.
 		s.demandSeal(s.stg.maxLSN)
 		s.stageCond.Wait()
 	}
@@ -534,7 +511,7 @@ func (s *SAL) Write(rec *wal.Record) (uint64, error) {
 	s.stg.count++
 	s.stg.maxLSN = lsn
 	s.pending.Add(1)
-	full := s.stg.count >= int(s.thresh.Load())
+	full := s.stg.count >= s.cfg.FlushThreshold
 	s.stageMu.Unlock()
 	if full {
 		s.kick()
@@ -607,7 +584,7 @@ func (s *SAL) flusher() {
 			s.stageMu.Lock()
 			count, first := s.stg.count, s.stg.minLSN
 			s.stageMu.Unlock()
-			threshold := int(s.thresh.Load())
+			threshold := s.cfg.FlushThreshold
 			if count < threshold && (s.inflight.Load() > 0 || s.demand.Load() < first) {
 				break // re-kicked when a window turns durable or a waiter demands
 			}
@@ -624,7 +601,6 @@ func (s *SAL) flusher() {
 			}
 			s.cfg.Events.Record(obs.EventWindowSeal, "%s, %d recs, lsn [%d,%d]",
 				reason, w.count, w.minLSN, w.maxLSN)
-			s.observeArrival(w.count)
 			// Bounded in-flight budget: block (and count the stall) when
 			// the pipeline is full.
 			select {
@@ -651,47 +627,6 @@ func (s *SAL) flusher() {
 	}
 }
 
-// observeArrival feeds the arrival-rate EWMA from a sealed window
-// (flusher goroutine only writes lastSeal).
-func (s *SAL) observeArrival(count int) {
-	now := time.Now()
-	s.ewmaMu.Lock()
-	defer s.ewmaMu.Unlock()
-	if !s.lastSeal.IsZero() {
-		if dt := now.Sub(s.lastSeal).Seconds(); dt > 0 {
-			rate := float64(count) / dt
-			if s.arrivalPerSec == 0 {
-				s.arrivalPerSec = rate
-			} else {
-				s.arrivalPerSec = ewmaAlpha*rate + (1-ewmaAlpha)*s.arrivalPerSec
-			}
-		}
-	}
-	s.lastSeal = now
-}
-
-// observeFsync feeds the fsync-latency EWMA from one Log Store append's
-// measured SERVICE time — the duration of the Call itself, not
-// seal-to-last-ack, which under a loaded pipeline would include
-// queueing behind earlier windows and feed the threshold back into
-// itself — and resizes the flush threshold: batch roughly what arrives
-// during one fsync, clamped to the configured bounds. A pinned
-// threshold (Config.FlushThreshold) disables resizing.
-func (s *SAL) observeFsync(lat float64) {
-	s.ewmaMu.Lock()
-	defer s.ewmaMu.Unlock()
-	if s.fsyncSeconds == 0 {
-		s.fsyncSeconds = lat
-	} else {
-		s.fsyncSeconds = ewmaAlpha*lat + (1-ewmaAlpha)*s.fsyncSeconds
-	}
-	if s.cfg.FlushThreshold > 0 {
-		return // pinned
-	}
-	t := int(s.arrivalPerSec * s.fsyncSeconds)
-	s.thresh.Store(int64(min(max(t, s.cfg.FlushThresholdMin), s.cfg.FlushThresholdMax)))
-}
-
 // logNodeWorker is one Log Store's FIFO append stream. Sequential calls
 // per node keep the windows in LSN order on that node — a Log Store
 // accepts only the next LSN prefix; different nodes run in parallel,
@@ -710,14 +645,7 @@ func (s *SAL) logNodeWorker(node string, ch chan *window) {
 				Tenant: s.cfg.Tenant, Recs: w.log,
 			})
 			if err == nil {
-				// The Call's own duration is the append service time
-				// (network + logstore group-commit fsync) — measured
-				// here rather than seal-to-last-ack so pipeline
-				// queueing can't feed the adaptive threshold back into
-				// itself.
-				d := time.Since(t0)
-				s.observeFsync(d.Seconds())
-				s.m.append.ObserveDuration(d)
+				s.m.append.ObserveDuration(time.Since(t0))
 			} else {
 				w.failed.Store(true)
 				// Freeze the watermark below this window BEFORE the
@@ -1240,12 +1168,9 @@ func (s *SAL) Close() error {
 	return err
 }
 
-// Stats snapshots the write-path counters, including the adaptive
-// threshold and every slice's apply frontier and backlog.
+// Stats snapshots the write-path counters, including every slice's
+// apply frontier and backlog.
 func (s *SAL) Stats() PipelineStats {
-	s.ewmaMu.Lock()
-	arrival, fsync := s.arrivalPerSec, s.fsyncSeconds
-	s.ewmaMu.Unlock()
 	st := PipelineStats{
 		WindowsFlushed: s.counters.windows.Load(),
 		RecordsFlushed: s.counters.records.Load(),
@@ -1253,9 +1178,6 @@ func (s *SAL) Stats() PipelineStats {
 			SealThreshold: s.counters.sealsThreshold.Load(),
 			SealDemand:    s.counters.sealsDemand.Load(),
 		},
-		FlushThreshold:     int(s.thresh.Load()),
-		ArrivalPerSec:      arrival,
-		FsyncMicros:        fsync * 1e6,
 		BackpressureStalls: s.counters.backpressureStalls.Load(),
 		CommitWaits:        s.counters.commitWaits.Load(),
 		ApplyWaits:         s.counters.applyWaits.Load(),

@@ -9,6 +9,7 @@ import (
 
 	"taurus/internal/cluster"
 	"taurus/internal/logstore"
+	"taurus/internal/obs"
 	"taurus/internal/page"
 	"taurus/internal/pagestore"
 	"taurus/internal/types"
@@ -159,6 +160,9 @@ func TestConcurrentCommitters(t *testing.T) {
 	st := f.sal.Stats()
 	if st.WindowsFlushed == 0 || st.RecordsFlushed != uint64(want) {
 		t.Fatalf("stats = %+v", st)
+	}
+	if st.SealsByReason[SealDemand]+st.SealsByReason[SealThreshold] != st.WindowsFlushed {
+		t.Fatalf("seal reasons don't add up: %+v", st)
 	}
 	if st.PendingRecords != 0 || st.InFlightWindows != 0 {
 		t.Fatalf("pipeline not drained: %+v", st)
@@ -717,57 +721,57 @@ func TestSlowSliceStallsOnlyItsWriters(t *testing.T) {
 	}
 }
 
-// TestAdaptiveThresholdTracksLoad checks the adaptive flush threshold:
-// with no pinned FlushThreshold, the threshold moves off the
-// initial value as arrival-rate and fsync EWMAs accumulate, and stays
-// inside the configured clamp.
-func TestAdaptiveThresholdTracksLoad(t *testing.T) {
+// TestBulkWriteSealsFullWindows stages a bulk load nobody waits on and
+// then drains it with Flush: with no FlushThreshold configured, every
+// threshold seal carries at least DefaultFlushThreshold records, and
+// only the final Flush may seal a short window.
+func TestBulkWriteSealsFullWindows(t *testing.T) {
 	tr := cluster.NewInProc()
-	f := &fixture{tr: tr}
-	for _, n := range []string{"log1"} {
-		ls := logstore.New(n)
-		f.logs = append(f.logs, ls)
-		tr.Register(n, ls)
-	}
-	for _, n := range []string{"ps1"} {
-		tr.Register(n, pagestore.New(n))
-	}
+	tr.Register("log1", logstore.New("log1"))
+	tr.Register("ps1", pagestore.New("ps1"))
+	events := obs.NewEventRing(1024)
 	s, err := New(Config{
 		Tenant: 1, Transport: tr, LogStores: []string{"log1"}, PageStores: []string{"ps1"},
 		ReplicationFactor: 1, PagesPerSlice: 1 << 20, Plugin: pagestore.PluginInnoDB,
-		FlushThresholdMin: 4, FlushThresholdMax: 64,
+		Events: events,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	f.sal = s
-	if _, err := s.Write(&wal.Record{Type: wal.TypeFormatPage, PageID: 1, IndexID: 1}); err != nil {
-		t.Fatal(err)
+	const records = 10 * DefaultFlushThreshold
+	for i := 0; i < records; i++ {
+		if _, err := s.Write(&wal.Record{Type: wal.TypeFormatPage, PageID: uint64(i + 1), IndexID: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Commit-per-record traffic: tiny windows, in-memory "fsync" — the
-	// threshold should clamp down toward the minimum.
-	for i := 0; i < 200; i++ {
-		lsn, err := s.Write(insertRec(1, int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.WaitDurable(lsn); err != nil {
-			t.Fatal(err)
-		}
-	}
 	st := s.Stats()
-	if st.FlushThreshold < 4 || st.FlushThreshold > 64 {
-		t.Fatalf("adaptive threshold %d escaped clamp [4,64]", st.FlushThreshold)
+	if st.RecordsFlushed != records {
+		t.Fatalf("flushed %d records, want %d", st.RecordsFlushed, records)
 	}
-	if st.ArrivalPerSec == 0 || st.FsyncMicros == 0 {
-		t.Fatalf("EWMAs not fed: %+v", st)
+	if st.SealsByReason[SealDemand] > 1 {
+		t.Fatalf("%d demand seals, want at most Flush's: %+v", st.SealsByReason[SealDemand], st)
 	}
-	if st.SealsByReason[SealDemand]+st.SealsByReason[SealThreshold] != st.WindowsFlushed {
-		t.Fatalf("seal reasons don't add up: %+v", st)
+	var seals uint64
+	for _, ev := range events.Events() {
+		if ev.Kind != obs.EventWindowSeal {
+			continue
+		}
+		seals++
+		var reason string
+		var n int
+		if _, err := fmt.Sscanf(ev.Detail, "%s %d recs", &reason, &n); err != nil {
+			t.Fatalf("seal event %q: %v", ev.Detail, err)
+		}
+		if reason == SealThreshold+"," && n < DefaultFlushThreshold {
+			t.Fatalf("threshold seal of %d records, want >= %d", n, DefaultFlushThreshold)
+		}
+	}
+	if seals != st.WindowsFlushed {
+		t.Fatalf("%d seal events for %d windows", seals, st.WindowsFlushed)
 	}
 }
 

@@ -37,7 +37,7 @@ type nodeLoad struct {
 	ewmaMicros atomic.Uint64
 }
 
-// ewmaAlpha weights new latency observations; ~0.2 settles in a few
+// routerEwmaAlpha weights new latency observations; ~0.2 settles in a few
 // requests without thrashing on one outlier.
 const routerEwmaAlpha = 0.2
 

@@ -62,12 +62,6 @@ type Config struct {
 	// the least-loaded Page Store replica of its slice (0 = GOMAXPROCS,
 	// 1 = serial).
 	ScanParallelism int
-	// WriteFlushThreshold pins the group-commit window size. 0
-	// (default) keeps the adaptive threshold: the SAL sizes its windows
-	// from observed arrival rate and fsync latency. Pinning is
-	// useful when deterministic statement→log-entry batching matters
-	// (tests, torn-tail forensics).
-	WriteFlushThreshold int
 
 	// DataDir makes the Log Stores durable: each one persists its
 	// acknowledged batches to a segmented on-disk log under this
@@ -330,7 +324,7 @@ func Open(cfg Config) (_ *DB, err error) {
 	s, err = sal.New(sal.Config{
 		Tenant: 1, Transport: tr, LogStores: logNames, PageStores: psNames,
 		ReplicationFactor: cfg.ReplicationFactor, PagesPerSlice: cfg.PagesPerSlice,
-		Plugin: pagestore.PluginInnoDB, FlushThreshold: cfg.WriteFlushThreshold, Metrics: reg,
+		Plugin: pagestore.PluginInnoDB, Metrics: reg,
 		Tracer: db.tracer, Events: db.events,
 	})
 	if err != nil {
@@ -1008,10 +1002,10 @@ func (db *DB) NetworkStats() cluster.CountersSnapshot { return db.tr.Stats.Snaps
 func (db *DB) EngineStats() engine.MetricsSnapshot { return db.eng.Metrics.Snapshot() }
 
 // WritePathStats returns the SAL's group-commit pipeline counters:
-// windows flushed and sealed by reason, the adaptive flush threshold,
-// backpressure stalls, commit/apply waits, current in-flight depth, the
-// durable watermark, and each slice's apply lag and backlog — enough to
-// confirm from the stats endpoint that slices apply independently.
+// windows flushed and sealed by reason, backpressure stalls,
+// commit/apply waits, current in-flight depth, the durable watermark,
+// and each slice's apply lag and backlog — enough to confirm from the
+// stats endpoint that slices apply independently.
 func (db *DB) WritePathStats() sal.PipelineStats {
 	if db.eng.SAL() == nil {
 		return sal.PipelineStats{} // replica: no write path

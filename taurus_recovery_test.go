@@ -26,11 +26,6 @@ func durableConfig(dir string) Config {
 		DataDir:          dir,
 		PagesPerSlice:    4,
 		LogFlushInterval: 200 * time.Microsecond,
-		// The torn/corrupt-tail tests cut the LAST on-disk log entry
-		// and reason about exactly which statement it carried; a pinned
-		// window size keeps each small statement in one entry (the
-		// adaptive threshold would split them unpredictably).
-		WriteFlushThreshold: 256,
 	}
 }
 
