@@ -24,10 +24,27 @@ type AggState struct {
 }
 
 // aggEval evaluates the aggregate argument for a row: either a direct
-// column load or a JIT-compiled IR program.
+// column load or an IR program run by ir.Program.Eval. Decoded once,
+// it is read-only and shared by every Aggregator built from it.
 type aggEval struct {
 	spec AggSpec
-	prog *ir.Compiled // nil when ArgCol >= 0 or COUNT(*)
+	prog *ir.Program // nil when ArgCol >= 0 or COUNT(*)
+}
+
+// aggEvals decodes the IR argument programs of aggs.
+func aggEvals(aggs []AggSpec) ([]aggEval, error) {
+	evals := make([]aggEval, len(aggs))
+	for i, s := range aggs {
+		evals[i].spec = s
+		if len(s.ArgIR) > 0 {
+			p, err := ir.Decode(s.ArgIR)
+			if err != nil {
+				return nil, fmt.Errorf("core: bad agg %d arg IR: %w", i, err)
+			}
+			evals[i].prog = p
+		}
+	}
+	return evals, nil
 }
 
 // Aggregator accumulates rows into per-spec states. It is the shared
@@ -36,26 +53,33 @@ type aggEval struct {
 type Aggregator struct {
 	evals  []aggEval
 	states []AggState
+	regs   []types.Datum // register file for the argument programs
 }
 
-// NewAggregator builds an aggregator for the descriptor's agg specs. The
-// IR argument programs are decoded and JIT-compiled once.
+// NewAggregator builds an aggregator for agg specs, decoding their IR
+// argument programs. The frontend builds one per scan partition; a
+// Processor decodes its descriptor's programs once and builds each
+// page's aggregator from them without decoding.
 func NewAggregator(aggs []AggSpec) (*Aggregator, error) {
-	a := &Aggregator{
-		evals:  make([]aggEval, len(aggs)),
-		states: make([]AggState, len(aggs)),
+	evals, err := aggEvals(aggs)
+	if err != nil {
+		return nil, err
 	}
-	for i, s := range aggs {
-		a.evals[i].spec = s
-		if len(s.ArgIR) > 0 {
-			p, err := ir.Decode(s.ArgIR)
-			if err != nil {
-				return nil, fmt.Errorf("core: agg %d arg IR: %w", i, err)
-			}
-			a.evals[i].prog = ir.CompileProgram(p)
+	return newAggregator(evals), nil
+}
+
+func newAggregator(evals []aggEval) *Aggregator {
+	numRegs := 0
+	for _, e := range evals {
+		if e.prog != nil {
+			numRegs = max(numRegs, e.prog.NumRegs)
 		}
 	}
-	return a, nil
+	return &Aggregator{
+		evals:  evals,
+		states: make([]AggState, len(evals)),
+		regs:   make([]types.Datum, numRegs),
+	}
 }
 
 // Reset clears the accumulated states (new group).
@@ -75,13 +99,13 @@ func (a *Aggregator) Empty() bool {
 	return true
 }
 
-// arg computes the aggregate argument for the row; ok=false means the
-// argument is NULL.
-func (e *aggEval) arg(row types.Row) (types.Datum, bool) {
+// arg computes the aggregate argument for the row, with regs as the
+// program's register file; ok=false means the argument is NULL.
+func (e *aggEval) arg(row types.Row, regs []types.Datum) (types.Datum, bool) {
 	var v types.Datum
 	switch {
 	case e.prog != nil:
-		v = e.prog.Run(row)
+		v = e.prog.Eval(row, regs)
 	case e.spec.ArgCol >= 0:
 		v = row[e.spec.ArgCol]
 	default:
@@ -99,11 +123,11 @@ func (a *Aggregator) AccumulateRow(row types.Row) {
 		case AggCountStar:
 			st.Count++
 		case AggCount:
-			if _, ok := e.arg(row); ok {
+			if _, ok := e.arg(row, a.regs); ok {
 				st.Count++
 			}
 		case AggSum:
-			v, ok := e.arg(row)
+			v, ok := e.arg(row, a.regs)
 			if !ok {
 				continue
 			}
@@ -114,7 +138,7 @@ func (a *Aggregator) AccumulateRow(row types.Row) {
 			}
 			st.Count++
 		case AggMin:
-			v, ok := e.arg(row)
+			v, ok := e.arg(row, a.regs)
 			if !ok {
 				continue
 			}
@@ -122,7 +146,7 @@ func (a *Aggregator) AccumulateRow(row types.Row) {
 				st.Val, st.Has = v, true
 			}
 		case AggMax:
-			v, ok := e.arg(row)
+			v, ok := e.arg(row, a.regs)
 			if !ok {
 				continue
 			}

@@ -170,18 +170,26 @@ func (d *Descriptor) Encode() []byte {
 	return buf
 }
 
-// DecodeDescriptor parses and sanity-checks an encoded descriptor. This
-// is what a Page Store runs (and caches) on first sight of a descriptor.
+// DecodeDescriptor parses and sanity-checks an encoded descriptor,
+// including its embedded IR programs and the row widths they load from.
 func DecodeDescriptor(buf []byte) (*Descriptor, error) {
+	d, _, err := decodeDescriptor(buf)
+	return d, err
+}
+
+// decodeDescriptor is DecodeDescriptor that also returns the decoded
+// programs, so a Page Store decodes each program once per descriptor.
+func decodeDescriptor(buf []byte) (*Descriptor, programs, error) {
+	var none programs
 	if len(buf) < 4 || string(buf[:4]) != descMagic {
-		return nil, fmt.Errorf("core: bad descriptor magic")
+		return nil, none, fmt.Errorf("core: bad descriptor magic")
 	}
 	r := &descReader{buf: buf, off: 4}
 	d := &Descriptor{}
 	d.IndexID = r.uvarint()
 	nCols := r.uvarint()
 	if nCols > 4096 {
-		return nil, fmt.Errorf("core: implausible column count %d", nCols)
+		return nil, none, fmt.Errorf("core: implausible column count %d", nCols)
 	}
 	d.Cols = make([]types.Kind, nCols)
 	d.FixedLens = make([]uint16, nCols)
@@ -191,13 +199,13 @@ func DecodeDescriptor(buf []byte) (*Descriptor, error) {
 	}
 	nProj := r.uvarint()
 	if nProj > nCols {
-		return nil, fmt.Errorf("core: projection wider than row")
+		return nil, none, fmt.Errorf("core: projection wider than row")
 	}
 	d.Projection = make([]uint16, nProj)
 	for i := range d.Projection {
 		o := r.uvarint()
 		if o >= nCols {
-			return nil, fmt.Errorf("core: projection ordinal %d out of range", o)
+			return nil, none, fmt.Errorf("core: projection ordinal %d out of range", o)
 		}
 		d.Projection[i] = uint16(o)
 	}
@@ -205,7 +213,7 @@ func DecodeDescriptor(buf []byte) (*Descriptor, error) {
 	d.Predicate = r.bytes(int(predLen))
 	nAggs := r.uvarint()
 	if nAggs > 256 {
-		return nil, fmt.Errorf("core: implausible aggregate count %d", nAggs)
+		return nil, none, fmt.Errorf("core: implausible aggregate count %d", nAggs)
 	}
 	d.Aggs = make([]AggSpec, nAggs)
 	outCols := nCols
@@ -215,56 +223,77 @@ func DecodeDescriptor(buf []byte) (*Descriptor, error) {
 	for i := range d.Aggs {
 		d.Aggs[i].Fn = AggFn(r.byte())
 		if d.Aggs[i].Fn > AggMax {
-			return nil, fmt.Errorf("core: unknown aggregate fn %d", d.Aggs[i].Fn)
+			return nil, none, fmt.Errorf("core: unknown aggregate fn %d", d.Aggs[i].Fn)
 		}
 		d.Aggs[i].ArgCol = int32(r.varint())
 		if int(d.Aggs[i].ArgCol) >= int(outCols) {
-			return nil, fmt.Errorf("core: aggregate arg ordinal out of range")
+			return nil, none, fmt.Errorf("core: aggregate arg ordinal out of range")
 		}
 		irLen := r.uvarint()
 		d.Aggs[i].ArgIR = r.bytes(int(irLen))
 	}
 	nGroup := r.uvarint()
 	if nGroup > outCols {
-		return nil, fmt.Errorf("core: group-by wider than output row")
+		return nil, none, fmt.Errorf("core: group-by wider than output row")
 	}
 	d.GroupBy = make([]uint16, nGroup)
 	for i := range d.GroupBy {
 		g := r.uvarint()
 		if g >= outCols {
-			return nil, fmt.Errorf("core: group-by ordinal out of range")
+			return nil, none, fmt.Errorf("core: group-by ordinal out of range")
 		}
 		d.GroupBy[i] = uint16(g)
 	}
 	d.LowWatermark = r.uvarint()
 	if r.err != nil {
-		return nil, fmt.Errorf("core: corrupt descriptor: %w", r.err)
+		return nil, none, fmt.Errorf("core: corrupt descriptor: %w", r.err)
 	}
-	// Validate embedded IR programs eagerly so a bad program is caught
-	// at decode time, not mid-scan. The predicate runs on the full row
-	// and aggregate arguments on the output row, so each program may
-	// load only the columns its row has.
+	progs, err := d.decodePrograms()
+	if err != nil {
+		return nil, none, err
+	}
+	return d, progs, nil
+}
+
+// programs are a descriptor's IR, decoded and validated: the predicate
+// (nil when none) and each aggregate with its argument program.
+type programs struct {
+	pred *ir.Program
+	aggs []aggEval
+}
+
+// decodePrograms decodes the embedded IR programs and checks that each
+// loads only columns its row has: the predicate runs on the full row
+// and aggregate arguments on the output row. Validate bounds everything
+// else; together they make ir.Program.Eval safe on bytes a Page Store
+// cannot trust.
+func (d *Descriptor) decodePrograms() (programs, error) {
+	var ps programs
 	if len(d.Predicate) > 0 {
 		prog, err := ir.Decode(d.Predicate)
 		if err != nil {
-			return nil, fmt.Errorf("core: bad predicate IR: %w", err)
+			return ps, fmt.Errorf("core: bad predicate IR: %w", err)
 		}
-		if prog.NumCols > int(nCols) {
-			return nil, fmt.Errorf("core: predicate needs %d cols, row has %d", prog.NumCols, nCols)
+		if prog.NumCols > len(d.Cols) {
+			return ps, fmt.Errorf("core: predicate needs %d cols, row has %d", prog.NumCols, len(d.Cols))
+		}
+		ps.pred = prog
+	}
+	aggs, err := aggEvals(d.Aggs)
+	if err != nil {
+		return ps, err
+	}
+	outCols := len(d.Cols)
+	if d.HasProjection() {
+		outCols = len(d.Projection)
+	}
+	for i, e := range aggs {
+		if e.prog != nil && e.prog.NumCols > outCols {
+			return ps, fmt.Errorf("core: agg %d argument needs %d cols, output row has %d", i, e.prog.NumCols, outCols)
 		}
 	}
-	for i, a := range d.Aggs {
-		if len(a.ArgIR) > 0 {
-			prog, err := ir.Decode(a.ArgIR)
-			if err != nil {
-				return nil, fmt.Errorf("core: bad agg %d arg IR: %w", i, err)
-			}
-			if prog.NumCols > int(outCols) {
-				return nil, fmt.Errorf("core: agg %d argument needs %d cols, output row has %d", i, prog.NumCols, outCols)
-			}
-		}
-	}
-	return d, nil
+	ps.aggs = aggs
+	return ps, nil
 }
 
 // Hash computes the descriptor-cache key: "computed by applying a hash

@@ -31,7 +31,7 @@ type craftedProgram struct {
 }
 
 // craftedSeeds are the programs that crashed or hung a Page Store
-// before Decode, Validate and the JIT's comparisons refused them.
+// before Decode, Validate and the evaluator's comparisons refused them.
 func craftedSeeds() []craftedProgram {
 	return []craftedProgram{
 		{name: "huge string length", enc: hugeStringProgram()},
@@ -70,7 +70,7 @@ func fuzzRows(numCols int) []types.Row {
 }
 
 // FuzzDecode checks that Decode never panics on any input, and that a
-// program it accepts, once JIT-compiled, returns on a row of NumCols
+// program it accepts, run by Eval, returns on a row of NumCols
 // datums of any kind: a Page Store runs what it decodes from a
 // descriptor it cannot trust.
 func FuzzDecode(f *testing.F) {
@@ -90,12 +90,12 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		jit := CompileProgram(p)
+		regs := make([]types.Datum, p.NumRegs)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			for _, row := range fuzzRows(p.NumCols) {
-				jit.Run(row)
+				p.Eval(row, regs)
 			}
 		}()
 		select {

@@ -8,12 +8,15 @@
 // bottom-up into instructions over virtual registers, with explicit
 // short-circuit branches ("shortcut may happen" in the paper's listing);
 // the encoded program travels inside the NDP descriptor; and the Page
-// Store side "JITs" the program into an array of fused Go closures
-// (direct-threaded code) before the first call, caching the result in the
-// descriptor cache. The JIT is the only storage-side evaluator, and it
-// must agree with the frontend's tree-walking evaluator on every input —
-// the paper's correctness requirement that storage-side evaluation
-// produce exactly the result of the hypothetical frontend evaluation.
+// Store decodes and validates it once per descriptor, keeps the
+// *Program in the descriptor cache, and runs it with Program.Eval, a
+// switch loop over the instructions. Pure Go cannot emit machine code,
+// so there is no JIT: a closure-per-instruction stand-in was measured
+// slower than both the switch loop and the frontend's tree walker (see
+// eval.go). Eval is the only storage-side evaluator, and it must agree
+// with the frontend's tree-walking evaluator on every input — the
+// paper's correctness requirement that storage-side evaluation produce
+// exactly the result of the hypothetical frontend evaluation.
 //
 // A Page Store cannot trust the descriptor bytes, so Decode bounds every
 // count by the bytes left and Validate accepts only programs whose

@@ -20,6 +20,14 @@ func mustCompile(t *testing.T, e *expr.Expr, cols int) *Program {
 	return p
 }
 
+// run evaluates p over row with a fresh register file.
+func run(p *Program, row types.Row) types.Datum {
+	return p.Eval(row, make([]types.Datum, p.NumRegs))
+}
+
+// holds reads a predicate result as WHERE does: NULL is false.
+func holds(v types.Datum) bool { return !v.IsNull() && v.I != 0 }
+
 func TestCompileSimplePredicate(t *testing.T) {
 	// The paper's Listing 4 predicate: (a > 1 AND b > 2) OR c >= 3.
 	e := expr.Or(
@@ -27,7 +35,6 @@ func TestCompileSimplePredicate(t *testing.T) {
 			expr.GT(expr.Col(1, "b"), expr.ConstInt(2))),
 		expr.GE(expr.Col(2, "c"), expr.ConstInt(3)))
 	p := mustCompile(t, e, 3)
-	jit := CompileProgram(p)
 	cases := []struct {
 		a, b, c int64
 		want    bool
@@ -40,8 +47,8 @@ func TestCompileSimplePredicate(t *testing.T) {
 	}
 	for _, c := range cases {
 		row := types.Row{types.NewInt(c.a), types.NewInt(c.b), types.NewInt(c.c)}
-		if got := jit.RunBool(row); got != c.want {
-			t.Errorf("JIT(%v) = %v, want %v", row, got, c.want)
+		if got := holds(run(p, row)); got != c.want {
+			t.Errorf("Eval(%v) = %v, want %v", row, got, c.want)
 		}
 	}
 	// The disassembly should show the short-circuit branches.
@@ -59,14 +66,9 @@ func TestShortCircuitSkipsRightSide(t *testing.T) {
 	e := expr.And(expr.GT(expr.Col(0, "a"), expr.ConstInt(10)),
 		expr.EQ(expr.Col(1, "b"), expr.ConstInt(1)))
 	p := mustCompile(t, e, 2)
-	jit := CompileProgram(p)
 	row := types.Row{types.NewInt(0), types.Null()}
 	// false AND NULL = false: the shortcut and the 3VL combine agree.
-	if jit.RunBool(row) {
-		t.Error("false AND NULL should be false")
-	}
-	v := jit.Run(row)
-	if v.IsNull() || v.I != 0 {
+	if v := run(p, row); v.IsNull() || v.I != 0 {
 		t.Errorf("false AND NULL = %v, want definite false", v)
 	}
 }
@@ -155,7 +157,7 @@ func randRow(r *rand.Rand) types.Row {
 	return row
 }
 
-// Property: tree-walker ≡ JIT ≡ JIT over decode(encode) of the program,
+// Property: tree-walker ≡ Eval ≡ Eval over decode(encode) of the program,
 // for random predicates and rows — the paper's §V-B2 correctness
 // requirement ("filtering... on Page Stores produce the same result as
 // that produced by the hypothetical non-NDP evaluation on the SQL node").
@@ -173,13 +175,12 @@ func TestThreeWayEquivalenceQuick(t *testing.T) {
 			t.Logf("decode error: %v", err)
 			return false
 		}
-		jit := CompileProgram(p)
-		jitDec := CompileProgram(dec)
+		regs := make([]types.Datum, p.NumRegs)
 		for i := 0; i < 20; i++ {
 			row := randRow(r)
 			want := e.Eval(row)
 			for name, got := range map[string]types.Datum{
-				"jit": jit.Run(row), "jitDec": jitDec.Run(row),
+				"eval": p.Eval(row, regs), "evalDec": dec.Eval(row, regs),
 			} {
 				if want.IsNull() != got.IsNull() || (!want.IsNull() && want.I != got.I) {
 					t.Logf("seed %d %s: expr=%s row=%v want=%v got=%v", seed, name, e, row, want, got)
@@ -275,7 +276,8 @@ func TestDisassemblyIsStable(t *testing.T) {
 
 func BenchmarkIRVsInterpreter(b *testing.B) {
 	// The §V-B2 ablation: classical tree-walking evaluation vs
-	// JIT-compiled threaded code, on the TPC-H Q6-shaped predicate.
+	// the storage-side switch loop over the IR, on the TPC-H Q6-shaped
+	// predicate.
 	e := expr.AndAll(
 		expr.GE(expr.Col(0, "l_shipdate"), expr.Const(types.DateFromYMD(1994, 1, 1))),
 		expr.LT(expr.Col(0, "l_shipdate"), expr.Const(types.DateFromYMD(1995, 1, 1))),
@@ -303,11 +305,11 @@ func BenchmarkIRVsInterpreter(b *testing.B) {
 			}
 		}
 	})
-	b.Run("IRJit", func(b *testing.B) {
-		jit := CompileProgram(p)
+	b.Run("IREval", func(b *testing.B) {
+		regs := make([]types.Datum, p.NumRegs)
 		n := 0
 		for i := 0; i < b.N; i++ {
-			if jit.RunBool(rows[i%len(rows)]) {
+			if holds(p.Eval(rows[i%len(rows)], regs)) {
 				n++
 			}
 		}

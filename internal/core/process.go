@@ -8,47 +8,52 @@ import (
 	"taurus/internal/types"
 )
 
-// Processor is the compiled, reusable form of one NDP descriptor: the
-// decoded descriptor plus the JIT-compiled predicate and aggregate
-// argument programs. Page Stores cache Processors in the descriptor
-// cache (§IV-D1) so that "instead of decoding descriptors and converting
-// LLVM bitcode for each NDP request, the first request caches the result
+// Processor is the decoded, reusable form of one NDP descriptor: the
+// descriptor plus its validated predicate and aggregate argument
+// programs, each decoded once when the Processor is built and run by
+// ir.Program.Eval. Page Stores cache Processors in the descriptor cache
+// (§IV-D1) so that "instead of decoding descriptors and converting LLVM
+// bitcode for each NDP request, the first request caches the result
 // which is reused subsequently."
 //
 // A Processor is immutable after construction and safe to share; per-page
-// evaluation state is created per call (worker threads process pages
-// "concurrently, independently, and in any order", §IV-D).
+// evaluation state (register files, aggregate states) is created per call
+// (worker threads process pages "concurrently, independently, and in any
+// order", §IV-D).
 type Processor struct {
 	Desc       *Descriptor
 	fullSchema *types.Schema
 	outSchema  *types.Schema
-	pred       *ir.Compiled // template; cloned per ProcessPage call
+	pred       *ir.Program // nil without a pushed predicate
+	aggs       []aggEval   // the pushed aggregates with their argument programs
 }
 
-// NewProcessor decodes descriptor bytes and compiles its programs.
+// NewProcessor decodes descriptor bytes and their programs.
 func NewProcessor(descBytes []byte) (*Processor, error) {
-	d, err := DecodeDescriptor(descBytes)
+	d, progs, err := decodeDescriptor(descBytes)
 	if err != nil {
 		return nil, err
 	}
-	return NewProcessorFromDescriptor(d)
+	return newProcessor(d, progs), nil
 }
 
 // NewProcessorFromDescriptor builds a Processor from a decoded descriptor.
 func NewProcessorFromDescriptor(d *Descriptor) (*Processor, error) {
-	p := &Processor{
+	progs, err := d.decodePrograms()
+	if err != nil {
+		return nil, err
+	}
+	return newProcessor(d, progs), nil
+}
+
+func newProcessor(d *Descriptor, progs programs) *Processor {
+	return &Processor{
 		Desc:       d,
 		fullSchema: d.RowSchema(),
 		outSchema:  d.OutputSchema(),
+		pred:       progs.pred,
+		aggs:       progs.aggs,
 	}
-	if d.HasPredicate() {
-		prog, err := ir.Decode(d.Predicate)
-		if err != nil {
-			return nil, fmt.Errorf("core: predicate IR: %w", err)
-		}
-		p.pred = ir.CompileProgram(prog)
-	}
-	return p, nil
 }
 
 // PageStats counts what happened to one page (or batch) during NDP
@@ -85,17 +90,13 @@ func (p *Processor) ProcessPage(src *page.Page) (*page.Page, PageStats, error) {
 	out.SetPrevPage(src.PrevPage())
 	out.SetNextPage(src.NextPage())
 
-	var pred *ir.Compiled
+	var predRegs []types.Datum
 	if p.pred != nil {
-		pred = p.pred.Clone()
+		predRegs = make([]types.Datum, p.pred.NumRegs)
 	}
 	var agg *Aggregator
 	if d.HasAggregation() {
-		var err error
-		agg, err = NewAggregator(d.Aggs)
-		if err != nil {
-			return nil, st, err
-		}
+		agg = newAggregator(p.aggs)
 	}
 
 	fullRow := make(types.Row, p.fullSchema.Len())
@@ -164,9 +165,11 @@ func (p *Processor) ProcessPage(src *page.Page) (*page.Page, PageStats, error) {
 			procErr = err
 			return false
 		}
-		if pred != nil && !pred.RunBool(fullRow) {
-			st.Filtered++
-			return true
+		if p.pred != nil {
+			if v := p.pred.Eval(fullRow, predRegs); v.IsNull() || v.I == 0 {
+				st.Filtered++
+				return true
+			}
 		}
 		// Projection.
 		outRow := fullRow
@@ -287,10 +290,7 @@ func (p *Processor) MergeScalarBatch(pages []*page.Page) error {
 	if !d.HasAggregation() || len(d.GroupBy) != 0 {
 		return nil // grouped or non-aggregating batches are left alone
 	}
-	carry, err := NewAggregator(d.Aggs)
-	if err != nil {
-		return err
-	}
+	carry := newAggregator(p.aggs)
 	type base struct {
 		key  []byte
 		row  []byte

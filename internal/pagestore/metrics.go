@@ -44,10 +44,10 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("taurus_pagestore_slices", "Slices hosted.",
 		func() float64 { n, _, _ := s.LSNInfo(0); return float64(n) }, labels...)
 	reg.CounterFunc("taurus_pagestore_desc_cache_hits_total",
-		"NDP descriptor cache hits (descriptor resolved by id, no re-send).",
+		"NDP descriptor cache hits (descriptor bytes hashed to a cached processor; no decode).",
 		func() float64 { h, _ := s.DescCacheStats(); return float64(h) }, labels...)
 	reg.CounterFunc("taurus_pagestore_desc_cache_misses_total",
-		"NDP descriptor cache misses (descriptor decoded and compiled).",
+		"NDP descriptor cache misses (descriptor and its IR programs decoded into a new processor).",
 		func() float64 { _, m := s.DescCacheStats(); return float64(m) }, labels...)
 	reg.GaugeFunc("taurus_pagestore_ndp_queue_depth",
 		"NDP pages admitted right now (queued or processing) under resource control.",

@@ -17,20 +17,20 @@ import (
 // means this one, and any other is refused.
 const PluginInnoDB = "innodb"
 
-// DescriptorCache caches compiled processors keyed by the descriptor
-// hash. "Instead of decoding descriptors and converting LLVM bitcode for
-// each NDP request, the first request caches the result which is reused
-// subsequently" (§IV-D1). Without it, every batch read pays descriptor
-// decode + IR validation + JIT; BenchmarkDescriptorCache quantifies the
-// difference.
+// DescriptorCache caches decoded processors keyed by a hash of the
+// descriptor bytes. "Instead of decoding descriptors and converting LLVM
+// bitcode for each NDP request, the first request caches the result
+// which is reused subsequently" (§IV-D1). Every batch read still carries
+// the full descriptor; a hit saves decoding it and its IR programs and
+// building the processor. There is no code generation to save: the
+// programs are run by the IR's interpreter (ir.Program.Eval), and
+// BenchmarkDescriptorCache measures what a hit saves over a miss.
 type DescriptorCache struct {
 	mu      sync.Mutex
 	entries map[uint64]*core.Processor
 	cap     int
 	hits    uint64
 	misses  uint64
-	// disabled turns the cache off for ablation runs.
-	disabled bool
 }
 
 // NewDescriptorCache creates a cache bounded to cap entries.
@@ -41,27 +41,18 @@ func NewDescriptorCache(cap int) *DescriptorCache {
 	return &DescriptorCache{entries: make(map[uint64]*core.Processor), cap: cap}
 }
 
-// Disable turns caching off (every request recompiles).
-func (c *DescriptorCache) Disable() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.disabled = true
-}
-
-// Get returns the cached processor for desc, compiling on miss.
+// Get returns the cached processor for desc, decoding it on a miss.
 func (c *DescriptorCache) Get(desc []byte) (*core.Processor, error) {
 	key := core.HashBytes(desc)
 	c.mu.Lock()
-	if !c.disabled {
-		if e, ok := c.entries[key]; ok {
-			c.hits++
-			c.mu.Unlock()
-			return e, nil
-		}
+	if e, ok := c.entries[key]; ok {
+		c.hits++
+		c.mu.Unlock()
+		return e, nil
 	}
 	c.misses++
 	c.mu.Unlock()
-	// Compile outside the lock; duplicate compilation on a race is
+	// Decode outside the lock; duplicate decoding on a race is
 	// harmless.
 	proc, err := core.NewProcessor(desc)
 	if err != nil {
@@ -69,16 +60,14 @@ func (c *DescriptorCache) Get(desc []byte) (*core.Processor, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.disabled {
-		if len(c.entries) >= c.cap {
-			// Evict an arbitrary entry; descriptor churn is low.
-			for k := range c.entries {
-				delete(c.entries, k)
-				break
-			}
+	if len(c.entries) >= c.cap {
+		// Evict an arbitrary entry; descriptor churn is low.
+		for k := range c.entries {
+			delete(c.entries, k)
+			break
 		}
-		c.entries[key] = proc
 	}
+	c.entries[key] = proc
 	return proc, nil
 }
 

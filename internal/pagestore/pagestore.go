@@ -2,8 +2,11 @@
 // a multi-tenant storage node that hosts slices from multiple database
 // frontends, keeps pages up to date by applying redo log records, serves
 // page reads at requested LSNs, and performs best-effort NDP processing:
-// it decodes each batch read's NDP descriptor into a JIT-compiled
-// internal/core processor, caches it, and runs it over the pages.
+// it decodes each batch read's NDP descriptor, with its IR programs,
+// into an internal/core processor, caches it, and runs it over the
+// pages. The programs are interpreted, not compiled to machine code:
+// pure Go cannot emit any, and the IR's switch-loop evaluator was
+// measured faster than the threaded-code stand-in it replaced.
 package pagestore
 
 import (
@@ -163,12 +166,6 @@ type Option func(*Store)
 // WithResourceControl replaces the default NDP resource controller.
 func WithResourceControl(rc *ResourceControl) Option {
 	return func(s *Store) { s.control = rc }
-}
-
-// WithDescriptorCache replaces the default descriptor cache (useful for
-// the cache-ablation benchmark).
-func WithDescriptorCache(c *DescriptorCache) Option {
-	return func(s *Store) { s.descCache = c }
 }
 
 // WithCheckpoints attaches a persistent checkpoint store: Restore loads

@@ -353,21 +353,6 @@ func TestHandleRejectsCraftedDescriptors(t *testing.T) {
 	}
 }
 
-func TestDescriptorCacheDisable(t *testing.T) {
-	c := NewDescriptorCache(4)
-	c.Disable()
-	desc := descWithPredicate(t, 1)
-	for i := 0; i < 3; i++ {
-		if _, err := c.Get(desc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits, misses := c.Stats()
-	if hits != 0 || misses != 3 {
-		t.Errorf("disabled cache: hits=%d misses=%d", hits, misses)
-	}
-}
-
 func TestDescriptorCacheEviction(t *testing.T) {
 	c := NewDescriptorCache(1)
 	d1 := descWithPredicate(t, 1)
