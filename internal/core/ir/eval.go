@@ -10,11 +10,11 @@ import (
 // native code (§V-B2); pure Go cannot emit machine code, and the
 // closure-per-instruction threaded code that stood in for it was slower
 // than both this loop and the frontend's tree walker on the TPC-H Q6
-// predicate (BenchmarkIRVsInterpreter, 2-vCPU VM, medians of 5 runs:
-// switch 193 ns, tree walk 223 ns, threaded code 266 ns). The helpers
-// below share the frontend's kernels (types.Compare, expr.Arith,
-// expr.LikeMatch, expr.YearOfEpochDays), so storage-side evaluation
-// cannot drift from the tree walker's.
+// predicate (BenchmarkIRVsInterpreter, 2-vCPU VM, medians of 5
+// interleaved runs: switch 162 ns, tree walk 182 ns, threaded code
+// 228 ns). The helpers below share the frontend's kernels
+// (types.Compare, expr.Arith, expr.LikeMatch, expr.YearOfEpochDays), so
+// storage-side evaluation cannot drift from the tree walker's.
 
 var (
 	dTrue  = types.NewInt(1)

@@ -672,11 +672,11 @@ type NodeStats struct {
 	LastCheckpoint       time.Time
 	CheckpointAgeSeconds float64
 	Stats                StatsSnapshot
-	// DescCacheHits/DescCacheMisses count NDP descriptor cache lookups
-	// ("Page Store caches the descriptors ... the database sends only
-	// the descriptor's identifier with each request"); NDPQueueDepth is
-	// the current resource-control admission count (queued +
-	// processing).
+	// DescCacheHits/DescCacheMisses count NDP descriptor cache lookups,
+	// keyed by a hash of the descriptor bytes every batch read carries
+	// (the paper sends only an identifier after the first request; this
+	// reproduction re-sends the bytes); NDPQueueDepth is the current
+	// resource-control admission count (queued + processing).
 	DescCacheHits   uint64
 	DescCacheMisses uint64
 	NDPQueueDepth   int
