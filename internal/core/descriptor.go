@@ -173,23 +173,28 @@ func (d *Descriptor) Encode() []byte {
 // DecodeDescriptor parses and sanity-checks an encoded descriptor,
 // including its embedded IR programs and the row widths they load from.
 func DecodeDescriptor(buf []byte) (*Descriptor, error) {
-	d, _, err := decodeDescriptor(buf)
-	return d, err
+	d, err := parseDescriptor(buf)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := d.decodePrograms(); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
-// decodeDescriptor is DecodeDescriptor that also returns the decoded
-// programs, so a Page Store decodes each program once per descriptor.
-func decodeDescriptor(buf []byte) (*Descriptor, programs, error) {
-	var none programs
+// parseDescriptor is DecodeDescriptor without the IR checks, which
+// NewProcessor makes once while it decodes the programs it keeps.
+func parseDescriptor(buf []byte) (*Descriptor, error) {
 	if len(buf) < 4 || string(buf[:4]) != descMagic {
-		return nil, none, fmt.Errorf("core: bad descriptor magic")
+		return nil, fmt.Errorf("core: bad descriptor magic")
 	}
 	r := &descReader{buf: buf, off: 4}
 	d := &Descriptor{}
 	d.IndexID = r.uvarint()
 	nCols := r.uvarint()
 	if nCols > 4096 {
-		return nil, none, fmt.Errorf("core: implausible column count %d", nCols)
+		return nil, fmt.Errorf("core: implausible column count %d", nCols)
 	}
 	d.Cols = make([]types.Kind, nCols)
 	d.FixedLens = make([]uint16, nCols)
@@ -199,13 +204,13 @@ func decodeDescriptor(buf []byte) (*Descriptor, programs, error) {
 	}
 	nProj := r.uvarint()
 	if nProj > nCols {
-		return nil, none, fmt.Errorf("core: projection wider than row")
+		return nil, fmt.Errorf("core: projection wider than row")
 	}
 	d.Projection = make([]uint16, nProj)
 	for i := range d.Projection {
 		o := r.uvarint()
 		if o >= nCols {
-			return nil, none, fmt.Errorf("core: projection ordinal %d out of range", o)
+			return nil, fmt.Errorf("core: projection ordinal %d out of range", o)
 		}
 		d.Projection[i] = uint16(o)
 	}
@@ -213,7 +218,7 @@ func decodeDescriptor(buf []byte) (*Descriptor, programs, error) {
 	d.Predicate = r.bytes(int(predLen))
 	nAggs := r.uvarint()
 	if nAggs > 256 {
-		return nil, none, fmt.Errorf("core: implausible aggregate count %d", nAggs)
+		return nil, fmt.Errorf("core: implausible aggregate count %d", nAggs)
 	}
 	d.Aggs = make([]AggSpec, nAggs)
 	outCols := nCols
@@ -223,65 +228,54 @@ func decodeDescriptor(buf []byte) (*Descriptor, programs, error) {
 	for i := range d.Aggs {
 		d.Aggs[i].Fn = AggFn(r.byte())
 		if d.Aggs[i].Fn > AggMax {
-			return nil, none, fmt.Errorf("core: unknown aggregate fn %d", d.Aggs[i].Fn)
+			return nil, fmt.Errorf("core: unknown aggregate fn %d", d.Aggs[i].Fn)
 		}
 		d.Aggs[i].ArgCol = int32(r.varint())
 		if int(d.Aggs[i].ArgCol) >= int(outCols) {
-			return nil, none, fmt.Errorf("core: aggregate arg ordinal out of range")
+			return nil, fmt.Errorf("core: aggregate arg ordinal out of range")
 		}
 		irLen := r.uvarint()
 		d.Aggs[i].ArgIR = r.bytes(int(irLen))
 	}
 	nGroup := r.uvarint()
 	if nGroup > outCols {
-		return nil, none, fmt.Errorf("core: group-by wider than output row")
+		return nil, fmt.Errorf("core: group-by wider than output row")
 	}
 	d.GroupBy = make([]uint16, nGroup)
 	for i := range d.GroupBy {
 		g := r.uvarint()
 		if g >= outCols {
-			return nil, none, fmt.Errorf("core: group-by ordinal out of range")
+			return nil, fmt.Errorf("core: group-by ordinal out of range")
 		}
 		d.GroupBy[i] = uint16(g)
 	}
 	d.LowWatermark = r.uvarint()
 	if r.err != nil {
-		return nil, none, fmt.Errorf("core: corrupt descriptor: %w", r.err)
+		return nil, fmt.Errorf("core: corrupt descriptor: %w", r.err)
 	}
-	progs, err := d.decodePrograms()
-	if err != nil {
-		return nil, none, err
-	}
-	return d, progs, nil
+	return d, nil
 }
 
-// programs are a descriptor's IR, decoded and validated: the predicate
-// (nil when none) and each aggregate with its argument program.
-type programs struct {
-	pred *ir.Program
-	aggs []aggEval
-}
-
-// decodePrograms decodes the embedded IR programs and checks that each
-// loads only columns its row has: the predicate runs on the full row
-// and aggregate arguments on the output row. Validate bounds everything
-// else; together they make ir.Program.Eval safe on bytes a Page Store
-// cannot trust.
-func (d *Descriptor) decodePrograms() (programs, error) {
-	var ps programs
+// decodePrograms decodes the embedded IR programs, the predicate (nil
+// when none) and each aggregate with its argument program, and checks
+// that each loads only columns its row has: the predicate runs on the
+// full row and aggregate arguments on the output row. Validate bounds
+// everything else; together they make ir.Program.Eval safe on bytes a
+// Page Store cannot trust.
+func (d *Descriptor) decodePrograms() (*ir.Program, []aggEval, error) {
+	var pred *ir.Program
 	if len(d.Predicate) > 0 {
-		prog, err := ir.Decode(d.Predicate)
-		if err != nil {
-			return ps, fmt.Errorf("core: bad predicate IR: %w", err)
+		var err error
+		if pred, err = ir.Decode(d.Predicate); err != nil {
+			return nil, nil, fmt.Errorf("core: bad predicate IR: %w", err)
 		}
-		if prog.NumCols > len(d.Cols) {
-			return ps, fmt.Errorf("core: predicate needs %d cols, row has %d", prog.NumCols, len(d.Cols))
+		if pred.NumCols > len(d.Cols) {
+			return nil, nil, fmt.Errorf("core: predicate needs %d cols, row has %d", pred.NumCols, len(d.Cols))
 		}
-		ps.pred = prog
 	}
 	aggs, err := aggEvals(d.Aggs)
 	if err != nil {
-		return ps, err
+		return nil, nil, err
 	}
 	outCols := len(d.Cols)
 	if d.HasProjection() {
@@ -289,11 +283,10 @@ func (d *Descriptor) decodePrograms() (programs, error) {
 	}
 	for i, e := range aggs {
 		if e.prog != nil && e.prog.NumCols > outCols {
-			return ps, fmt.Errorf("core: agg %d argument needs %d cols, output row has %d", i, e.prog.NumCols, outCols)
+			return nil, nil, fmt.Errorf("core: agg %d argument needs %d cols, output row has %d", i, e.prog.NumCols, outCols)
 		}
 	}
-	ps.aggs = aggs
-	return ps, nil
+	return pred, aggs, nil
 }
 
 // Hash computes the descriptor-cache key: "computed by applying a hash

@@ -28,32 +28,30 @@ type Processor struct {
 	aggs       []aggEval   // the pushed aggregates with their argument programs
 }
 
-// NewProcessor decodes descriptor bytes and their programs.
+// NewProcessor decodes descriptor bytes and, once, their programs, with
+// the same checks as DecodeDescriptor.
 func NewProcessor(descBytes []byte) (*Processor, error) {
-	d, progs, err := decodeDescriptor(descBytes)
+	d, err := parseDescriptor(descBytes)
 	if err != nil {
 		return nil, err
 	}
-	return newProcessor(d, progs), nil
+	return NewProcessorFromDescriptor(d)
 }
 
-// NewProcessorFromDescriptor builds a Processor from a decoded descriptor.
+// NewProcessorFromDescriptor builds a Processor from a decoded
+// descriptor, decoding its programs.
 func NewProcessorFromDescriptor(d *Descriptor) (*Processor, error) {
-	progs, err := d.decodePrograms()
+	pred, aggs, err := d.decodePrograms()
 	if err != nil {
 		return nil, err
 	}
-	return newProcessor(d, progs), nil
-}
-
-func newProcessor(d *Descriptor, progs programs) *Processor {
 	return &Processor{
 		Desc:       d,
 		fullSchema: d.RowSchema(),
 		outSchema:  d.OutputSchema(),
-		pred:       progs.pred,
-		aggs:       progs.aggs,
-	}
+		pred:       pred,
+		aggs:       aggs,
+	}, nil
 }
 
 // PageStats counts what happened to one page (or batch) during NDP
