@@ -22,7 +22,6 @@ type ReadRouter struct {
 	rotate  atomic.Uint64
 	routed  atomic.Uint64
 	retried atomic.Uint64
-	hedged  atomic.Uint64
 
 	mu    sync.Mutex
 	nodes map[string]*nodeLoad
@@ -131,24 +130,8 @@ func (r *ReadRouter) Begin(node string) func(error) {
 	}
 }
 
-// EWMALatency returns the smoothed request latency for node (0 if the
-// node has no history yet).
-func (r *ReadRouter) EWMALatency(node string) time.Duration {
-	if r == nil {
-		return 0
-	}
-	return time.Duration(r.load(node).ewma() * float64(time.Microsecond))
-}
-
 func (r *ReadRouter) noteRetry() {
 	if r != nil {
-		r.retried.Add(1)
-	}
-}
-
-func (r *ReadRouter) noteHedge() {
-	if r != nil {
-		r.hedged.Add(1)
 		r.retried.Add(1)
 	}
 }
@@ -166,8 +149,9 @@ type RouterNodeStats struct {
 // DB.ScanRouting() and the server's /stats payloads.
 type RouterStats struct {
 	// ScanRouted counts replica picks; ScanRetried counts sub-batches
-	// re-sent to another replica (failures plus hedges); ScanHedged is
-	// the straggler-hedge subset of ScanRetried.
+	// re-sent to another replica after a failed call. ScanHedged is
+	// always 0: straggler hedging is gone, and the field stays only for
+	// readers that still report it.
 	ScanRouted  uint64            `json:"scan_routed"`
 	ScanRetried uint64            `json:"scan_retried"`
 	ScanHedged  uint64            `json:"scan_hedged"`
@@ -182,7 +166,6 @@ func (r *ReadRouter) Stats() RouterStats {
 	st := RouterStats{
 		ScanRouted:  r.routed.Load(),
 		ScanRetried: r.retried.Load(),
-		ScanHedged:  r.hedged.Load(),
 	}
 	r.mu.Lock()
 	for node, nl := range r.nodes {
@@ -211,19 +194,18 @@ func (r *ReadRouter) RegisterMetrics(reg *obs.Registry, role string) {
 		"Per-slice scan sub-batches routed to a Page Store replica.",
 		func() float64 { return float64(r.routed.Load()) }, l)
 	reg.CounterFunc("taurus_scan_retried_total",
-		"Scan sub-batches re-sent to another replica (failure or straggler hedge).",
+		"Scan sub-batches re-sent to another replica after a failed call.",
 		func() float64 { return float64(r.retried.Load()) }, l)
-	reg.CounterFunc("taurus_scan_hedged_total",
-		"Straggler hedges: backup scan sub-batches launched while the primary was still running.",
-		func() float64 { return float64(r.hedged.Load()) }, l)
 }
 
 // FanOut is the batch-read dispatcher shared by the SAL and the
 // read-replica tier: it splits a page list into per-slice sub-batches
 // (§VI-2), routes each to a Page Store replica through the ReadRouter,
-// issues them concurrently, retries failed sub-batches on the next
-// replica, hedges stragglers, and reassembles the responses in request
-// order.
+// issues them concurrently, fails a sub-batch over to the slice's next
+// replica when a call returns an error, and reassembles the responses
+// in request order. Each sub-batch gets one answer: there is no
+// straggler hedge, so a slow store is steered around only by the
+// router's load score.
 type FanOut struct {
 	Transport cluster.Transport
 	Tenant    uint32
@@ -234,18 +216,7 @@ type FanOut struct {
 	NodesFor func(sliceID uint32, ids []uint64) ([]string, error)
 	Router   *ReadRouter
 	Events   *obs.EventRing
-	// HedgeFloor is the minimum straggler wait before a backup request
-	// launches (the effective wait is max(HedgeFloor, 4x the primary's
-	// EWMA latency)). Zero selects defaultHedgeFloor; negative disables
-	// hedging.
-	HedgeFloor time.Duration
 }
-
-const defaultHedgeFloor = 2 * time.Millisecond
-
-// hedgeMultiple: a request this many times slower than the store's
-// smoothed latency is a straggler.
-const hedgeMultiple = 4
 
 // BatchRead dispatches pageIDs and reassembles the responses. tc, when
 // valid, propagates the caller's trace so per-slice server spans hang
@@ -309,11 +280,8 @@ func (f *FanOut) BatchRead(tc obs.TraceContext, pageIDs []uint64, lsn uint64, de
 	return res, nil
 }
 
-// callSub issues one per-slice sub-batch: primary request to the
-// router's pick, straggler hedge to the next replica after the hedge
-// delay, retry on the next untried replica when an attempt fails. The
-// first successful response wins; late responses drain into the
-// buffered channel and are dropped.
+// callSub issues one per-slice sub-batch to the router's pick and
+// fails over through the slice's other replicas in placement order.
 func (f *FanOut) callSub(tc obs.TraceContext, sliceID uint32, ids []uint64, lsn uint64, desc []byte, nodes []string) (*cluster.BatchReadResp, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("sal: slice %d has no replicas", sliceID)
@@ -322,81 +290,45 @@ func (f *FanOut) callSub(tc obs.TraceContext, sliceID uint32, ids []uint64, lsn 
 		Tenant: f.Tenant, SliceID: sliceID, LSN: lsn,
 		PageIDs: ids, Desc: desc, Plugin: f.Plugin,
 	}
-	type subResult struct {
-		resp *cluster.BatchReadResp
-		err  error
-		node string
+	resp, err := Failover(f.Router.Pick(nodes), nodes, func(node string) (any, error) {
+		done := f.Router.Begin(node)
+		resp, err := cluster.CallTraced(f.Transport, tc, node, req)
+		done(err)
+		return resp, err
+	}, func(failed string, err error, next string) {
+		f.Router.noteRetry()
+		f.Events.Record(obs.EventScanRetry,
+			"slice %d: %s failed (%v), retrying on %s", sliceID, failed, err, next)
+	})
+	if err != nil {
+		return nil, err
 	}
-	ch := make(chan subResult, len(nodes))
-	launch := func(node string) {
-		go func() {
-			done := f.Router.Begin(node)
-			resp, err := cluster.CallTraced(f.Transport, tc, node, req)
-			done(err)
-			r := subResult{err: err, node: node}
-			if err == nil {
-				r.resp = resp.(*cluster.BatchReadResp)
-			}
-			ch <- r
-		}()
-	}
-	tried := map[string]bool{}
-	next := func() string {
-		for _, n := range nodes {
-			if !tried[n] {
-				tried[n] = true
-				return n
-			}
-		}
-		return ""
-	}
-	primary := f.Router.Pick(nodes)
-	tried[primary] = true
-	launch(primary)
-	inFlight := 1
+	return resp.(*cluster.BatchReadResp), nil
+}
 
-	var hedgeC <-chan time.Time
-	if len(nodes) > 1 && f.HedgeFloor >= 0 {
-		delay := f.HedgeFloor
-		if delay == 0 {
-			delay = defaultHedgeFloor
-		}
-		if byEwma := hedgeMultiple * f.Router.EWMALatency(primary); byEwma > delay {
-			delay = byEwma
-		}
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		hedgeC = t.C
+// Failover calls first, then the other nodes in placement order, and
+// moves on only when a call returns an error. It returns the first
+// successful response, or the first error once every node has failed.
+// retry, when non-nil, hears each move: the node that failed, its
+// error, and the node called next. Calls run one at a time on the
+// caller's goroutine.
+func Failover(first string, nodes []string, call func(node string) (any, error), retry func(failed string, err error, next string)) (any, error) {
+	resp, err := call(first)
+	if err == nil {
+		return resp, nil
 	}
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			inFlight--
-			if r.err == nil {
-				return r.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if n := next(); n != "" {
-				f.Router.noteRetry()
-				f.Events.Record(obs.EventScanRetry,
-					"slice %d: %s failed (%v), retrying on %s", sliceID, r.node, r.err, n)
-				launch(n)
-				inFlight++
-			} else if inFlight == 0 {
-				return nil, firstErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if n := next(); n != "" {
-				f.Router.noteHedge()
-				f.Events.Record(obs.EventScanRetry,
-					"slice %d: %s straggling, hedging to %s", sliceID, primary, n)
-				launch(n)
-				inFlight++
-			}
+	firstErr, failed := err, first
+	for _, n := range nodes {
+		if n == first {
+			continue
 		}
+		if retry != nil {
+			retry(failed, err, n)
+		}
+		if resp, err = call(n); err == nil {
+			return resp, nil
+		}
+		failed = n
 	}
+	return nil, firstErr
 }

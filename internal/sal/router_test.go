@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"taurus/internal/cluster"
 	"taurus/internal/obs"
@@ -48,19 +49,22 @@ func TestRouterPicksLeastLoaded(t *testing.T) {
 	}
 }
 
-// flakyTransport fails BatchRead calls addressed to broken nodes and
-// answers from healthy ones, recording who was called.
+// flakyTransport fails BatchRead calls addressed to broken nodes,
+// answers from healthy ones after their delay in slow, and records who
+// was called.
 type flakyTransport struct {
 	mu     sync.Mutex
 	broken map[string]bool
+	slow   map[string]time.Duration
 	calls  []string
 }
 
 func (f *flakyTransport) Call(node string, req any) (any, error) {
 	f.mu.Lock()
 	f.calls = append(f.calls, node)
-	bad := f.broken[node]
+	bad, delay := f.broken[node], f.slow[node]
 	f.mu.Unlock()
+	time.Sleep(delay)
 	if bad {
 		return nil, fmt.Errorf("transport: %s unreachable", node)
 	}
@@ -84,7 +88,6 @@ func TestFanOutRetriesOnFailure(t *testing.T) {
 		SliceOf:  func(pageID uint64) uint32 { return uint32(pageID / 4) },
 		NodesFor: func(sliceID uint32, ids []uint64) ([]string, error) { return []string{"ps1", "ps2"}, nil },
 		Router:   router, Events: events,
-		HedgeFloor: -1, // isolate the failure-retry path
 	}
 	// Force the router to pick ps1 first: score ps2 as busy.
 	undo := router.Begin("ps2")
@@ -116,16 +119,54 @@ func TestFanOutRetriesOnFailure(t *testing.T) {
 	}
 }
 
+// TestFanOutWaitsOutASlowReplica: a replica that answers late but
+// answers is the sub-batch's one answer. Nothing is re-sent to another
+// replica, so no NDP work or reply bytes are duplicated.
+func TestFanOutWaitsOutASlowReplica(t *testing.T) {
+	tr := &flakyTransport{slow: map[string]time.Duration{"ps1": 20 * time.Millisecond}}
+	router := NewReadRouter()
+	events := obs.NewEventRing(16)
+	f := &FanOut{
+		Transport: tr, Tenant: 1, Plugin: "innodb",
+		SliceOf:  func(pageID uint64) uint32 { return 0 },
+		NodesFor: func(sliceID uint32, ids []uint64) ([]string, error) { return []string{"ps1", "ps2"}, nil },
+		Router:   router, Events: events,
+	}
+	// Force the router to pick ps1: score ps2 as busy.
+	undo := router.Begin("ps2")
+	defer undo(nil)
+	res, err := f.BatchRead(obs.TraceContext{}, []uint64{1, 2, 3}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Pages) != 3 {
+		t.Fatalf("pages = %d, want 3", len(res.Pages))
+	}
+	tr.mu.Lock()
+	calls := append([]string(nil), tr.calls...)
+	tr.mu.Unlock()
+	if len(calls) != 1 || calls[0] != "ps1" {
+		t.Errorf("calls = %v, want one call to ps1", calls)
+	}
+	if st := router.Stats(); st.ScanRetried != 0 {
+		t.Errorf("ScanRetried = %d, want 0", st.ScanRetried)
+	}
+	for _, ev := range events.Events() {
+		if ev.Kind == obs.EventScanRetry {
+			t.Errorf("scan.retry event recorded: %s", ev.Detail)
+		}
+	}
+}
+
 // TestFanOutAllReplicasDown: when every replica fails, the first error
 // surfaces instead of hanging.
 func TestFanOutAllReplicasDown(t *testing.T) {
 	tr := &flakyTransport{broken: map[string]bool{"ps1": true, "ps2": true}}
 	f := &FanOut{
 		Transport: tr, Tenant: 1,
-		SliceOf:    func(pageID uint64) uint32 { return 0 },
-		NodesFor:   func(sliceID uint32, ids []uint64) ([]string, error) { return []string{"ps1", "ps2"}, nil },
-		Router:     NewReadRouter(),
-		HedgeFloor: -1,
+		SliceOf:  func(pageID uint64) uint32 { return 0 },
+		NodesFor: func(sliceID uint32, ids []uint64) ([]string, error) { return []string{"ps1", "ps2"}, nil },
+		Router:   NewReadRouter(),
 	}
 	_, err := f.BatchRead(obs.TraceContext{}, []uint64{1}, 0, nil)
 	if err == nil {
@@ -142,10 +183,9 @@ func TestFanOutSplitsPerSlice(t *testing.T) {
 	tr := &flakyTransport{}
 	f := &FanOut{
 		Transport: tr, Tenant: 1,
-		SliceOf:    func(pageID uint64) uint32 { return uint32(pageID % 3) },
-		NodesFor:   func(sliceID uint32, ids []uint64) ([]string, error) { return []string{"ps1"}, nil },
-		Router:     NewReadRouter(),
-		HedgeFloor: -1,
+		SliceOf:  func(pageID uint64) uint32 { return uint32(pageID % 3) },
+		NodesFor: func(sliceID uint32, ids []uint64) ([]string, error) { return []string{"ps1"}, nil },
+		Router:   NewReadRouter(),
 	}
 	ids := []uint64{9, 4, 2, 6, 7, 5} // slices 0,1,2,0,1,2
 	res, err := f.BatchRead(obs.TraceContext{}, ids, 0, nil)
