@@ -153,6 +153,23 @@ func TestRegularVsNDPScanEquivalence(t *testing.T) {
 	}
 }
 
+// TestScansFailOverAroundALostPageStore: with one of four Page Stores
+// gone from the transport, every slice still has two live replicas
+// (RF 3). A regular scan's point reads and an NDP scan's sub-batches
+// both fail over to them and return every row.
+func TestScansFailOverAroundALostPageStore(t *testing.T) {
+	tc := newTestCluster(t, 4096)
+	tbl := loadWorkers(t, tc, 4000)
+	tc.tr.Unregister("ps2")
+	for _, ndp := range []*NDPPush{nil, {}} {
+		tc.eng.Pool().Clear()
+		rows, _ := collectScan(t, tc.eng, ScanOptions{Index: tbl.Primary, NDP: ndp})
+		if len(rows) != 4000 {
+			t.Fatalf("NDP %v: scanned %d rows, want 4000", ndp != nil, len(rows))
+		}
+	}
+}
+
 func TestNDPScanReducesNetworkBytes(t *testing.T) {
 	tc := newTestCluster(t, 64) // small pool: force storage reads
 	tbl := loadWorkers(t, tc, 2000)

@@ -411,6 +411,40 @@ func TestNewRejectsEmptyNode(t *testing.T) {
 	}
 }
 
+// TestReplicaReadsFailOverAroundALostPageStore: with one of four Page
+// Stores gone from the transport, the replica's point reads and NDP
+// sub-batches fail over to the slice's other replicas; no read fails.
+func TestReplicaReadsFailOverAroundALostPageStore(t *testing.T) {
+	c := newFleet(t)
+	if _, err := c.LoadWorkers(4000); err != nil {
+		t.Fatal(err)
+	}
+	rep, eng := newReplica(t, c, c.Transport, fastTick, nil)
+	if err := rep.Start(0, c.SAL.DurableLSN()); err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	tbl, err := eng.Table("worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Transport.Unregister("ps2")
+	for _, ndp := range []*engine.NDPPush{nil, {}} {
+		eng.Pool().Clear()
+		n := 0
+		err := eng.Scan(engine.ScanOptions{Index: tbl.Primary, NDP: ndp}, func(types.Row, []core.AggState) error {
+			n++
+			return nil
+		})
+		if err != nil || n != 4000 {
+			t.Fatalf("NDP %v: scanned %d rows (%v), want 4000", ndp != nil, n, err)
+		}
+	}
+	if st := rep.Stats(); st.Refreshes != 0 {
+		t.Fatalf("Refreshes = %d, want 0: every read had a live replica", st.Refreshes)
+	}
+}
+
 // failOneRead wraps the replica's transport: once armed, the next page
 // read parks until released and then fails, the way a read fails when
 // its version aged out of the Page Stores' retention.
