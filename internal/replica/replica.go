@@ -361,12 +361,16 @@ func (r *Replica) readNode(nodes []string) string {
 func (r *Replica) VisibleLSN() uint64 { return r.visible.Load() }
 
 // ReadPage implements engine.ReadView: one page image at the given LSN
-// from a Page Store replica of its slice.
+// from a round-robin Page Store replica of its slice, failing over to
+// the others in placement order (off the scan router, as the master's
+// point reads are).
 func (r *Replica) ReadPage(pageID, lsn uint64) ([]byte, error) {
 	sliceID := r.SliceOf(pageID)
-	resp, err := r.cfg.Transport.Call(r.readNode(r.placement(sliceID)), &cluster.ReadPageReq{
-		Tenant: r.cfg.Tenant, SliceID: sliceID, PageID: pageID, LSN: lsn,
-	})
+	nodes := r.placement(sliceID)
+	req := &cluster.ReadPageReq{Tenant: r.cfg.Tenant, SliceID: sliceID, PageID: pageID, LSN: lsn}
+	resp, err := sal.Failover(r.readNode(nodes), nodes, func(node string) (any, error) {
+		return r.cfg.Transport.Call(node, req)
+	}, nil)
 	if err != nil {
 		r.stats.refreshes.Add(1)
 		return nil, err

@@ -446,40 +446,62 @@ func TestReplicaReadsFailOverAroundALostPageStore(t *testing.T) {
 }
 
 // failOneRead wraps the replica's transport: once armed, the next page
-// read parks until released and then fails, the way a read fails when
-// its version aged out of the Page Stores' retention.
+// read parks until released and then fails on every replica it is sent
+// to, the way a read fails when its version aged out of the Page
+// Stores' retention.
 type failOneRead struct {
 	cluster.Transport
-	armed   chan struct{} // one token: the next ReadPageReq takes it
-	parked  chan struct{} // closed when that read is parked
-	release chan struct{} // closed to let it fail
+	armed   chan struct{}             // one token: the next ReadPageReq takes it
+	parked  chan struct{}             // closed when that read is parked
+	release chan struct{}             // closed to let it fail
+	lost    atomic.Pointer[[2]uint64] // the parked read's page ID and LSN
 }
 
 func (f *failOneRead) Call(n string, req any) (any, error) {
-	if _, ok := req.(*cluster.ReadPageReq); ok {
+	if r, ok := req.(*cluster.ReadPageReq); ok {
+		version := [2]uint64{r.PageID, r.LSN}
 		select {
 		case <-f.armed:
+			f.lost.Store(&version)
 			close(f.parked)
 			<-f.release
-			return nil, fmt.Errorf("injected: page version not retained")
 		default:
+		}
+		if lost := f.lost.Load(); lost != nil && *lost == version {
+			return nil, fmt.Errorf("injected: page version not retained")
 		}
 	}
 	return f.Transport.Call(n, req)
 }
 
 // failReads wraps the replica's transport and fails the next n page
-// reads.
+// reads, each on all three replicas it fails over to. Reads must come
+// one at a time, as a regular scan's do.
 type failReads struct {
 	cluster.Transport
-	n atomic.Int32
+	n    atomic.Int32
+	mu   sync.Mutex
+	left int // calls the current failing read has still to fail
 }
 
 func (f *failReads) Call(n string, req any) (any, error) {
-	if _, ok := req.(*cluster.ReadPageReq); ok && f.n.Add(-1) >= 0 {
+	if _, ok := req.(*cluster.ReadPageReq); ok && f.fail() {
 		return nil, fmt.Errorf("injected: page version not retained")
 	}
 	return f.Transport.Call(n, req)
+}
+
+func (f *failReads) fail() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.left == 0 && f.n.Add(-1) >= 0 {
+		f.left = 3
+	}
+	if f.left == 0 {
+		return false
+	}
+	f.left--
+	return true
 }
 
 // TestStatementRestartsOnceOnASnapshotMiss: a SELECT whose page read

@@ -456,11 +456,14 @@ func (s *SAL) readReplica(nodes []string) string {
 	return nodes[int(s.rr.Add(1))%len(nodes)]
 }
 
-// ReadPage fetches one page image at the given LSN (0 = latest). It
-// waits only until the slice has applied everything staged for THIS
-// page — never for the slice's whole staged prefix, let alone a full
-// pipeline flush — and with nothing pending the wait is a single atomic
-// load.
+// ReadPage fetches one page image at the given LSN (0 = latest) from
+// a round-robin replica of its slice, failing over to the others in
+// placement order. The scan router does not see point reads: their
+// latencies are far shorter than a sub-batch's and would skew its
+// scores. It waits only until the slice has applied everything staged
+// for THIS page — never for the slice's whole staged prefix, let alone
+// a full pipeline flush — and with nothing pending the wait is a single
+// atomic load.
 func (s *SAL) ReadPage(pageID, lsn uint64) ([]byte, error) {
 	sliceID := s.SliceOf(pageID)
 	if err := s.waitAppliedPages(sliceID, pageID); err != nil {
@@ -474,9 +477,10 @@ func (s *SAL) ReadPage(pageID, lsn uint64) ([]byte, error) {
 	if s.m.enabled {
 		t0 = time.Now()
 	}
-	resp, err := s.cfg.Transport.Call(s.readReplica(nodes), &cluster.ReadPageReq{
-		Tenant: s.cfg.Tenant, SliceID: sliceID, PageID: pageID, LSN: lsn,
-	})
+	req := &cluster.ReadPageReq{Tenant: s.cfg.Tenant, SliceID: sliceID, PageID: pageID, LSN: lsn}
+	resp, err := Failover(s.readReplica(nodes), nodes, func(node string) (any, error) {
+		return s.cfg.Transport.Call(node, req)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
