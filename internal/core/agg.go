@@ -114,8 +114,9 @@ func (e *aggEval) arg(row types.Row, regs []types.Datum) (types.Datum, bool) {
 	return v, !v.IsNull()
 }
 
-// AccumulateRow folds one row into the states.
-func (a *Aggregator) AccumulateRow(row types.Row) {
+// AccumulateRow folds one row into the states. A MIN/MAX argument that
+// returns a string on some rows and a number on others is an error.
+func (a *Aggregator) AccumulateRow(row types.Row) error {
 	for i := range a.evals {
 		e := &a.evals[i]
 		st := &a.states[i]
@@ -137,24 +138,32 @@ func (a *Aggregator) AccumulateRow(row types.Row) {
 				st.Val = expr.Arith(expr.OpAdd, st.Val, v)
 			}
 			st.Count++
-		case AggMin:
-			v, ok := e.arg(row, a.regs)
-			if !ok {
-				continue
-			}
-			if !st.Has || types.Compare(v, st.Val) < 0 {
-				st.Val, st.Has = v, true
-			}
-		case AggMax:
-			v, ok := e.arg(row, a.regs)
-			if !ok {
-				continue
-			}
-			if !st.Has || types.Compare(v, st.Val) > 0 {
-				st.Val, st.Has = v, true
+		case AggMin, AggMax:
+			if v, ok := e.arg(row, a.regs); ok {
+				if err := foldExtreme(st, v, e.spec.Fn); err != nil {
+					return err
+				}
 			}
 		}
 	}
+	return nil
+}
+
+// foldExtreme keeps v in st when it is the new MIN or MAX. types.Compare
+// panics on a string against a non-string, and a crafted argument
+// program can return both kinds, so the mix is an error here.
+func foldExtreme(st *AggState, v types.Datum, fn AggFn) error {
+	if !st.Has {
+		st.Val, st.Has = v, true
+		return nil
+	}
+	if (v.K == types.KindString) != (st.Val.K == types.KindString) {
+		return fmt.Errorf("core: %v over values of kinds %v and %v", fn, st.Val.K, v.K)
+	}
+	if c := types.Compare(v, st.Val); (fn == AggMin && c < 0) || (fn == AggMax && c > 0) {
+		st.Val = v
+	}
+	return nil
 }
 
 // MergeStates folds previously-encoded partial states (from another page
@@ -166,7 +175,7 @@ func (a *Aggregator) MergeStates(states []AggState) error {
 	for i := range states {
 		in := states[i]
 		st := &a.states[i]
-		switch a.evals[i].spec.Fn {
+		switch fn := a.evals[i].spec.Fn; fn {
 		case AggCountStar, AggCount:
 			st.Count += in.Count
 		case AggSum:
@@ -178,13 +187,11 @@ func (a *Aggregator) MergeStates(states []AggState) error {
 				}
 				st.Count += in.Count
 			}
-		case AggMin:
-			if in.Has && (!st.Has || types.Compare(in.Val, st.Val) < 0) {
-				st.Val, st.Has = in.Val, true
-			}
-		case AggMax:
-			if in.Has && (!st.Has || types.Compare(in.Val, st.Val) > 0) {
-				st.Val, st.Has = in.Val, true
+		case AggMin, AggMax:
+			if in.Has {
+				if err := foldExtreme(st, in.Val, fn); err != nil {
+					return err
+				}
 			}
 		}
 	}

@@ -114,7 +114,6 @@ func FuzzDecodeDescriptor(f *testing.F) {
 // crafted descriptor can carry one; the aggregator's types.Compare
 // panics on the mix, which would take down a Page Store worker.
 func TestAggregateArgumentOfMixedKinds(t *testing.T) {
-	t.Skip("4a: AccumulateRow's MIN/MAX compare an argument's kinds unchecked; open")
 	// r0 = col 1; if r0 > 2 return "s" else return r0.
 	arg := &ir.Program{NumRegs: 4, NumCols: 2,
 		Consts: []types.Datum{types.NewInt(2), types.NewString("s")},

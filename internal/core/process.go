@@ -209,7 +209,10 @@ func (p *Processor) ProcessPage(src *page.Page) (*page.Page, PageStats, error) {
 				}
 			} else {
 				// Previous pending row joins the accumulated state.
-				agg.AccumulateRow(pend.out)
+				if err := agg.AccumulateRow(pend.out); err != nil {
+					procErr = err
+					return false
+				}
 				pend = nil
 			}
 		}
@@ -310,7 +313,9 @@ func (p *Processor) MergeScalarBatch(pages []*page.Page) error {
 			return err
 		}
 		if pend != nil {
-			carry.AccumulateRow(pend.out)
+			if err := carry.AccumulateRow(pend.out); err != nil {
+				return err
+			}
 		}
 		if err := carry.MergeStates(states); err != nil {
 			return err

@@ -124,8 +124,7 @@ func (a *partAcc) emit(row types.Row, states []core.AggState) error {
 			return err
 		}
 	}
-	a.acc.AccumulateRow(row)
-	return nil
+	return a.acc.AccumulateRow(row)
 }
 
 // finish flushes the partition's trailing group (grouped) or its
