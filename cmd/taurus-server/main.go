@@ -347,7 +347,7 @@ type frontendStats struct {
 	// scan routing imbalance is visible from one endpoint.
 	PageStoreNodes []pagestore.NodeStats
 	// ScanRouting snapshots the NDP scan read router: per-replica
-	// in-flight, EWMA latency, and routed/retried/hedged counters.
+	// in-flight, EWMA latency, and routed/retried counters.
 	ScanRouting sal.RouterStats
 	// SlowOpsFired counts statements the slow-op log fired on (also
 	// exported as taurus_slow_ops_fired_total).

@@ -35,8 +35,8 @@ const (
 
 	// Parallel NDP scans: EventScanStart/EventScanFinish bracket one
 	// partitioned scan's fan-out; EventScanRetry marks a per-slice
-	// sub-batch re-sent to another Page Store replica (failure or
-	// straggler hedge).
+	// sub-batch re-sent to another Page Store replica after a failed
+	// call.
 	EventScanStart  = "scan.start"
 	EventScanFinish = "scan.finish"
 	EventScanRetry  = "scan.retry"

@@ -154,7 +154,7 @@ type Replica struct {
 	rr       atomic.Uint64 // round-robin read replica selector (point reads)
 
 	// router + fanOut serve the NDP scan read path (least-loaded
-	// sub-batch routing, retry, straggler hedging) — the replica's own
+	// sub-batch routing, failover on error) — the replica's own
 	// trackers, since its load profile differs from the master's.
 	router *sal.ReadRouter
 	fanOut *sal.FanOut

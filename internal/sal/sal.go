@@ -235,8 +235,8 @@ func New(cfg Config) (*SAL, error) {
 	return s, nil
 }
 
-// RouterStats snapshots the scan read router: sub-batches routed,
-// retried, hedged, and the per-store load trackers.
+// RouterStats snapshots the scan read router: sub-batches routed and
+// retried, and the per-store load trackers.
 func (s *SAL) RouterStats() RouterStats { return s.router.Stats() }
 
 // SliceOf maps a page to its slice.

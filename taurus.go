@@ -1046,8 +1046,8 @@ func (db *DB) PageStoreNodes() []pagestore.NodeStats {
 func (db *DB) SetScanParallelism(n int) { db.eng.SetScanParallelism(n) }
 
 // ScanRouting snapshots this frontend's scan read router: per-slice
-// sub-batches routed (scan_routed), re-sent after a failure or
-// straggler hedge (scan_retried, scan_hedged), and the per-store
+// sub-batches routed (scan_routed), re-sent after a failed call
+// (scan_retried; scan_hedged is always 0), and the per-store
 // in-flight/EWMA-latency trackers behind the least-loaded pick.
 func (db *DB) ScanRouting() sal.RouterStats {
 	if db.rep != nil {
