@@ -150,8 +150,8 @@ type RouterNodeStats struct {
 type RouterStats struct {
 	// ScanRouted counts replica picks; ScanRetried counts sub-batches
 	// re-sent to another replica after a failed call. ScanHedged is
-	// always 0: straggler hedging is gone, and the field stays only for
-	// readers that still report it.
+	// always 0 (nothing hedges); it stays because the benchmark's
+	// sal.hedge_frac still reads it.
 	ScanRouted  uint64            `json:"scan_routed"`
 	ScanRetried uint64            `json:"scan_retried"`
 	ScanHedged  uint64            `json:"scan_hedged"`
@@ -203,9 +203,9 @@ func (r *ReadRouter) RegisterMetrics(reg *obs.Registry, role string) {
 // (§VI-2), routes each to a Page Store replica through the ReadRouter,
 // issues them concurrently, fails a sub-batch over to the slice's next
 // replica when a call returns an error, and reassembles the responses
-// in request order. Each sub-batch gets one answer: there is no
-// straggler hedge, so a slow store is steered around only by the
-// router's load score.
+// in request order. Each sub-batch gets one answer, so no NDP work or
+// reply bytes are spent twice; the router's load score is what steers
+// later sub-batches off a slow store.
 type FanOut struct {
 	Transport cluster.Transport
 	Tenant    uint32
