@@ -56,9 +56,11 @@
 // lag stats on GET /stats. The replica listens on -advertise (required)
 // for the cluster protocol and subscribes to the Log Stores' push
 // streams: batches arrive as they commit, -refresh-interval only paces
-// the idle tick and the stream watchdog. The writer's SAL must relay its
-// applied frontier to the Log Stores (sal.Config.NotifyFrontier), or the
-// replica's visible LSN never moves:
+// the idle tick and the stream watchdog. Its visible LSN moves only
+// while the writer's SAL relays its applied frontier to those Log
+// Stores, which a SAL does while AddFrontierWatch has armed it. No
+// product process writes to standalone Log Stores yet (the frontend
+// role runs embedded ones), so this role has no writer to follow:
 //
 //	taurus-server -role replica -listen :7300 -advertise :7310 \
 //	  -log-stores :7100,:7101,:7102 -page-stores :7000,:7001,:7002,:7003 \

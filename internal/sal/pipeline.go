@@ -1030,10 +1030,10 @@ func (s *SAL) waitAppliedPages(sliceID uint32, pageIDs ...uint64) error {
 
 // lsnNotifier is the coalescing advance notifier: the Log Stores get
 // cluster.FrontierReq relays — the durable watermark plus the per-slice
-// applied frontier — whenever a frontier watch is armed (or
-// Config.NotifyFrontier forces it). Their push-stream hubs piggyback the
-// frontier on pushed frames, so N subscribed replicas cost the master
-// O(#LogStores) per advance instead of O(N).
+// applied frontier — whenever a frontier watch is armed. Their
+// push-stream hubs piggyback the frontier on pushed frames, so N
+// subscribed replicas cost the master O(#LogStores) per advance instead
+// of O(N).
 //
 // One goroutine, coalescing: however many windows turned durable (or
 // slices finished applying) while a round was in flight, the next round

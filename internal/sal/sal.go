@@ -96,15 +96,6 @@ type Config struct {
 	// transitions: window seals by reason, sticky-error poisoning. nil
 	// is inert.
 	Events *obs.EventRing
-	// NotifyFrontier forces frontier relays (cluster.FrontierReq — the
-	// durable watermark plus per-slice applied LSNs) to the Log Stores
-	// on every advance, whether or not an embedded replica registered a
-	// watch. Server deployments set it: remote replicas subscribe to
-	// the Log Stores' push streams directly and the SAL never sees
-	// them. Embedded deployments leave it off — AddFrontierWatch arms
-	// the relays when the first replica opens, so masters without
-	// replicas pay nothing.
-	NotifyFrontier bool
 }
 
 // SAL is the storage abstraction layer instance inside one frontend.
@@ -155,8 +146,8 @@ type SAL struct {
 
 	notifierDone chan struct{}
 	// Frontier relays to the Log Stores (push-stream distribution):
-	// frontierWatch counts embedded replicas that want them (remote
-	// ones force them via Config.NotifyFrontier); appliedGen bumps when
+	// frontierWatch counts the replicas that want them (AddFrontierWatch;
+	// a master without replicas sends none); appliedGen bumps when
 	// any slice's applied-on-all-replicas LSN advances, waking the
 	// notifier to relay the new frontier.
 	frontierWatch atomic.Int64
@@ -416,7 +407,7 @@ func (s *SAL) RemoveFrontierWatch() {
 
 // frontierActive reports whether frontier relays should be sent.
 func (s *SAL) frontierActive() bool {
-	return (s.cfg.NotifyFrontier || s.frontierWatch.Load() > 0) && len(s.cfg.LogStores) > 0
+	return s.frontierWatch.Load() > 0 && len(s.cfg.LogStores) > 0
 }
 
 // noteApplied wakes the notifier after a slice's applied-on-all-
