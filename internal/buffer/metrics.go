@@ -2,9 +2,8 @@ package buffer
 
 import "taurus/internal/obs"
 
-// RegisterMetrics surfaces the pool's existing per-shard counters as
-// scrape-time metric families. The hot path is untouched: values are
-// aggregated only when the registry is scraped. The role label
+// RegisterMetrics surfaces the pool's hit and miss counters, summed
+// over shards at scrape time; the hot path is untouched. The role label
 // distinguishes pools when one process hosts several (master +
 // replicas).
 func (p *Pool) RegisterMetrics(reg *obs.Registry, role string) {
@@ -12,25 +11,17 @@ func (p *Pool) RegisterMetrics(reg *obs.Registry, role string) {
 		return
 	}
 	labels := []obs.Label{obs.L("role", role)}
-	agg := func(pick func(ShardStats) float64) func() float64 {
+	agg := func(pick func(ShardStats) uint64) func() float64 {
 		return func() float64 {
-			var total float64
+			var total uint64
 			for _, sh := range p.ShardStatsSnapshot() {
 				total += pick(sh)
 			}
-			return total
+			return float64(total)
 		}
 	}
 	reg.CounterFunc("taurus_buffer_hits_total", "Buffer pool hits.",
-		agg(func(s ShardStats) float64 { return float64(s.Hits) }), labels...)
+		agg(func(s ShardStats) uint64 { return s.Hits }), labels...)
 	reg.CounterFunc("taurus_buffer_misses_total", "Buffer pool misses (Page Store fetches).",
-		agg(func(s ShardStats) float64 { return float64(s.Misses) }), labels...)
-	reg.CounterFunc("taurus_buffer_evictions_total", "Buffer pool evictions.",
-		agg(func(s ShardStats) float64 { return float64(s.Evictions) }), labels...)
-	reg.CounterFunc("taurus_buffer_singleflight_shared_total", "Misses served by joining another caller's in-flight fetch.",
-		agg(func(s ShardStats) float64 { return float64(s.SingleflightShared) }), labels...)
-	reg.CounterFunc("taurus_buffer_stale_refetches_total", "Misses that could not join an in-flight fetch bound to an older LSN.",
-		agg(func(s ShardStats) float64 { return float64(s.StaleRefetches) }), labels...)
-	reg.GaugeFunc("taurus_buffer_resident_pages", "Pages currently cached.",
-		func() float64 { return float64(p.Resident()) }, labels...)
+		agg(func(s ShardStats) uint64 { return s.Misses }), labels...)
 }
