@@ -49,17 +49,14 @@ func (t MsgType) String() string {
 // rpcInstruments is the per-MsgType instrument set, resolved once and
 // cached so the per-call cost is a map read under RLock plus atomics.
 type rpcInstruments struct {
-	requests  *obs.Counter
-	errors    *obs.Counter
-	reqBytes  *obs.Counter
-	respBytes *obs.Counter
-	latency   *obs.Histogram
+	requests *obs.Counter
+	latency  *obs.Histogram
 }
 
-// RPCMetrics attributes transport traffic per message type: request
-// count, request/response bytes, errors, and a latency histogram for
-// each MsgType. side distinguishes the caller ("client") from the
-// serving loop ("server") when both run in one process. A nil
+// RPCMetrics attributes transport traffic per message type: a request
+// count and a latency histogram for each MsgType. side distinguishes
+// the caller ("client") from the serving loop ("server") when both run
+// in one process; a transport's bytes are in its Counters. A nil
 // *RPCMetrics is valid and free.
 type RPCMetrics struct {
 	mu     sync.RWMutex
@@ -91,27 +88,19 @@ func (m *RPCMetrics) instruments(t MsgType) *rpcInstruments {
 	}
 	labels := []obs.Label{obs.L("type", t.String()), obs.L("side", m.side)}
 	ins = &rpcInstruments{
-		requests:  m.reg.Counter("taurus_rpc_requests_total", "RPC requests by message type.", labels...),
-		errors:    m.reg.Counter("taurus_rpc_errors_total", "RPC requests that returned an error, by message type.", labels...),
-		reqBytes:  m.reg.Counter("taurus_rpc_request_bytes_total", "Request payload bytes (incl. framing) by message type.", labels...),
-		respBytes: m.reg.Counter("taurus_rpc_response_bytes_total", "Response payload bytes (incl. framing) by message type.", labels...),
-		latency:   m.reg.Histogram("taurus_rpc_latency_seconds", "RPC round-trip latency by message type.", nil, labels...),
+		requests: m.reg.Counter("taurus_rpc_requests_total", "RPC requests by message type.", labels...),
+		latency:  m.reg.Histogram("taurus_rpc_latency_seconds", "RPC round-trip latency by message type.", nil, labels...),
 	}
 	m.byType[t] = ins
 	return ins
 }
 
 // observe records one completed call. Safe on a nil receiver.
-func (m *RPCMetrics) observe(t MsgType, reqLen, respLen int, d time.Duration, isErr bool) {
+func (m *RPCMetrics) observe(t MsgType, d time.Duration) {
 	if m == nil {
 		return
 	}
 	ins := m.instruments(t)
 	ins.requests.Inc()
-	ins.reqBytes.Add(uint64(reqLen) + frameOverhead)
-	ins.respBytes.Add(uint64(respLen) + frameOverhead)
 	ins.latency.ObserveDuration(d)
-	if isErr {
-		ins.errors.Inc()
-	}
 }

@@ -100,7 +100,7 @@ func serveConn(conn net.Conn, h Handler, m *RPCMetrics) {
 			respType, respBody = MsgErr, []byte(err.Error())
 		}
 		if m != nil {
-			m.observe(t, len(body), len(respBody), time.Since(t0), handlerErr != nil)
+			m.observe(t, time.Since(t0))
 		}
 		if err := writeFrame(bw, respType, respBody); err != nil {
 			return
@@ -255,7 +255,7 @@ func (c *TCPClient) CallTraced(trace obs.TraceContext, addr string, req any) (an
 		tc.conn.SetDeadline(time.Time{})
 	}
 	c.Stats.account(msgType, len(wireBody), len(respBody))
-	c.Metrics.observe(msgType, len(wireBody), len(respBody), time.Since(t0), respType == MsgErr)
+	c.Metrics.observe(msgType, time.Since(t0))
 	return DecodeResponse(respType, respBody)
 }
 

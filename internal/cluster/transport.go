@@ -151,7 +151,7 @@ type InProc struct {
 	// transport.
 	Stats Counters
 	// Metrics, when non-nil, attributes every call per MsgType (count,
-	// bytes, latency). Set before first use; nil is free.
+	// latency). Set before first use; nil is free.
 	Metrics *RPCMetrics
 	// Tracer, when non-nil, records a client-side rpc:<MsgType> span for
 	// every sampled call. Set before first use; nil is free.
@@ -222,7 +222,7 @@ func (t *InProc) CallTraced(tc obs.TraceContext, node string, req any) (any, err
 	}
 	t.Stats.account(msgType, len(wireBody), len(respBody))
 	if t.Metrics != nil {
-		t.Metrics.observe(msgType, len(wireBody), len(respBody), time.Since(t0), handlerErr != nil)
+		t.Metrics.observe(msgType, time.Since(t0))
 	}
 	return DecodeResponse(respType, respBody)
 }
