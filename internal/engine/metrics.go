@@ -2,29 +2,14 @@ package engine
 
 import "taurus/internal/obs"
 
-// RegisterMetrics surfaces the engine's SQL-node work ledger as
-// scrape-time counter families. The role label distinguishes engines
-// when one process hosts several (master + replicas).
+// RegisterMetrics exports the rows the engine emitted to clients as a
+// scrape-time counter; the rest of the work ledger is in
+// Engine.Metrics. The role label distinguishes engines when one process
+// hosts several (master + replicas).
 func (e *Engine) RegisterMetrics(reg *obs.Registry, role string) {
 	if reg == nil {
 		return
 	}
-	labels := []obs.Label{obs.L("role", role)}
-	counter := func(name, help string, load func() uint64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(load()) }, labels...)
-	}
-	counter("taurus_engine_rows_examined_total", "Records visibility-checked/decoded on the SQL node.",
-		e.Metrics.RowsExaminedSQL.Load)
-	counter("taurus_engine_rows_emitted_total", "Rows emitted to clients.",
-		e.Metrics.RowsEmitted.Load)
-	counter("taurus_engine_pred_evals_total", "Predicate evaluations on the SQL node.",
-		e.Metrics.PredEvalsSQL.Load)
-	counter("taurus_engine_batch_reads_total", "Batch reads issued by scans.",
-		e.Metrics.BatchReads.Load)
-	counter("taurus_engine_page_reads_total", "Regular (non-batch) page reads.",
-		e.Metrics.RegularPageReads.Load)
-	counter("taurus_engine_ndp_pages_total", "NDP pages received and consumed.",
-		e.Metrics.NDPPagesConsumed.Load)
-	counter("taurus_engine_undo_resolutions_total", "Version-chain resolutions through the undo log.",
-		e.Metrics.UndoResolutions.Load)
+	reg.CounterFunc("taurus_engine_rows_emitted_total", "Rows emitted to clients.",
+		func() float64 { return float64(e.Metrics.RowsEmitted.Load()) }, obs.L("role", role))
 }
