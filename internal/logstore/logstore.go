@@ -59,15 +59,8 @@ type Store struct {
 	// arms it (a store nobody subscribes to never needs one).
 	hub *hub
 
-	// Optional instruments, armed by RegisterMetrics; nil is inert.
+	// appendHist times Append; armed by RegisterMetrics, nil is inert.
 	appendHist *obs.Histogram
-	appendRecs *obs.Counter
-	// Stream instruments (nil-safe obs counters).
-	mSubscribes        *obs.Counter
-	mStreamBatches     *obs.Counter
-	mStreamRecords     *obs.Counter
-	mStreamDisconnects *obs.Counter
-	mStreamPushErrors  *obs.Counter
 
 	// tracer records server-side spans for sampled requests; events is
 	// the flight recorder for structural transitions (GC truncations).
@@ -255,9 +248,7 @@ func (s *Store) Handle(req any) (any, error) {
 // does not return until the fresh records are persisted and fsynced
 // (group commit).
 func (s *Store) Append(encoded []byte) (uint64, error) {
-	done := s.observeAppend()
-	freshN := 0
-	defer func() { done(freshN) }()
+	defer s.observeAppend()()
 	recs, err := wal.DecodeAll(encoded)
 	if err != nil {
 		return 0, fmt.Errorf("logstore %s: %w", s.name, err)
@@ -284,7 +275,6 @@ func (s *Store) Append(encoded []byte) (uint64, error) {
 		s.mu.Unlock()
 		return lsn, nil
 	}
-	freshN = len(fresh)
 	maxLSN := fresh[len(fresh)-1].LSN
 	if s.disk == nil {
 		s.log = append(s.log, fresh...)

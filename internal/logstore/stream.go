@@ -184,7 +184,6 @@ func (s *Store) subscribe(m *cluster.LogSubscribeReq) (*cluster.LogSubscribeResp
 	sub.gen = h.frontierGen
 	h.mu.Unlock()
 	go h.sender(sub)
-	s.mSubscribes.Inc()
 	s.events.Record(obs.EventStreamAttach, "%s: %s subscribed from LSN %d (window %d)",
 		s.name, m.Node, m.FromLSN, window)
 	// And nudge the multicast loop for anything newly durable.
@@ -410,7 +409,6 @@ func (h *hub) multicast(from uint64, enc []byte, count uint32) {
 	h.mu.Unlock()
 	for _, sub := range slow {
 		close(sub.stop)
-		h.s.mStreamDisconnects.Inc()
 		h.s.events.Record(obs.EventStreamDisconnect,
 			"%s: %s disconnected (flow control: queue of %d frames full at LSN %d)",
 			h.s.name, sub.node, cap(sub.queue), sub.next.Load())
@@ -530,13 +528,10 @@ func (h *hub) push(sub *subscriber, frame *cluster.LogBatchReq) bool {
 			delete(h.subs, sub.node)
 		}
 		h.mu.Unlock()
-		h.s.mStreamPushErrors.Inc()
 		h.s.events.Record(obs.EventStreamDisconnect, "%s: %s disconnected (push: %v)",
 			h.s.name, sub.node, err)
 		return false
 	}
-	h.s.mStreamBatches.Inc()
-	h.s.mStreamRecords.Add(uint64(frame.Count))
 	return true
 }
 
