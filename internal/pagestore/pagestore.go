@@ -110,9 +110,8 @@ type Store struct {
 
 	// Metrics.
 	stats Stats
-	// Optional latency instruments, armed by WithMetrics; nil is inert.
+	// applyHist times WriteLogs; armed by WithMetrics, nil is inert.
 	applyHist *obs.Histogram
-	readHist  *obs.Histogram
 
 	// tracer records server-side spans for sampled requests; events is
 	// the flight recorder (checkpoint completions). Both nil-inert.
@@ -386,7 +385,6 @@ func (s *Store) WriteLogs(tenant, sliceID uint32, encoded []byte) (uint64, error
 // ReadPage returns the encoded page image at the requested LSN (0 =
 // latest).
 func (s *Store) ReadPage(tenant, sliceID uint32, pageID, lsn uint64) ([]byte, error) {
-	defer observeInto(s.readHist)()
 	sl, err := s.slice(tenant, sliceID)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package pagestore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"taurus/internal/core"
 	"taurus/internal/core/ir"
 	"taurus/internal/expr"
-	"taurus/internal/obs"
 	"taurus/internal/page"
 	"taurus/internal/types"
 	"taurus/internal/wal"
@@ -386,10 +384,9 @@ func TestResourceControlAdmission(t *testing.T) {
 
 // TestNodeStatsDescCacheAndQueueDepth covers the observability surface
 // scan routing leans on: descriptor-cache hit/miss counts and the NDP
-// admission queue depth appear in NodeStats and as metric families.
+// admission queue depth appear in NodeStats.
 func TestNodeStatsDescCacheAndQueueDepth(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := New("ps1", WithMetrics(reg))
+	s := New("ps1")
 	seedSlice(t, s, 1, 0, 4, 20)
 	desc := descWithPredicate(t, 8)
 	for i := 0; i < 2; i++ { // first compiles (miss), second hits
@@ -416,21 +413,4 @@ func TestNodeStatsDescCacheAndQueueDepth(t *testing.T) {
 		t.Errorf("NDPQueueDepth = %d with one admission held, want 1", got)
 	}
 	rel()
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	families, err := obs.ValidateExposition(buf.String())
-	if err != nil {
-		t.Fatalf("invalid exposition: %v", err)
-	}
-	for _, want := range []string{
-		"taurus_pagestore_desc_cache_hits_total",
-		"taurus_pagestore_desc_cache_misses_total",
-		"taurus_pagestore_ndp_queue_depth",
-	} {
-		if _, ok := families[want]; !ok {
-			t.Errorf("family %s missing from exposition", want)
-		}
-	}
 }
