@@ -205,9 +205,9 @@ type Replica struct {
 		ckptResyncs      atomic.Uint64
 	}
 
-	// Optional instruments, armed when cfg.Metrics is set; nil is inert.
+	// mAdvance times one advance cycle; armed when cfg.Metrics is set,
+	// nil is inert.
 	mAdvance *obs.Histogram
-	mCatchup *obs.Histogram
 }
 
 // New validates the config and returns a stopped replica; call Bind,
@@ -296,10 +296,6 @@ func (r *Replica) Start(startLSN, catchUpTo uint64) error {
 	r.mu.Unlock()
 	r.visible.Store(startLSN)
 	raise(&r.notified, startLSN)
-	var t0 time.Time
-	if r.mCatchup != nil {
-		t0 = time.Now()
-	}
 	for {
 		// Acknowledged records live on every Log Store (triplicate
 		// writes): fail only when none of them takes the subscription.
@@ -320,9 +316,6 @@ func (r *Replica) Start(startLSN, catchUpTo uint64) error {
 		case <-r.kick:
 		case <-time.After(time.Millisecond):
 		}
-	}
-	if r.mCatchup != nil {
-		r.mCatchup.ObserveDuration(time.Since(t0))
 	}
 	go r.loop()
 	return nil
