@@ -262,13 +262,6 @@ func New(cfg Config) (*Replica, error) {
 		Events: cfg.Events,
 	}
 	r.registerMetrics(cfg.Metrics, cfg.Name)
-	if cfg.Metrics != nil {
-		role := cfg.Name
-		if role == "" {
-			role = "replica"
-		}
-		r.router.RegisterMetrics(cfg.Metrics, role)
-	}
 	return r, nil
 }
 

@@ -4,7 +4,7 @@ import (
 	"taurus/internal/obs"
 )
 
-// salMetrics holds the SAL's optional write/read-path instruments. The
+// salMetrics holds the SAL's optional write-path instruments. The
 // zero value (all nil) is fully inert: every instrument method is
 // nil-receiver safe, so uninstrumented SALs pay at most a branch per
 // blocked wait and nothing on the unblocked fast paths.
@@ -23,18 +23,13 @@ type salMetrics struct {
 	applyWait   *obs.Histogram
 	apply       *obs.Histogram
 
-	// Read-path fetch histograms.
-	fetchPage  *obs.Histogram
-	fetchBatch *obs.Histogram
-
 	enabled bool
 }
 
 const writepathStageHist = "taurus_writepath_stage_seconds"
 
-// initMetrics registers the SAL's instruments in reg and wires scrape-
-// time gauges over the existing pipeline counters. No-op when reg is
-// nil.
+// initMetrics registers the SAL's stage histograms in reg and a
+// scrape-time gauge over the durable watermark. No-op when reg is nil.
 func (s *SAL) initMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -51,26 +46,8 @@ func (s *SAL) initMetrics(reg *obs.Registry) {
 		durableWait: stage("durable_wait"),
 		applyWait:   stage("apply_wait"),
 		apply:       stage("apply"),
-		fetchPage: reg.Histogram("taurus_pagestore_fetch_seconds",
-			"Page Store fetch round trip.", nil, obs.L("kind", "page")),
-		fetchBatch: reg.Histogram("taurus_pagestore_fetch_seconds",
-			"Page Store fetch round trip.", nil, obs.L("kind", "batch")),
-		enabled: true,
+		enabled:     true,
 	}
 	reg.GaugeFunc("taurus_sal_durable_lsn", "Durable (commit) watermark.",
 		func() float64 { return float64(s.durableAtomic.Load()) })
-	reg.GaugeFunc("taurus_sal_allocated_lsn", "Last allocated LSN.",
-		func() float64 { return float64(s.lsn.Load()) })
-	reg.GaugeFunc("taurus_sal_pending_records", "Records staged or in flight, not yet applied.",
-		func() float64 { return float64(s.pending.Load()) })
-	reg.CounterFunc("taurus_sal_windows_flushed_total", "Sealed group-commit windows.",
-		func() float64 { return float64(s.counters.windows.Load()) })
-	reg.CounterFunc("taurus_sal_backpressure_stalls_total", "Writer/flusher stalls on staging, in-flight or slice apply-backlog budgets.",
-		func() float64 { return float64(s.counters.backpressureStalls.Load()) })
-	reg.CounterFunc("taurus_sal_commit_waits_total", "WaitDurable calls that actually blocked.",
-		func() float64 { return float64(s.counters.commitWaits.Load()) })
-	reg.CounterFunc("taurus_sal_apply_waits_total", "Reads that blocked on a page's applied LSN.",
-		func() float64 { return float64(s.counters.applyWaits.Load()) })
-	reg.CounterFunc("taurus_sal_frontier_notifies_total", "Applied-frontier relays sent to Log Stores for push-stream piggybacking.",
-		func() float64 { return float64(s.counters.frontierNotifies.Load()) })
 }

@@ -182,22 +182,6 @@ func (r *ReadRouter) Stats() RouterStats {
 	return st
 }
 
-// RegisterMetrics exports the router counters. role labels the frontend
-// ("master" or the replica's name) so master and replica routers can
-// share one exposition.
-func (r *ReadRouter) RegisterMetrics(reg *obs.Registry, role string) {
-	if r == nil || reg == nil {
-		return
-	}
-	l := obs.L("role", role)
-	reg.CounterFunc("taurus_scan_routed_total",
-		"Per-slice scan sub-batches routed to a Page Store replica.",
-		func() float64 { return float64(r.routed.Load()) }, l)
-	reg.CounterFunc("taurus_scan_retried_total",
-		"Scan sub-batches re-sent to another replica after a failed call.",
-		func() float64 { return float64(r.retried.Load()) }, l)
-}
-
 // FanOut is the batch-read dispatcher shared by the SAL and the
 // read-replica tier: it splits a page list into per-slice sub-batches
 // (§VI-2), routes each to a Page Store replica through the ReadRouter,

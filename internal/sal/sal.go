@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"taurus/internal/cluster"
 	"taurus/internal/obs"
@@ -219,9 +218,6 @@ func New(cfg Config) (*SAL, error) {
 		Events: cfg.Events,
 	}
 	s.initMetrics(cfg.Metrics)
-	if cfg.Metrics != nil {
-		s.router.RegisterMetrics(cfg.Metrics, "master")
-	}
 	s.startPipeline()
 	return s, nil
 }
@@ -464,19 +460,12 @@ func (s *SAL) ReadPage(pageID, lsn uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var t0 time.Time
-	if s.m.enabled {
-		t0 = time.Now()
-	}
 	req := &cluster.ReadPageReq{Tenant: s.cfg.Tenant, SliceID: sliceID, PageID: pageID, LSN: lsn}
 	resp, err := Failover(s.readReplica(nodes), nodes, func(node string) (any, error) {
 		return s.cfg.Transport.Call(node, req)
 	}, nil)
 	if err != nil {
 		return nil, err
-	}
-	if s.m.enabled {
-		s.m.fetchPage.ObserveDuration(time.Since(t0))
 	}
 	return resp.(*cluster.PageResp).Page, nil
 }
@@ -506,10 +495,5 @@ func (s *SAL) BatchRead(pageIDs []uint64, lsn uint64, desc []byte) (*BatchResult
 // (a sampled scan), the per-slice sub-batch RPCs carry it so the Page
 // Stores' server spans hang under the scan's fan-out tree.
 func (s *SAL) BatchReadTraced(pageIDs []uint64, lsn uint64, desc []byte, tc obs.TraceContext) (*BatchResult, error) {
-	var t0 time.Time
-	if s.m.enabled {
-		t0 = time.Now()
-		defer func() { s.m.fetchBatch.ObserveDuration(time.Since(t0)) }()
-	}
 	return s.fanOut.BatchRead(tc, pageIDs, lsn, desc)
 }
