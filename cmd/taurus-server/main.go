@@ -176,7 +176,7 @@ func main() {
 			}
 		}
 		mon = health.NewMonitor(*name, "pagestore",
-			health.MonitorOptions{Events: events, Metrics: reg})
+			health.MonitorOptions{Events: events})
 		ps.RegisterHealth(mon, *ckptInterval)
 		ps.SetHealth(mon)
 		mon.StartLoop(time.Second)
@@ -215,7 +215,7 @@ func main() {
 		pc.Tracer = tracer
 		ls.SetPushTransport(pc)
 		mon = health.NewMonitor(*name, "logstore",
-			health.MonitorOptions{Events: events, Metrics: reg})
+			health.MonitorOptions{Events: events})
 		ls.RegisterHealth(mon)
 		ls.SetHealth(mon)
 		mon.StartLoop(time.Second)
@@ -457,7 +457,7 @@ func runFrontend(listen, statsAddr string, opts frontendOptions) {
 		// same registry/event ring and are folded into one cluster view.
 		// A negative -heartbeat-interval disables heartbeating here just
 		// as it does for the embedded fleet.
-		ext := health.NewDetector(opts.heartbeat, opts.suspect, db.EventRing(), db.Metrics())
+		ext := health.NewDetector(opts.heartbeat, opts.suspect, db.EventRing())
 		for _, p := range opts.peers {
 			ext.Track(p.addr, p.role)
 		}
@@ -596,7 +596,7 @@ func runReplica(listen, statsAddr string, opts replicaOptions) {
 	}
 	obs.RegisterBuildInfo(reg)
 	mon := health.NewMonitor(opts.name, "replica",
-		health.MonitorOptions{Events: events, Metrics: reg})
+		health.MonitorOptions{Events: events})
 	rep.RegisterHealth(mon)
 	rep.SetHealth(mon)
 	cl, err := net.Listen("tcp", opts.advertise)

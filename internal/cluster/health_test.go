@@ -91,7 +91,7 @@ func TestRunHealthPinger(t *testing.T) {
 	tr := NewInProc()
 	tr.Register("ps-1", &healthEcho{node: "ps-1", role: "pagestore", status: health.StatusOK})
 
-	d := health.NewDetector(5*time.Millisecond, 40*time.Millisecond, nil, nil)
+	d := health.NewDetector(5*time.Millisecond, 40*time.Millisecond, nil)
 	d.Track("ps-1", "")
 	d.Track("ghost", "pagestore")
 
@@ -150,7 +150,7 @@ func (b *blockingTransport) Call(node string, req any) (any, error) {
 // stays Alive, while the hung peer's silence walks it to Dead.
 func TestRunHealthPingerHungPeer(t *testing.T) {
 	tr := &blockingTransport{hang: map[string]bool{"hung": true}, release: make(chan struct{})}
-	d := health.NewDetector(5*time.Millisecond, 40*time.Millisecond, nil, nil)
+	d := health.NewDetector(5*time.Millisecond, 40*time.Millisecond, nil)
 	d.Track("ok", "pagestore")
 	d.Track("hung", "pagestore")
 

@@ -87,8 +87,6 @@ type peerEntry struct {
 	pings    uint64
 	failures uint64
 	report   *Report
-	gauge    *obs.Gauge
-	gaugeRol string
 }
 
 // Detector is a phi-accrual-style failure detector over heartbeat
@@ -98,14 +96,12 @@ type peerEntry struct {
 // silence (or earlier when phi spikes) and Suspect -> Dead at 2x, so a
 // killed node is provably Dead within the acceptance deadline; a pong
 // from a Suspect/Dead peer revives it to Alive. Transitions are recorded
-// to the flight recorder and exported as taurus_peer_state{peer,role}
-// (0 alive, 1 suspect, 2 dead). Safe for concurrent use; nil receiver is
+// to the flight recorder. Safe for concurrent use; nil receiver is
 // inert.
 type Detector struct {
 	heartbeat time.Duration
 	suspect   time.Duration
 	events    *obs.EventRing
-	reg       *obs.Registry
 	now       func() time.Time // injectable clock for tests
 
 	mu    sync.Mutex
@@ -114,8 +110,8 @@ type Detector struct {
 
 // NewDetector builds a detector. heartbeat is the expected ping period
 // (seeds the EWMA); suspect is the silence after which a peer turns
-// Suspect, with Dead at twice that. Events/metrics may be nil.
-func NewDetector(heartbeat, suspect time.Duration, events *obs.EventRing, reg *obs.Registry) *Detector {
+// Suspect, with Dead at twice that. events may be nil.
+func NewDetector(heartbeat, suspect time.Duration, events *obs.EventRing) *Detector {
 	if heartbeat <= 0 {
 		heartbeat = time.Second
 	}
@@ -126,7 +122,6 @@ func NewDetector(heartbeat, suspect time.Duration, events *obs.EventRing, reg *o
 		heartbeat: heartbeat,
 		suspect:   suspect,
 		events:    events,
-		reg:       reg,
 		now:       time.Now,
 		peers:     make(map[string]*peerEntry),
 	}
@@ -171,30 +166,16 @@ func (d *Detector) Track(name, role string) {
 	}
 }
 
-// Forget stops monitoring a peer (e.g. a replica detached cleanly) and
-// removes its taurus_peer_state series from the registry — a detached
-// peer must stop being exported, not read as alive forever. Safe on nil.
+// Forget stops monitoring a peer (e.g. a replica detached cleanly), so
+// a detached peer leaves the cluster view instead of reading as alive
+// forever. Safe on nil.
 func (d *Detector) Forget(name string) {
 	if d == nil {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if p, ok := d.peers[name]; ok {
-		d.unregisterLocked(p)
-		delete(d.peers, name)
-	}
-}
-
-// unregisterLocked retires p's taurus_peer_state series so a departed
-// peer or a stale role binding stops scraping rather than freezing at
-// its last value.
-func (d *Detector) unregisterLocked(p *peerEntry) {
-	if p.gauge != nil && d.reg != nil {
-		d.reg.Remove("taurus_peer_state",
-			obs.L("peer", p.name), obs.L("role", p.gaugeRol))
-	}
-	p.gauge = nil
+	delete(d.peers, name)
 }
 
 // TrackedPeer names one peer a pinger loop should ping.
@@ -306,7 +287,7 @@ func (d *Detector) phiLocked(p *peerEntry, now time.Time) float64 {
 }
 
 // transitionLocked applies a state change, emitting the flight-recorder
-// event and updating the taurus_peer_state gauge.
+// event.
 func (d *Detector) transitionLocked(p *peerEntry, next PeerState) {
 	if next == p.state {
 		return
@@ -315,19 +296,6 @@ func (d *Detector) transitionLocked(p *peerEntry, next PeerState) {
 	p.state = next
 	d.events.Record("peer.state", "%s (%s): %s -> %s (silence=%.2fs phi=%.1f)",
 		p.name, p.role, prev, next, d.now().Sub(p.last).Seconds(), d.phiLocked(p, d.now()))
-	if d.reg != nil {
-		// The role label can refine from "peer" to the real role after
-		// the first pong; rebind the gauge and remove the old series so
-		// the stale role stops being exported.
-		if p.gauge == nil || p.gaugeRol != p.role {
-			d.unregisterLocked(p)
-			p.gauge = d.reg.Gauge("taurus_peer_state",
-				"Failure detector state per peer (0 alive, 1 suspect, 2 dead).",
-				obs.L("peer", p.name), obs.L("role", p.role))
-			p.gaugeRol = p.role
-		}
-	}
-	p.gauge.Set(float64(next))
 }
 
 // Sweep re-evaluates every peer's state against the clock. The pinger

@@ -1,7 +1,6 @@
 package health
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -34,7 +33,7 @@ func peerByName(t *testing.T, d *Detector, name string) PeerHealth {
 // hard silence deadlines, then revives it with a single pong.
 func TestDetectorDeadlines(t *testing.T) {
 	events := obs.NewEventRing(64)
-	d := NewDetector(time.Second, 5*time.Second, events, nil)
+	d := NewDetector(time.Second, 5*time.Second, events)
 	clk := attach(d, newFakeClock())
 	d.Track("ps-1", "pagestore")
 
@@ -90,7 +89,7 @@ func TestDetectorDeadlines(t *testing.T) {
 // TestDetectorSilentFromTrack checks a peer that never answers a single
 // ping still walks to Dead: Track seeds the silence clock.
 func TestDetectorSilentFromTrack(t *testing.T) {
-	d := NewDetector(time.Second, 5*time.Second, nil, nil)
+	d := NewDetector(time.Second, 5*time.Second, nil)
 	clk := attach(d, newFakeClock())
 	d.Track("log-9", "logstore")
 	clk.advance(11 * time.Second)
@@ -105,7 +104,7 @@ func TestDetectorSilentFromTrack(t *testing.T) {
 // hard deadline.
 func TestDetectorPhiFastPath(t *testing.T) {
 	// Suspect threshold is a full minute, so only phi can trip early.
-	d := NewDetector(time.Second, time.Minute, nil, nil)
+	d := NewDetector(time.Second, time.Minute, nil)
 	clk := attach(d, newFakeClock())
 	d.Track("rep-1", "replica")
 	for i := 0; i < 10; i++ {
@@ -128,7 +127,7 @@ func TestDetectorPhiFastPath(t *testing.T) {
 // evidence only: a peer that answers (slowly) through failures stays
 // Alive because state is silence-driven.
 func TestDetectorObserveFailureDoesNotKill(t *testing.T) {
-	d := NewDetector(time.Second, 5*time.Second, nil, nil)
+	d := NewDetector(time.Second, 5*time.Second, nil)
 	clk := attach(d, newFakeClock())
 	d.Track("ps-2", "pagestore")
 	for i := 0; i < 5; i++ {
@@ -148,7 +147,7 @@ func TestDetectorObserveFailureDoesNotKill(t *testing.T) {
 // TestDetectorForget checks a cleanly-detached peer leaves the
 // snapshot and the pinger's peer list.
 func TestDetectorForget(t *testing.T) {
-	d := NewDetector(time.Second, 5*time.Second, nil, nil)
+	d := NewDetector(time.Second, 5*time.Second, nil)
 	attach(d, newFakeClock())
 	d.Track("rep-1", "replica")
 	d.Track("rep-2", "replica")
@@ -161,51 +160,23 @@ func TestDetectorForget(t *testing.T) {
 	}
 }
 
-// TestDetectorGaugeExport checks taurus_peer_state lands in the
-// registry with peer/role labels and tracks the state value.
-func TestDetectorGaugeExport(t *testing.T) {
-	reg := obs.NewRegistry()
-	d := NewDetector(time.Second, 5*time.Second, nil, reg)
-	clk := attach(d, newFakeClock())
-	d.Track("ps-1", "pagestore")
-	d.Observe("ps-1", "pagestore", StatusOK)
-	clk.advance(11 * time.Second)
-	d.Sweep()
-	text := scrape(t, reg)
-	want := `taurus_peer_state{peer="ps-1",role="pagestore"} 2`
-	if !strings.Contains(text, want) {
-		t.Errorf("exposition missing %q:\n%s", want, text)
-	}
-	// A forgotten peer's series leaves the exposition entirely — it must
-	// not linger reading 0 (the "alive" encoding) after a clean detach.
-	d.Forget("ps-1")
-	if text := scrape(t, reg); strings.Contains(text, `peer="ps-1"`) {
-		t.Errorf("forgotten peer still exported:\n%s", text)
-	}
-}
-
-// TestDetectorRoleRebindRemovesStaleSeries checks the placeholder-role
-// series is removed (not frozen at "alive") when the first pong refines
-// the peer's role.
+// TestDetectorRoleRebindRemovesStaleSeries checks the placeholder role
+// is replaced, not kept beside the real one, when the first pong
+// refines the peer's role, and that the pong revives the peer.
 func TestDetectorRoleRebindRemovesStaleSeries(t *testing.T) {
-	reg := obs.NewRegistry()
-	d := NewDetector(time.Second, 5*time.Second, nil, reg)
+	d := NewDetector(time.Second, 5*time.Second, nil)
 	clk := attach(d, newFakeClock())
 	d.Track("n-1", "peer")
-	// Silence long enough to transition (and bind the gauge) under the
-	// placeholder role, then a pong that both revives and renames.
+	// Silence long enough to go Dead under the placeholder role, then a
+	// pong that both revives and renames.
 	clk.advance(11 * time.Second)
 	d.Sweep()
-	if text := scrape(t, reg); !strings.Contains(text, `{peer="n-1",role="peer"}`) {
-		t.Fatalf("placeholder-role series missing:\n%s", text)
+	if p := peerByName(t, d, "n-1"); p.Role != "peer" || p.State != PeerDead {
+		t.Fatalf("before the pong: %+v, want role peer, dead", p)
 	}
 	d.Observe("n-1", "pagestore", StatusOK)
-	text := scrape(t, reg)
-	if strings.Contains(text, `role="peer"`) {
-		t.Errorf("stale placeholder-role series still exported:\n%s", text)
-	}
-	if !strings.Contains(text, `taurus_peer_state{peer="n-1",role="pagestore"} 0`) {
-		t.Errorf("rebound series missing:\n%s", text)
+	if got := d.Snapshot(); len(got) != 1 || got[0].Role != "pagestore" || got[0].State != PeerAlive {
+		t.Errorf("after the pong: %+v, want one alive pagestore peer", got)
 	}
 }
 

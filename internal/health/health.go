@@ -126,7 +126,7 @@ type Probe func() Check
 // Monitor owns one node's probe set and evaluation cache. Evaluations
 // are rate-limited (MinEvalInterval) so a polling storm costs one probe
 // run per window; status transitions are recorded to the flight
-// recorder and exported as taurus_health_check_status{check,node}.
+// recorder.
 // All methods are safe for concurrent use and safe on a nil receiver
 // (a nil monitor reports an empty, ready, OK node).
 type Monitor struct {
@@ -143,8 +143,6 @@ type Monitor struct {
 	ready    func() bool
 
 	events *obs.EventRing
-	reg    *obs.Registry
-	gauges map[string]*obs.Gauge
 
 	loopStop chan struct{}
 	loopDone chan struct{}
@@ -155,9 +153,6 @@ type MonitorOptions struct {
 	// Events receives a flight-recorder event on every check status
 	// transition. Nil is inert.
 	Events *obs.EventRing
-	// Metrics receives taurus_health_check_status{check,node} gauges
-	// (0 ok, 1 warn, 2 critical). Nil is inert.
-	Metrics *obs.Registry
 	// MinEvalInterval rate-limits probe evaluation (default 500ms):
 	// polls inside the window serve the cached checks.
 	MinEvalInterval time.Duration
@@ -173,8 +168,6 @@ func NewMonitor(node, role string, opts MonitorOptions) *Monitor {
 		minEval: opts.MinEvalInterval,
 		prev:    make(map[string]Status),
 		events:  opts.Events,
-		reg:     opts.Metrics,
-		gauges:  make(map[string]*obs.Gauge),
 	}
 }
 
@@ -233,14 +226,6 @@ func (m *Monitor) evaluate() {
 			}
 			m.prev[c.Name] = c.Status
 		}
-		g := m.gauges[c.Name]
-		if g == nil && m.reg != nil {
-			g = m.reg.Gauge("taurus_health_check_status",
-				"Latest status of one health check (0 ok, 1 warn, 2 critical).",
-				obs.L("check", c.Name), obs.L("node", m.node))
-			m.gauges[c.Name] = g
-		}
-		g.Set(float64(c.Status))
 	}
 	m.last = checks
 }

@@ -11,29 +11,19 @@ import (
 	"taurus/internal/obs"
 )
 
-// scrape renders a registry's Prometheus exposition.
-func scrape(t *testing.T, reg *obs.Registry) string {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	return rec.Body.String()
-}
-
 // newTestMonitor builds a monitor whose evaluation cache never serves
 // stale results (1ns window), so each Report() re-runs the probes.
-func newTestMonitor(events *obs.EventRing, reg *obs.Registry) *Monitor {
+func newTestMonitor(events *obs.EventRing) *Monitor {
 	return NewMonitor("node-1", "pagestore", MonitorOptions{
-		Events: events, Metrics: reg, MinEvalInterval: time.Nanosecond,
+		Events: events, MinEvalInterval: time.Nanosecond,
 	})
 }
 
 // TestMonitorReportAndTransitions checks probe evaluation, the status
-// fold, readiness, and that transitions hit the flight recorder and the
-// taurus_health_check_status gauge.
+// fold, readiness, and that transitions hit the flight recorder.
 func TestMonitorReportAndTransitions(t *testing.T) {
 	events := obs.NewEventRing(64)
-	reg := obs.NewRegistry()
-	m := newTestMonitor(events, reg)
+	m := newTestMonitor(events)
 	st := StatusOK
 	m.AddProbe(func() Check {
 		return Checkf("test.flap", "RB-TEST", st, map[string]string{"k": "v"}, "status is %s", st)
@@ -67,10 +57,6 @@ func TestMonitorReportAndTransitions(t *testing.T) {
 	if !sawTransition {
 		t.Error("ok -> critical transition not in the flight recorder")
 	}
-	if text := scrape(t, reg); !strings.Contains(text,
-		`taurus_health_check_status{check="test.flap",node="node-1"} 2`) {
-		t.Errorf("gauge not exported:\n%s", text)
-	}
 
 	st = StatusOK
 	time.Sleep(time.Millisecond)
@@ -99,7 +85,7 @@ func TestMonitorEvalCache(t *testing.T) {
 // TestMonitorReadyGate checks the explicit readiness gate (bootstrap
 // not finished) forces 503 even with all checks OK.
 func TestMonitorReadyGate(t *testing.T) {
-	m := newTestMonitor(nil, nil)
+	m := newTestMonitor(nil)
 	bootstrapped := false
 	m.SetReady(func() bool { return bootstrapped })
 	if m.Ready() {
@@ -121,7 +107,7 @@ func TestMonitorReadyGate(t *testing.T) {
 // TestHealthzAlways200 checks liveness ignores check status: answering
 // at all is the signal.
 func TestHealthzAlways200(t *testing.T) {
-	m := newTestMonitor(nil, nil)
+	m := newTestMonitor(nil)
 	m.AddProbe(func() Check { return Checkf("bad", "RB", StatusCritical, nil, "down") })
 	rec := httptest.NewRecorder()
 	m.HealthzHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))

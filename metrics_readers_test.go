@@ -7,11 +7,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"taurus/internal/cluster"
 	"taurus/internal/engine"
-	"taurus/internal/health"
 	"taurus/internal/logstore"
 	"taurus/internal/obs"
 	"taurus/internal/pagestore"
@@ -123,23 +121,12 @@ func productRegistries(t *testing.T) map[string]*obs.Registry {
 	}
 	t.Cleanup(func() { rep.Close() })
 	mustExec(t, rep, `SELECT SUM(v) FROM r WHERE id > 0`)
-	db.HealthReport()
-	rep.HealthReport()
-	// The frontend's -peers detector reports into the master's registry;
-	// a peer that never answers goes Dead.
-	peers := health.NewDetector(time.Millisecond, time.Millisecond, nil, db.Metrics())
-	peers.Track("gone", "pagestore")
-	time.Sleep(5 * time.Millisecond)
-	peers.Sweep()
 
 	// RPC families register on a transport's first call; the embedded
 	// master's calls carry the same names the roles' transports do.
 	psReg := obs.NewRegistry()
 	obs.RegisterBuildInfo(psReg)
-	ps := pagestore.New("ps-role", pagestore.WithMetrics(psReg))
-	psMon := health.NewMonitor("ps-role", "pagestore", health.MonitorOptions{Metrics: psReg})
-	ps.RegisterHealth(psMon, time.Minute)
-	psMon.Report()
+	pagestore.New("ps-role", pagestore.WithMetrics(psReg))
 	cluster.NewRPCMetrics(psReg, "server")
 
 	lsReg := obs.NewRegistry()
@@ -148,9 +135,6 @@ func productRegistries(t *testing.T) map[string]*obs.Registry {
 	t.Cleanup(func() { ls.Close() })
 	ls.RegisterMetrics(lsReg)
 	cluster.NewRPCMetrics(lsReg, "client")
-	lsMon := health.NewMonitor("ls-role", "logstore", health.MonitorOptions{Metrics: lsReg})
-	ls.RegisterHealth(lsMon)
-	lsMon.Report()
 
 	repReg := obs.NewRegistry()
 	cluster.NewRPCMetrics(repReg, "client")
@@ -163,9 +147,6 @@ func productRegistries(t *testing.T) map[string]*obs.Registry {
 		t.Fatal(err)
 	}
 	obs.RegisterBuildInfo(repReg)
-	repMon := health.NewMonitor("replica-role", "replica", health.MonitorOptions{Metrics: repReg})
-	rr.RegisterHealth(repMon)
-	repMon.Report()
 	eng, err := engine.New(engine.Config{ReadView: rr})
 	if err != nil {
 		t.Fatal(err)

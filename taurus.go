@@ -271,7 +271,7 @@ func Open(cfg Config) (_ *DB, err error) {
 		ls.SetTracer(lt)
 		ls.SetEvents(db.events)
 		lm := health.NewMonitor(n, "logstore",
-			health.MonitorOptions{Events: db.events, Metrics: reg})
+			health.MonitorOptions{Events: db.events})
 		ls.RegisterHealth(lm)
 		ls.SetHealth(lm)
 		db.tracers = append(db.tracers, lt)
@@ -307,7 +307,7 @@ func Open(cfg Config) (_ *DB, err error) {
 			db.summary.CorruptCheckpoints += rst.Corrupt
 		}
 		pm := health.NewMonitor(name, "pagestore",
-			health.MonitorOptions{Events: db.events, Metrics: reg})
+			health.MonitorOptions{Events: db.events})
 		ps.RegisterHealth(pm, cfg.CheckpointInterval)
 		ps.SetHealth(pm)
 		db.stores = append(db.stores, ps)
@@ -361,7 +361,7 @@ func Open(cfg Config) (_ *DB, err error) {
 	// The master's own monitor: write-pipeline invariants plus the
 	// background checkpointer's sticky error.
 	db.health = health.NewMonitor("frontend", "frontend",
-		health.MonitorOptions{Events: db.events, Metrics: reg})
+		health.MonitorOptions{Events: db.events})
 	s.RegisterHealth(db.health)
 	db.health.AddProbe(db.checkpointerProbe())
 	// Heartbeats: the master pings every embedded storage node on the
@@ -372,7 +372,7 @@ func Open(cfg Config) (_ *DB, err error) {
 		if hb == 0 {
 			hb = time.Second
 		}
-		db.det = health.NewDetector(hb, cfg.SuspectThreshold, db.events, reg)
+		db.det = health.NewDetector(hb, cfg.SuspectThreshold, db.events)
 		for _, n := range db.logNames {
 			db.det.Track(n, "logstore")
 		}
@@ -492,7 +492,7 @@ func OpenReplica(cfg Config) (*DB, error) {
 		func() float64 { return float64(db.session.Slow.Fired()) })
 	obs.RegisterBuildInfo(reg)
 	rm := health.NewMonitor(repName, "replica",
-		health.MonitorOptions{Events: repEvents, Metrics: reg})
+		health.MonitorOptions{Events: repEvents})
 	rep.RegisterHealth(rm)
 	rep.SetHealth(rm)
 	db.health = rm
