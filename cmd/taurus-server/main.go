@@ -128,7 +128,6 @@ func main() {
 	var stats func() any
 	var mon *health.Monitor
 	reg := obs.NewRegistry()
-	obs.RegisterBuildInfo(reg)
 	// Every role collects server-side spans for propagated trace contexts
 	// and keeps a flight recorder, served at /trace/<id>, /traces, and
 	// /events on -stats-addr. Sampling is decided at the frontend root;
@@ -594,7 +593,6 @@ func runReplica(listen, statsAddr string, opts replicaOptions) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	obs.RegisterBuildInfo(reg)
 	mon := health.NewMonitor(opts.name, "replica",
 		health.MonitorOptions{Events: events})
 	rep.RegisterHealth(mon)

@@ -196,23 +196,6 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 }
 
-// TestBuildInfoMetrics checks every frontend registry exports the build
-// identity and uptime series.
-func TestBuildInfoMetrics(t *testing.T) {
-	db := seedFrontend(t, taurus.Config{})
-	mux, err := frontendMux(db, 0, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := get(t, mux, "/metrics").Body.String()
-	if !strings.Contains(body, "taurus_build_info{") || !strings.Contains(body, `go="`) {
-		t.Error("taurus_build_info missing or unlabeled")
-	}
-	if !strings.Contains(body, "taurus_uptime_seconds") {
-		t.Error("taurus_uptime_seconds missing")
-	}
-}
-
 // TestParsePeers checks the -peers flag grammar.
 func TestParsePeers(t *testing.T) {
 	got := parsePeers("logstore=127.0.0.1:7100, pagestore=127.0.0.1:7000,127.0.0.1:7300 ,")

@@ -125,12 +125,10 @@ func productRegistries(t *testing.T) map[string]*obs.Registry {
 	// RPC families register on a transport's first call; the embedded
 	// master's calls carry the same names the roles' transports do.
 	psReg := obs.NewRegistry()
-	obs.RegisterBuildInfo(psReg)
 	pagestore.New("ps-role", pagestore.WithMetrics(psReg))
 	cluster.NewRPCMetrics(psReg, "server")
 
 	lsReg := obs.NewRegistry()
-	obs.RegisterBuildInfo(lsReg)
 	ls := logstore.New("ls-role")
 	t.Cleanup(func() { ls.Close() })
 	ls.RegisterMetrics(lsReg)
@@ -146,7 +144,6 @@ func productRegistries(t *testing.T) map[string]*obs.Registry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.RegisterBuildInfo(repReg)
 	eng, err := engine.New(engine.Config{ReadView: rr})
 	if err != nil {
 		t.Fatal(err)

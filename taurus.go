@@ -357,7 +357,6 @@ func Open(cfg Config) (_ *DB, err error) {
 		db.ckDone = make(chan struct{})
 		go db.checkpointLoop(cfg.CheckpointInterval)
 	}
-	obs.RegisterBuildInfo(reg)
 	// The master's own monitor: write-pipeline invariants plus the
 	// background checkpointer's sticky error.
 	db.health = health.NewMonitor("frontend", "frontend",
@@ -490,7 +489,6 @@ func OpenReplica(cfg Config) (*DB, error) {
 	reg.CounterFunc("taurus_slow_ops_fired_total",
 		"Statements the slow-op log fired on (met or exceeded its threshold).",
 		func() float64 { return float64(db.session.Slow.Fired()) })
-	obs.RegisterBuildInfo(reg)
 	rm := health.NewMonitor(repName, "replica",
 		health.MonitorOptions{Events: repEvents})
 	rep.RegisterHealth(rm)
