@@ -128,8 +128,9 @@ func TestRegistryScrapeWhileUpdate(t *testing.T) {
 				}
 				reg.Counter("taurus_test_ops_total", "ops",
 					L("worker", fmt.Sprintf("%d", w%2))).Inc()
-				reg.Gauge("taurus_test_depth", "depth",
-					L("worker", fmt.Sprintf("%d", w%2))).Set(float64(i))
+				depth := float64(i)
+				reg.GaugeFunc("taurus_test_depth", "depth", func() float64 { return depth },
+					L("worker", fmt.Sprintf("%d", w%2)))
 				reg.Histogram("taurus_test_latency_seconds", "lat", nil,
 					L("worker", fmt.Sprintf("%d", w%2))).Observe(0.01)
 				reg.GaugeFunc("taurus_test_func", "fn", func() float64 { return 1 })

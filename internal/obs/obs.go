@@ -1,7 +1,7 @@
 // Package obs is a dependency-free observability layer: a metrics
-// registry of atomic counters, gauges, and log-bucketed histograms with
-// Prometheus text-format export, plus lightweight span tracing for
-// slow-operation logging.
+// registry of atomic counters, scrape-time gauges, and log-bucketed
+// histograms with Prometheus text-format export, plus lightweight span
+// tracing for slow-operation logging.
 //
 // Design goals, in order:
 //
@@ -16,7 +16,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -87,32 +86,9 @@ func (c *Counter) value() float64 {
 	return float64(c.v.Load())
 }
 
-// Gauge is an atomic float64 gauge.
+// Gauge is a gauge read from a function at scrape time (GaugeFunc).
 type Gauge struct {
-	bits atomic.Uint64
-	fn   func() float64 // non-nil for GaugeFunc-backed series
-}
-
-// Set stores v. Safe on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds delta to the gauge. Safe on a nil receiver.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
+	fn func() float64
 }
 
 // Value returns the current gauge value. Safe on a nil receiver.
@@ -120,10 +96,7 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	if g.fn != nil {
-		return g.fn()
-	}
-	return math.Float64frombits(g.bits.Load())
+	return g.fn()
 }
 
 // series is one labeled instance of a metric family.
@@ -238,55 +211,12 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	})
 }
 
-// Gauge returns the gauge named name with the given labels, creating it
-// if needed. Safe on a nil registry.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.lookup(name, help, kindGauge, labels, func(s *series) {
-		if s.gauge == nil {
-			s.gauge = &Gauge{}
-		}
-	})
-	if s == nil {
-		return nil
-	}
-	return s.gauge
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at scrape
 // time. Safe on a nil registry.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.lookup(name, help, kindGauge, labels, func(s *series) {
 		s.gauge = &Gauge{fn: fn}
 	})
-}
-
-// Remove deletes the series with the given labels from the named
-// family, so a departed entity (a forgotten peer, a rebound role) stops
-// being exported instead of freezing at its last value. The instrument
-// keeps working for any holder of the pointer; it just no longer
-// scrapes. Removing an unknown series or family is a no-op. Safe on a
-// nil registry.
-func (r *Registry) Remove(name string, labels ...Label) {
-	if r == nil {
-		return
-	}
-	key := labelKey(sortLabels(labels))
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.families[name]
-	if f == nil {
-		return
-	}
-	if _, ok := f.series[key]; !ok {
-		return
-	}
-	delete(f.series, key)
-	for i, k := range f.order {
-		if k == key {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
-		}
-	}
 }
 
 // Histogram returns the histogram named name with the given labels,

@@ -21,54 +21,24 @@ func TestCounterGauge(t *testing.T) {
 	if same := r.Counter("taurus_test_total", "test counter"); same != c {
 		t.Fatal("get-or-create returned a different counter")
 	}
-	g := r.Gauge("taurus_test_gauge", "test gauge", L("node", "a"))
-	g.Set(2.5)
-	g.Add(-0.5)
-	if got := g.Value(); got != 2.0 {
-		t.Fatalf("gauge = %v, want 2.0", got)
-	}
 	r.GaugeFunc("taurus_fn_gauge", "fn gauge", func() float64 { return 42 })
 	r.CounterFunc("taurus_fn_total", "fn counter", func() float64 { return 7 })
-}
-
-// TestRemoveSeries checks Remove drops exactly one labeled series from
-// the exposition, leaves siblings intact, keeps the exposition valid,
-// and tolerates unknown names, unknown labels, and a nil registry.
-func TestRemoveSeries(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("taurus_test_state", "state", L("peer", "a"), L("role", "x")).Set(1)
-	r.Gauge("taurus_test_state", "state", L("peer", "b"), L("role", "y")).Set(2)
-	r.Remove("taurus_test_state", L("role", "x"), L("peer", "a")) // label order must not matter
-	r.Remove("taurus_test_state", L("peer", "ghost"), L("role", "z"))
-	r.Remove("taurus_no_such_family", L("peer", "a"))
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	text := buf.String()
-	if strings.Contains(text, `peer="a"`) {
-		t.Errorf("removed series still exported:\n%s", text)
+	if text := buf.String(); !strings.Contains(text, "taurus_fn_gauge 42") ||
+		!strings.Contains(text, "taurus_fn_total 7") {
+		t.Fatalf("func-backed series not exported:\n%s", text)
 	}
-	if !strings.Contains(text, `taurus_test_state{peer="b",role="y"} 2`) {
-		t.Errorf("sibling series lost:\n%s", text)
-	}
-	if _, err := ValidateExposition(text); err != nil {
-		t.Fatalf("exposition invalid after Remove: %v", err)
-	}
-	// Re-registering the removed series starts a fresh instrument.
-	if got := r.Gauge("taurus_test_state", "state", L("peer", "a"), L("role", "x")).Value(); got != 0 {
-		t.Errorf("recreated series = %v, want 0", got)
-	}
-	var nilReg *Registry
-	nilReg.Remove("taurus_test_state", L("peer", "a"))
 }
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "")
 	c.Add(1)
-	g := r.Gauge("x", "")
-	g.Set(1)
+	r.GaugeFunc("x", "", func() float64 { return 1 })
+	var g *Gauge
 	h := r.Histogram("x_seconds", "", nil)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
@@ -96,7 +66,7 @@ func TestKindConflictPanics(t *testing.T) {
 			t.Fatal("expected panic on kind conflict")
 		}
 	}()
-	r.Gauge("taurus_conflict", "")
+	r.GaugeFunc("taurus_conflict", "", func() float64 { return 0 })
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -148,7 +118,7 @@ func TestPrometheusExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("taurus_reqs_total", "requests", L("type", "MsgWriteLogs")).Add(10)
 	r.Counter("taurus_reqs_total", "requests", L("type", `quo"te\back`)).Add(2)
-	r.Gauge("taurus_lag", "lag").Set(3.5)
+	r.GaugeFunc("taurus_lag", "lag", func() float64 { return 3.5 })
 	h := r.Histogram("taurus_lat_seconds", "latency", nil, L("stage", "append"))
 	h.Observe(0.001)
 	h.Observe(0.004)
