@@ -4,7 +4,10 @@
 // — scrapes GET /metrics, and fails on a malformed Prometheus
 // exposition, a missing core metric family, a /trace/<id> tree that
 // does not span multiple node roles, or an empty /events flight
-// recorder. It also checks GET /stats still parses as JSON.
+// recorder. It also checks GET /stats still parses as JSON. Then it
+// starts a standalone -role pagestore and -role logstore and requires,
+// on each node's own /metrics, the families the README runbook rows
+// send operators there for.
 //
 //	go build -o /tmp/taurus-server ./cmd/taurus-server
 //	go run ./scripts/metrics-smoke -server /tmp/taurus-server
@@ -42,29 +45,72 @@ var coreFamilies = []string{
 	"taurus_slow_ops_fired_total",
 }
 
+// nodeFamilies are the runbook families (RB-APPLY-BACKLOG,
+// RB-CHECKPOINT-AGE, RB-VERSION-PIN, RB-PIPELINE-STUCK, RB-STREAM-STALL)
+// an operator reads on a standalone storage node's /metrics.
+var nodeFamilies = map[string][]string{
+	"pagestore": {
+		"taurus_pagestore_apply_seconds",
+		"taurus_pagestore_persisted_lsn",
+		"taurus_pagestore_version_pins",
+	},
+	"logstore": {
+		"taurus_logstore_append_seconds",
+		"taurus_logstore_stream_lag_records",
+	},
+}
+
 func main() {
 	server := flag.String("server", "taurus-server", "path to the taurus-server binary")
 	listen := flag.String("listen", "127.0.0.1:17290", "frontend query address")
 	statsAddr := flag.String("stats-addr", "127.0.0.1:17291", "frontend stats address")
+	psListen := flag.String("pagestore-listen", "127.0.0.1:17292", "standalone Page Store address")
+	psStats := flag.String("pagestore-stats-addr", "127.0.0.1:17293", "standalone Page Store stats address")
+	lsListen := flag.String("logstore-listen", "127.0.0.1:17294", "standalone Log Store address")
+	lsStats := flag.String("logstore-stats-addr", "127.0.0.1:17295", "standalone Log Store stats address")
 	timeout := flag.Duration("timeout", 15*time.Second, "startup deadline")
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("metrics-smoke: ")
 
-	cmd := exec.Command(*server, "-role", "frontend", "-listen", *listen, "-stats-addr", *statsAddr)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		log.Fatalf("starting %s: %v", *server, err)
-	}
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
-	if err := run(*listen, *statsAddr, *timeout); err != nil {
+	stop := start(*server, "frontend", *listen, *statsAddr)
+	err := run(*listen, *statsAddr, *timeout)
+	stop()
+	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("ok: /metrics valid with all %d core families, /stats parses", len(coreFamilies))
+
+	for _, n := range []struct{ role, listen, stats string }{
+		{"pagestore", *psListen, *psStats},
+		{"logstore", *lsListen, *lsStats},
+	} {
+		stop := start(*server, n.role, n.listen, n.stats)
+		err := waitUp("http://"+n.stats+"/metrics", *timeout)
+		if err == nil {
+			err = requireFamilies("http://"+n.stats+"/metrics", nodeFamilies[n.role])
+		}
+		stop()
+		if err != nil {
+			log.Fatalf("%s: %v", n.role, err)
+		}
+		log.Printf("ok: %s /metrics has its %d runbook families", n.role, len(nodeFamilies[n.role]))
+	}
+}
+
+// start runs one taurus-server of the given role and returns the func
+// that kills it.
+func start(server, role, listen, statsAddr string) (stop func()) {
+	cmd := exec.Command(server, "-role", role, "-listen", listen, "-stats-addr", statsAddr)
+	cmd.Stdout = os.Stderr
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		log.Fatalf("starting %s -role %s: %v", server, role, err)
+	}
+	return func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}
 }
 
 func run(listen, statsAddr string, timeout time.Duration) error {
@@ -95,22 +141,8 @@ func run(listen, statsAddr string, timeout time.Duration) error {
 		return err
 	}
 
-	text, err := fetch("http://" + statsAddr + "/metrics")
-	if err != nil {
+	if err := requireFamilies("http://"+statsAddr+"/metrics", coreFamilies); err != nil {
 		return err
-	}
-	families, err := obs.ValidateExposition(text)
-	if err != nil {
-		return fmt.Errorf("malformed /metrics exposition: %w", err)
-	}
-	var missing []string
-	for _, f := range coreFamilies {
-		if _, ok := families[f]; !ok {
-			missing = append(missing, f)
-		}
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("/metrics missing core families: %s", strings.Join(missing, ", "))
 	}
 
 	stats, err := fetch("http://" + statsAddr + "/stats")
@@ -123,6 +155,29 @@ func run(listen, statsAddr string, timeout time.Duration) error {
 	}
 	if _, ok := payload["WritePath"]; !ok {
 		return fmt.Errorf("/stats lost its WritePath section")
+	}
+	return nil
+}
+
+// requireFamilies fails on a malformed exposition at url or one that
+// lacks any of want.
+func requireFamilies(url string, want []string) error {
+	text, err := fetch(url)
+	if err != nil {
+		return err
+	}
+	families, err := obs.ValidateExposition(text)
+	if err != nil {
+		return fmt.Errorf("malformed /metrics exposition: %w", err)
+	}
+	var missing []string
+	for _, f := range want {
+		if _, ok := families[f]; !ok {
+			missing = append(missing, f)
+		}
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("/metrics missing families: %s", strings.Join(missing, ", "))
 	}
 	return nil
 }
