@@ -18,7 +18,7 @@
 // -stats-addr serves the observability endpoints of every role:
 //
 //	GET /stats         role-specific counters as JSON (backward-compatible)
-//	GET /metrics       the same telemetry in Prometheus text format
+//	GET /metrics       the families a gate or runbook reads, Prometheus text
 //	GET /healthz       liveness (always 200 while the process serves)
 //	GET /ready         readiness (503 until recovered and no check critical)
 //	GET /health        the node's full health-check report
