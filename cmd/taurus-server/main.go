@@ -312,7 +312,7 @@ func splitAddrs(s string) []string {
 }
 
 // clusterPeer is one -peers entry: a dialable cluster address plus the
-// role label shown in /cluster/health and taurus_peer_state.
+// role label shown in /cluster/health.
 type clusterPeer struct {
 	role string
 	addr string
@@ -452,8 +452,8 @@ func runFrontend(listen, statsAddr string, opts frontendOptions) {
 	view := db.ClusterHealth
 	if len(opts.peers) > 0 && opts.heartbeat >= 0 {
 		// External peers get their own detector and TCP pinger; the
-		// embedded fleet keeps its in-process one. Both report into the
-		// same registry/event ring and are folded into one cluster view.
+		// embedded fleet keeps its in-process one. Both record into the
+		// same event ring and are folded into one cluster view.
 		// A negative -heartbeat-interval disables heartbeating here just
 		// as it does for the embedded fleet.
 		ext := health.NewDetector(opts.heartbeat, opts.suspect, db.EventRing())

@@ -96,8 +96,7 @@ type peerEntry struct {
 // silence (or earlier when phi spikes) and Suspect -> Dead at 2x, so a
 // killed node is provably Dead within the acceptance deadline; a pong
 // from a Suspect/Dead peer revives it to Alive. Transitions are recorded
-// to the flight recorder. Safe for concurrent use; nil receiver is
-// inert.
+// to the flight recorder. Safe for concurrent use; nil receiver is inert.
 type Detector struct {
 	heartbeat time.Duration
 	suspect   time.Duration

@@ -126,9 +126,8 @@ type Probe func() Check
 // Monitor owns one node's probe set and evaluation cache. Evaluations
 // are rate-limited (MinEvalInterval) so a polling storm costs one probe
 // run per window; status transitions are recorded to the flight
-// recorder.
-// All methods are safe for concurrent use and safe on a nil receiver
-// (a nil monitor reports an empty, ready, OK node).
+// recorder. All methods are safe for concurrent use and safe on a nil
+// receiver (a nil monitor reports an empty, ready, OK node).
 type Monitor struct {
 	node  string
 	role  string

@@ -122,20 +122,17 @@ func productRegistries(t *testing.T) map[string]*obs.Registry {
 	t.Cleanup(func() { rep.Close() })
 	mustExec(t, rep, `SELECT SUM(v) FROM r WHERE id > 0`)
 
-	// RPC families register on a transport's first call; the embedded
-	// master's calls carry the same names the roles' transports do.
 	psReg := obs.NewRegistry()
-	pagestore.New("ps-role", pagestore.WithMetrics(psReg))
-	cluster.NewRPCMetrics(psReg, "server")
+	ps := pagestore.New("ps-role", pagestore.WithMetrics(psReg))
+	serveOnePing(t, psReg, "ps-role", ps)
 
 	lsReg := obs.NewRegistry()
 	ls := logstore.New("ls-role")
 	t.Cleanup(func() { ls.Close() })
 	ls.RegisterMetrics(lsReg)
-	cluster.NewRPCMetrics(lsReg, "client")
+	serveOnePing(t, lsReg, "ls-role", ls)
 
 	repReg := obs.NewRegistry()
-	cluster.NewRPCMetrics(repReg, "client")
 	rr, err := replica.New(replica.Config{
 		Transport: db.tr, Tenant: 1, LogStores: db.logNames, PageStores: db.psNames,
 		ReplicationFactor: db.cfg.ReplicationFactor, PagesPerSlice: db.cfg.PagesPerSlice,
@@ -144,6 +141,7 @@ func productRegistries(t *testing.T) map[string]*obs.Registry {
 	if err != nil {
 		t.Fatal(err)
 	}
+	serveOnePing(t, repReg, "replica-role", rr)
 	eng, err := engine.New(engine.Config{ReadView: rr})
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +152,20 @@ func productRegistries(t *testing.T) map[string]*obs.Registry {
 	return map[string]*obs.Registry{
 		"embedded master": db.Metrics(), "embedded replica": rep.Metrics(),
 		"-role pagestore": psReg, "-role logstore": lsReg, "-role replica": repReg,
+	}
+}
+
+// serveOnePing answers one heartbeat from h through a transport that
+// attributes it in reg, as a role's serving loop does
+// (cluster.ServeMetrics with side "server"): RPC families register on
+// a transport's first call.
+func serveOnePing(t *testing.T, reg *obs.Registry, node string, h cluster.Handler) {
+	t.Helper()
+	tr := cluster.NewInProc()
+	tr.Metrics = cluster.NewRPCMetrics(reg, "server")
+	tr.Register(node, h)
+	if _, err := tr.Call(node, &cluster.PingReq{Node: "test"}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1054,9 +1054,11 @@ func (db *DB) ScanRouting() sal.RouterStats {
 	return db.eng.SAL().RouterStats()
 }
 
-// Metrics returns the deployment's metrics registry. A master's registry
-// covers every embedded component (SAL write-path stages, Log and Page
-// Stores, buffer pool, engine, per-MsgType RPC traffic); a replica's
-// covers its own tailing, engine, and buffer pool. Serve it over HTTP
-// with Metrics().Handler() or render it with WritePrometheus.
+// Metrics returns the deployment's metrics registry: the families a
+// gate or runbook reads. A master's covers its embedded components (SAL
+// write-path stages, Log and Page Stores, buffer pool, engine,
+// per-MsgType RPC calls); a replica's covers its advance cycle, engine,
+// and buffer pool. Every other counter is in the *Stats accessors.
+// Serve it over HTTP with Metrics().Handler() or render it with
+// WritePrometheus.
 func (db *DB) Metrics() *obs.Registry { return db.obsReg }
